@@ -19,12 +19,13 @@ from typing import Optional
 import click
 
 from . import __version__
-from .combinat import Mode, count_plan
-from .enumerator import canonical_signature, plan, variants
+from .combinat import Mode
+from .enumerator import canonical_signature, emit, plan
 from .harness import (
     DEFAULT_THRESHOLD,
     ConfigError,
     ToolchainConfig,
+    check_unique_stems,
     read_log,
     run_campaign,
 )
@@ -68,13 +69,13 @@ def _decl_holes_option(f):
 def _budget_options(f):
     f = click.option(
         "--threshold",
-        type=int,
+        type=click.IntRange(min=1),
         default=None,
         help=f"Refuse files whose variant count exceeds this [default: {DEFAULT_THRESHOLD}].",
     )(f)
     f = click.option(
         "--cap",
-        type=int,
+        type=click.IntRange(min=1),
         default=None,
         help="Take the first N variants of the stream instead of refusing.",
     )(f)
@@ -130,14 +131,13 @@ def cmd_count(paths, mode, granularity, decl_holes, fmt) -> None:
     if bad:
         sys.exit(EXIT_CONFIG)
 
+    m = Mode(mode)
     gran = Granularity(granularity)
     rows = []
     for path, program in parsed:
         skel = extract(program, decl_holes=decl_holes)
-        report = count_plan(skel, gran)
-        selected = (
-            report.paper_mode_count if mode == "paper" else report.complete_mode_count
-        )
+        pl = plan(skel, m, gran)
+        report, selected = pl.report, pl.selected_count
         rows.append(
             {
                 "file": str(path),
@@ -226,10 +226,12 @@ def _signature_doc(sig) -> list:
 def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> None:
     """Write every variant as <stem>__v<seq>.c plus a manifest mapping
     stream positions to canonical signatures."""
+    threshold, cap = _resolve_budget(threshold, cap)
     try:
-        threshold, cap = _resolve_budget(threshold, cap)
-    except click.UsageError:
-        raise
+        check_unique_stems(paths)
+    except ConfigError as e:
+        click.echo(f"configuration error: {e}", err=True)
+        sys.exit(EXIT_CONFIG)
     parsed, bad = _parse_corpus(paths)
     if bad:
         sys.exit(EXIT_CONFIG)
@@ -241,12 +243,12 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
     for path, program in parsed:
         skel = extract(program, decl_holes=decl_holes)
         pl = plan(skel, m, gran, threshold, cap)
-        if not pl.supported:
+        if pl.refusal == "unsupported":
             click.echo(
                 f"{path}: paper mode unsupported here (nested local scopes)", err=True
             )
             sys.exit(EXIT_CONFIG)
-        if cap is None and pl.selected_count > threshold:
+        if pl.refusal == "threshold":
             click.echo(
                 f"{path}: {pl.selected_count} variants exceeds threshold {threshold}; "
                 "pass --cap to take a prefix",
@@ -257,11 +259,9 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
         stem = path.stem
         vdir = out_dir / stem
         vdir.mkdir(parents=True, exist_ok=True)
-        emitted = min(pl.selected_count, cap) if cap is not None else pl.selected_count
-        width = len(str(max(emitted, 1)))
         entries = []
         written = 0
-        for v in variants(skel, m, gran, limit=cap):
+        for fname, v in emit(skel, pl, stem):
             sig = canonical_signature(skel, v.assignment, gran)
             entry = {
                 "seq": v.seq,
@@ -270,7 +270,6 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
                 "signature": _signature_doc(sig),
             }
             if v.ok:
-                fname = f"{stem}__v{v.seq:0{width}d}.c"
                 (vdir / fname).write_text(v.source)
                 entry["file"] = fname
                 written += 1
@@ -311,10 +310,7 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
               help="Campaign output directory (variants, reports, outcome log).")
 def cmd_test(paths, mode, granularity, decl_holes, threshold, cap, config, out) -> None:
     """Run a differential-testing campaign over the corpus."""
-    try:
-        threshold, cap = _resolve_budget(threshold, cap)
-    except click.UsageError:
-        raise
+    threshold, cap = _resolve_budget(threshold, cap)
     try:
         cfg = ToolchainConfig.from_file(config) if config else ToolchainConfig.detect()
         summary = run_campaign(

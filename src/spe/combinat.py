@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
@@ -37,14 +38,10 @@ __all__ = [
     "ScopeNestingError",
     "stirling2",
     "count_at_most",
-    "count_exact",
     "rgs_at_most",
     "rgs_exact",
     "rgs_of_vector",
     "blocks_of_rgs",
-    "partitions_at_most",
-    "partitions_exact",
-    "combinations",
     "Pool",
     "Family",
     "FamilyPartition",
@@ -89,10 +86,6 @@ def stirling2(n: int, k: int) -> int:
             row[j] = prev[j - 1] + (j * prev[j] if j < m else 0)
         _stirling_rows.append(row)
     return _stirling_rows[n][k]
-
-
-def count_exact(n: int, k: int) -> int:
-    return stirling2(n, k)
 
 
 def count_at_most(n: int, k: int) -> int:
@@ -174,21 +167,6 @@ def blocks_of_rgs(rgs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     for pos, d in enumerate(rgs):
         blocks[d].append(pos)
     return tuple(tuple(b) for b in blocks)
-
-
-def partitions_at_most(elems: Sequence, k: int) -> Iterator[tuple[int, ...]]:
-    """RGS stream over ``elems`` (positional), at most k blocks."""
-    return rgs_at_most(len(elems), k)
-
-
-def partitions_exact(elems: Sequence, k: int) -> Iterator[tuple[int, ...]]:
-    """RGS stream over ``elems`` (positional), exactly k blocks."""
-    return rgs_exact(len(elems), k)
-
-
-def combinations(elems: Sequence, k: int) -> Iterator[tuple]:
-    """k-subsets of elems in lexicographic (input-order) order."""
-    return itertools.combinations(elems, k)
 
 
 def lazy_product(factories: Sequence[Callable[[], Iterable]]) -> Iterator[tuple]:
@@ -339,12 +317,6 @@ def family_count(family: Family, mode: Mode) -> int:
     return _complete_count(family)
 
 
-def _binom(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
-
-
 def _complete_count(family: Family) -> int:
     # Bottom-up over the pool tree.  up[p][j] = ways to place and partition
     # every hole of p's subtree such that exactly j holes pass above p.
@@ -380,7 +352,7 @@ def _complete_count(family: Family) -> int:
             if not w:
                 continue
             for m in range(a + 1):  # m holes stop at p, a-m continue up
-                out[a - m] += w * _binom(a, m) * count_at_most(m, v)
+                out[a - m] += w * math.comb(a, m) * count_at_most(m, v)
         up[p] = out
     raise AssertionError("unreachable: family has a root pool")
 
@@ -414,7 +386,7 @@ def _paper_count(family: Family) -> int:
             if 0 not in family.eligible[_first_of(family, p)] and m != u:
                 ways = 0
                 break
-            ways *= _binom(u, m) * count_at_most(m, len(family.pools[p].vars))
+            ways *= math.comb(u, m) * count_at_most(m, len(family.pools[p].vars))
             promoted += u - m
         if ways:
             total += ways * stirling2(g + promoted, v_root)
@@ -473,15 +445,11 @@ class CountReport:
     naive_count multiplies each hole's variable-set size; the mode counts
     multiply per-unit partition counts (the intra-procedural product, or
     the single program-wide problem at inter granularity).
-    scope_blind_count ignores scoping entirely: every hole may take any
-    same-type variable of the program, which is the figure enumeration is
-    usually compared against.
     """
 
     naive_count: int
     paper_mode_count: int | None
     complete_mode_count: int
-    scope_blind_count: int
     granularity: str  # "intra" | "inter"
     per_function: tuple[UnitCounts, ...]
 
@@ -492,7 +460,7 @@ def count_plan(skel, granularity=None) -> CountReport:
     Big-integer exact; cost is polynomial in the skeleton size, never in
     the counts themselves.
     """
-    from .skeleton import Granularity, normal_forms
+    from .skeleton import Granularity, naive_count, normal_forms
 
     if granularity is None:
         granularity = Granularity.INTRA
@@ -501,9 +469,6 @@ def count_plan(skel, granularity=None) -> CountReport:
     paper_total: int | None = 1
     complete_total = 1
     for nf in normal_forms(skel, granularity):
-        unit_naive = 1
-        for index in nf.permutation:
-            unit_naive *= len(skel.hole(index).var_set)
         complete = scoped_count(nf, Mode.COMPLETE)
         try:
             paper: int | None = scoped_count(nf, Mode.PAPER)
@@ -513,7 +478,7 @@ def count_plan(skel, granularity=None) -> CountReport:
             UnitCounts(
                 unit=nf.unit,
                 n=len(nf.permutation),
-                naive=unit_naive,
+                naive=naive_count(skel.hole(index) for index in nf.permutation),
                 paper=paper,
                 complete=complete,
             )
@@ -521,23 +486,10 @@ def count_plan(skel, granularity=None) -> CountReport:
         complete_total *= complete
         paper_total = None if (paper is None or paper_total is None) else paper_total * paper
 
-    naive_total = 1
-    for h in skel.holes:
-        naive_total *= len(h.var_set)
-
-    per_type: dict[str, int] = {}
-    for node in skel.program.scopes.nodes.values():
-        for d in node.decls:
-            per_type[d.type] = per_type.get(d.type, 0) + 1
-    scope_blind = 1
-    for h in skel.holes:
-        scope_blind *= per_type.get(h.type, 0)
-
     return CountReport(
-        naive_count=naive_total,
+        naive_count=naive_count(skel.holes),
         paper_mode_count=paper_total,
         complete_mode_count=complete_total,
-        scope_blind_count=scope_blind,
         granularity=granularity.value,
         per_function=tuple(rows),
     )

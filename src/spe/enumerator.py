@@ -17,7 +17,7 @@ of the naive product space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Literal, Optional
 
 from . import combinat
 from .combinat import CountReport, Mode, ScopedPartition, count_plan, lazy_product
@@ -30,6 +30,7 @@ from .skeleton import (
     Skeleton,
     characteristic_vector,
     extract,
+    naive_count,
     normal_forms,
 )
 
@@ -41,7 +42,6 @@ __all__ = [
     "EnumerationPlan",
     "enumerate_assignments",
     "naive_enumerate",
-    "naive_count",
     "realize",
     "realize_source",
     "canonical_signature",
@@ -49,6 +49,7 @@ __all__ = [
     "programs_alpha_equivalent",
     "variants",
     "variant_name",
+    "emit",
     "plan",
 ]
 
@@ -129,18 +130,11 @@ def enumerate_assignments(
         yield _assignment_of(skel, nfs, combo)
 
 
-def naive_count(skel: Skeleton) -> int:
-    total = 1
-    for h in skel.holes:
-        total *= len(h.var_set)
-    return total
-
-
 def naive_enumerate(skel: Skeleton, cap: int = 1_000_000) -> Iterator[Assignment]:
     """The full Cartesian product of every hole's variable set, in
     lexicographic order. Oracle use only; refuses when the product
     exceeds cap."""
-    total = naive_count(skel)
+    total = naive_count(skel.holes)
     if total > cap:
         raise ValueError(f"naive space has {total} assignments, cap is {cap}")
 
@@ -294,6 +288,21 @@ def variant_name(stem: str, seq: int, width: int) -> str:
     return f"{stem}__v{seq:0{width}d}.c"
 
 
+def emit(
+    skel: Skeleton, plan: EnumerationPlan, stem: str
+) -> Iterator[tuple[Optional[str], Variant]]:
+    """The plan's variant stream, the first `cap` entries when capped,
+    each paired with its file name `<stem>__v<seq>.c`; invalid markers
+    pair with None. Seqs are zero-padded to the width of the number of
+    entries emitted, so names sort in stream order."""
+    if plan.refusal is not None:
+        raise ValueError(f"plan is refused: {plan.refusal}")
+    count = plan.selected_count if plan.cap is None else min(plan.selected_count, plan.cap)
+    width = len(str(max(count, 1)))
+    for v in variants(skel, plan.mode, plan.granularity, limit=plan.cap):
+        yield (variant_name(stem, v.seq, width) if v.ok else None), v
+
+
 # ---------------------------------------------------------------------------
 # Planning
 
@@ -315,18 +324,14 @@ class EnumerationPlan:
         return self.report.complete_mode_count
 
     @property
-    def supported(self) -> bool:
-        return self.selected_count is not None
-
-    @property
-    def within_threshold(self) -> bool:
-        return self.supported and self.selected_count <= self.threshold
-
-    @property
-    def emit_limit(self) -> Optional[int]:
-        """How many stream entries to produce, None for all of them."""
-        if self.cap is not None:
-            return self.cap
+    def refusal(self) -> Optional[Literal["unsupported", "threshold"]]:
+        """Why the skeleton is not enumerated: "unsupported" when the mode
+        cannot count it, "threshold" when it has more variants than the
+        threshold and no cap bounds the run, None when it is enumerated."""
+        if self.selected_count is None:
+            return "unsupported"
+        if self.cap is None and self.selected_count > self.threshold:
+            return "threshold"
         return None
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .combinat import Mode
-from .enumerator import plan, variants
+from .enumerator import emit, plan
 from .minilang.interp import Status, interpret
 from .minilang.parser import ParseError, parse
 from .skeleton import Granularity, extract
@@ -42,6 +42,7 @@ __all__ = [
     "ToolchainConfig",
     "normalize_signature",
     "differential_verdict",
+    "check_unique_stems",
     "run_campaign",
     "read_log",
 ]
@@ -202,6 +203,15 @@ def normalize_signature(stderr: str, exit_status: int) -> str:
     return " ".join(line.split())
 
 
+def _ran(rows: Sequence[dict]) -> list[dict]:
+    """The rows whose cell compiled and ran without timing out."""
+    return [
+        r
+        for r in rows
+        if r["compile"]["status"] == "ok" and r.get("run") and not r["run"].get("timeout")
+    ]
+
+
 def differential_verdict(rows: Sequence[dict]) -> dict:
     """Judge one variant's outcome rows: {"status": "ok"} or a
     wrong-code candidate naming every cell whose (exit, stdout digest)
@@ -215,13 +225,7 @@ def differential_verdict(rows: Sequence[dict]) -> dict:
     interp = rows[0].get("interp") or {}
     if interp.get("verdict") != "ok":
         return {"status": "ok"}
-    ran = [
-        r
-        for r in rows
-        if r["compile"]["status"] == "ok"
-        and r.get("run")
-        and not r["run"].get("timeout")
-    ]
+    ran = _ran(rows)
     if len(ran) < 2:
         return {"status": "ok"}
     expected = (interp["exit"], interp["stdout_sha256"])
@@ -452,8 +456,7 @@ def _wrong_code_report(
                 "exit": r["run"]["exit"],
                 "stdout_sha256": r["run"]["stdout_sha256"],
             }
-            for r in rows
-            if r["compile"]["status"] == "ok" and r.get("run") and not r["run"].get("timeout")
+            for r in _ran(rows)
         ],
         "first_seen": _now(),
     }
@@ -471,6 +474,17 @@ def _wrong_code_report(
 
 # ---------------------------------------------------------------------------
 # Campaign driver
+
+def check_unique_stems(corpus: Sequence[str | Path]) -> None:
+    """Variant files and ids are named after their corpus file's stem, so
+    two files sharing one would overwrite each other's variants and
+    outcome rows; ConfigError names the first such pair."""
+    seen: dict[str, Path] = {}
+    for path in map(Path, corpus):
+        first = seen.setdefault(path.stem, path)
+        if first is not path:
+            raise ConfigError(f"{first} and {path} share the stem {path.stem!r}")
+
 
 def run_campaign(
     corpus: Sequence[str | Path],
@@ -491,6 +505,9 @@ def run_campaign(
     """
     if threshold < 1:
         raise ConfigError(f"threshold must be >= 1, got {threshold}")
+    if cap is not None and cap < 1:
+        raise ConfigError(f"cap must be >= 1, got {cap}")
+    check_unique_stems(corpus)
     cfg.validate()
 
     out = Path(out_dir)
@@ -525,35 +542,32 @@ def run_campaign(
             entry["n"] = skel.n
             entry["naive"] = pl.report.naive_count
             total_naive += pl.report.naive_count
-            if not pl.supported:
+            if pl.refusal == "unsupported":
                 entry.update(status="unsupported")
                 files.append(entry)
                 continue
             entry["selected"] = pl.selected_count
-            if cap is None and pl.selected_count > threshold:
+            if pl.refusal == "threshold":
                 entry.update(status="skipped", threshold=threshold)
                 files.append(entry)
                 continue
 
-            emitted = min(pl.selected_count, cap) if cap is not None else pl.selected_count
-            width = len(str(max(emitted, 1)))
             vdir = variants_dir / stem
             vdir.mkdir(parents=True, exist_ok=True)
 
-            ok_variants: list[tuple[str, Path, dict]] = []
+            ok_variants: list[tuple[str, Path, str, dict]] = []
             invalid = 0
-            for v in variants(skel, mode, granularity, limit=cap):
+            for fname, v in emit(skel, pl, stem):
                 if not v.ok:
                     invalid += 1
                     continue
-                vid = f"{stem}__v{v.seq:0{width}d}"
-                vpath = vdir / f"{vid}.c"
+                vpath = vdir / fname
                 vpath.write_text(v.source)
-                ok_variants.append((vid, vpath, _interp_record(v.program)))
+                ok_variants.append((vpath.stem, vpath, v.source, _interp_record(v.program)))
 
             futures = {}
-            rows_by_variant: dict[str, list[dict]] = {vid: [] for vid, _, _ in ok_variants}
-            for vid, vpath, interp_rec in ok_variants:
+            rows_by_variant: dict[str, list[dict]] = {vid: [] for vid, *_ in ok_variants}
+            for vid, vpath, _, interp_rec in ok_variants:
                 for spec, flags in cfg.cells():
                     key = (vid, spec.name, " ".join(flags))
                     if key in log:
@@ -570,19 +584,18 @@ def run_campaign(
                 log[_row_key(row)] = row
 
             by_name = {c.name: c for c in cfg.compilers}
-            sources = {vid: vpath.read_text() for vid, vpath, _ in ok_variants}
             file_crashes = 0
             file_wrong = 0
-            for vid, _, _ in ok_variants:
+            for vid, _, source, _ in ok_variants:
                 rows = sorted(rows_by_variant[vid], key=_row_key)
                 for row in rows:
                     if row["compile"]["status"] == "crash":
-                        if _crash_report(reports_dir, row, by_name[row["compiler"]], sources[vid]):
+                        if _crash_report(reports_dir, row, by_name[row["compiler"]], source):
                             crash_new += 1
                         file_crashes += 1
                 verdict = differential_verdict(rows)
                 if verdict["status"] == "wrong-code":
-                    if _wrong_code_report(reports_dir, vid, verdict, rows, cfg, sources[vid]):
+                    if _wrong_code_report(reports_dir, vid, verdict, rows, cfg, source):
                         wrong_new += 1
                     file_wrong += 1
 

@@ -67,9 +67,6 @@ class ScopeTree:
         path.reverse()
         return path
 
-    def depth(self, scope_id: int) -> int:
-        return len(self.chain(scope_id)) - 1
-
 
 # --- Expressions ---------------------------------------------------------
 

@@ -25,8 +25,9 @@ partition model would miscount, so normalization refuses such units.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .combinat import Family, Pool
 from .minilang.ast import (
@@ -119,6 +120,12 @@ class Skeleton:
         from .enumerator import Assignment
 
         return Assignment(self.origin_vector)
+
+
+def naive_count(holes: Iterable[Hole]) -> int:
+    """Size of the naive space over these holes: the product of their
+    variable-set sizes."""
+    return math.prod(len(h.var_set) for h in holes)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from spe.minilang import parse
-from spe.skeleton import extract
+from spe.skeleton import extract, naive_count
 
 LOOP_SRC = """\
 int main(void) {
@@ -213,10 +213,7 @@ def random_skeleton(seed: int, max_holes: int = 8, max_naive: int = 4096, allow_
     for attempt in range(50):
         src = random_source(seed * 997 + attempt, max_holes, allow_uint)
         skel = extract(parse(src))
-        naive = 1
-        for h in skel.holes:
-            naive *= len(h.var_set)
-        if 0 < skel.n <= max_holes and naive <= max_naive:
+        if 0 < skel.n <= max_holes and naive_count(skel.holes) <= max_naive:
             return skel
     raise AssertionError(f"no usable skeleton near seed {seed}")
 

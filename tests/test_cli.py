@@ -230,6 +230,46 @@ class TestEnumerate:
         )
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "budget", [["--threshold", "0"], ["--cap", "0"], ["--cap", "-2"]]
+    )
+    def test_budget_below_one_exits_config(self, runner, corpus, tmp_path, budget):
+        out = tmp_path / "v"
+        res = runner.invoke(
+            main, ["enumerate", str(corpus["loop"]), *budget, "--out", str(out)]
+        )
+        assert res.exit_code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_duplicate_stems_exit_config(self, runner, corpus, tmp_path):
+        twin = tmp_path / "twin" / "loop.c"
+        twin.parent.mkdir()
+        twin.write_text(STRAIGHT_SRC)
+        out = tmp_path / "v"
+        res = runner.invoke(
+            main, ["enumerate", str(corpus["loop"]), str(twin), "--out", str(out)]
+        )
+        assert res.exit_code == EXIT_CONFIG
+        assert str(corpus["loop"]) in res.output and str(twin) in res.output
+        assert not out.exists()
+
+    def test_decl_holes_invalid_markers(self, runner, corpus, tmp_path):
+        out = tmp_path / "v"
+        res = runner.invoke(
+            main,
+            ["enumerate", "--decl-holes", str(corpus["straight"]), "--out", str(out)],
+        )
+        assert res.exit_code == EXIT_OK
+        manifest = json.loads((out / "straight" / "manifest.json").read_text())
+        assert (manifest["count"], manifest["written"], manifest["invalid"]) == (32, 16, 16)
+        entries = manifest["variants"]
+        assert [e["valid"] for e in entries] == [False] * 16 + [True] * 16
+        for e in entries[:16]:
+            assert set(e) == {"seq", "valid", "assignment", "signature", "error"}
+        assert [e["file"] for e in entries[16:]] == [
+            f"straight__v{seq}.c" for seq in range(17, 33)
+        ]
+
     def test_paper_mode_unsupported_exits_config(self, runner, corpus, tmp_path):
         res = runner.invoke(
             main,
@@ -286,6 +326,56 @@ class TestTestCommand:
         )
         assert res.exit_code == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "budget", [["--threshold", "0"], ["--cap", "0"], ["--cap", "-2"]]
+    )
+    def test_budget_below_one_exits_config(self, runner, corpus, tmp_path, budget):
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        res = runner.invoke(
+            main,
+            ["test", str(corpus["loop"]), *budget, "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_duplicate_stems_exit_config(self, runner, corpus, tmp_path):
+        twin = tmp_path / "twin" / "loop.c"
+        twin.parent.mkdir()
+        twin.write_text(STRAIGHT_SRC)
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        res = runner.invoke(
+            main,
+            ["test", str(corpus["loop"]), str(twin), "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == EXIT_CONFIG
+        assert str(corpus["loop"]) in res.output and str(twin) in res.output
+        assert not out.exists()
+
+    def test_decl_holes_variants_match_enumerate(self, runner, corpus, tmp_path):
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        res = runner.invoke(
+            main,
+            ["test", "--decl-holes", str(corpus["straight"]),
+             "--config", str(cfg), "--out", str(out)],
+        )
+        # the stub's binaries exit 0, so variants returning 3 are findings
+        assert res.exit_code == EXIT_FINDINGS
+        summary = json.loads((out / "summary.json").read_text())
+        (entry,) = summary["files"]
+        assert (entry["enumerated"], entry["invalid"]) == (16, 16)
+        enum_out = tmp_path / "enumerated"
+        res = runner.invoke(
+            main,
+            ["enumerate", "--decl-holes", str(corpus["straight"]), "--out", str(enum_out)],
+        )
+        assert res.exit_code == EXIT_OK
+        tested = {p.name: p.read_bytes() for p in (out / "variants" / "straight").iterdir()}
+        enumerated = {p.name: p.read_bytes() for p in (enum_out / "straight").glob("*.c")}
+        assert len(tested) == 16 and tested == enumerated
 
 
 class TestStats:

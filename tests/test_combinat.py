@@ -12,13 +12,9 @@ from spe.combinat import (
     Pool,
     ScopeNestingError,
     blocks_of_rgs,
-    combinations,
     count_at_most,
-    count_exact,
     family_count,
     lazy_product,
-    partitions_at_most,
-    partitions_exact,
     rgs_at_most,
     rgs_exact,
     rgs_of_vector,
@@ -71,11 +67,11 @@ class TestRgsStreams:
     def test_exact_32(self):
         rows = list(rgs_exact(3, 2))
         assert rows == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
-        assert count_exact(3, 2) == 3
+        assert stirling2(3, 2) == 3
 
     def test_exact_k_above_n_empty(self):
         assert list(rgs_exact(1, 2)) == []
-        assert count_exact(1, 2) == 0
+        assert stirling2(1, 2) == 0
 
     def test_zero_holes(self):
         assert list(rgs_at_most(0, 3)) == [()]
@@ -122,15 +118,6 @@ class TestRgsStreams:
         for i, a in enumerate(values):
             for j, b in enumerate(values):
                 assert (a == b) == (rgs[i] == rgs[j])
-
-    def test_positional_wrappers(self):
-        elems = ["p", "q", "r"]
-        assert list(partitions_at_most(elems, 2)) == list(rgs_at_most(3, 2))
-        assert list(partitions_exact(elems, 2)) == list(rgs_exact(3, 2))
-
-    def test_combinations(self):
-        assert list(combinations([1, 2, 3], 2)) == [(1, 2), (1, 3), (2, 3)]
-        assert list(combinations([], 0)) == [()]
 
 
 class TestLazyProduct:

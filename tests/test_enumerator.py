@@ -14,8 +14,8 @@ from spe.enumerator import (
     InvalidRealization,
     alpha_equivalent,
     canonical_signature,
+    emit,
     enumerate_assignments,
-    naive_count,
     naive_enumerate,
     plan,
     programs_alpha_equivalent,
@@ -25,7 +25,7 @@ from spe.enumerator import (
     variants,
 )
 from spe.minilang import interpret, parse, render, structurally_equal
-from spe.skeleton import Granularity, extract
+from spe.skeleton import Granularity, extract, naive_count
 
 from conftest import LOOP_SRC, SCOPED_SRC, BRANCH_SRC, random_skeleton
 from oracles import burnside_count, orbits, pools_of_program, renaming_group
@@ -98,7 +98,7 @@ class TestLoop:
 
     def test_naive_enumeration(self, loop_skel):
         vals = [a.values for a in naive_enumerate(loop_skel)]
-        assert len(vals) == 64 == naive_count(loop_skel)
+        assert len(vals) == 64 == naive_count(loop_skel.holes)
         assert vals == sorted(vals)
         with pytest.raises(ValueError):
             list(naive_enumerate(loop_skel, cap=63))
@@ -271,6 +271,15 @@ class TestVariantStream:
         assert variant_name("loop", 3, 2) == "loop__v03.c"
         assert variant_name("loop", 3, 4) == "loop__v0003.c"
 
+    def test_emit_names_the_stream(self, loop_skel):
+        rows = list(emit(loop_skel, plan(loop_skel), "loop"))
+        assert [name for name, _ in rows] == [f"loop__v{i:02d}.c" for i in range(1, 33)]
+        assert [v.source for _, v in rows] == [v.source for v in variants(loop_skel)]
+
+    def test_emit_rejects_a_refused_plan(self, loop_skel):
+        with pytest.raises(ValueError):
+            next(emit(loop_skel, plan(loop_skel, threshold=10), "loop"))
+
     def test_limit_is_stream_prefix(self, loop_skel):
         head = [v.assignment.values for v in variants(loop_skel, limit=5)]
         full = stream_vectors(loop_skel)
@@ -285,11 +294,14 @@ class TestVariantStream:
 class TestPlan:
     def test_threshold_decisions(self, loop_skel):
         p = plan(loop_skel, threshold=10)
-        assert p.selected_count == 32 and not p.within_threshold
+        assert p.selected_count == 32 and p.refusal == "threshold"
         p = plan(loop_skel, threshold=32)
-        assert p.within_threshold
+        assert p.refusal is None
         p = plan(loop_skel, threshold=10, cap=5)
-        assert p.emit_limit == 5
+        assert p.refusal is None
+        assert [name for name, _ in emit(loop_skel, p, "loop")] == [
+            f"loop__v{i}.c" for i in range(1, 6)
+        ]
 
     def test_paper_mode_unsupported_reports_none(self):
         src = """
@@ -307,6 +319,6 @@ int main(void) {
 """
         skel = extract(parse(src))
         p = plan(skel, Mode.PAPER)
-        assert not p.supported and p.selected_count is None
+        assert p.refusal == "unsupported" and p.selected_count is None
         q = plan(skel, Mode.COMPLETE)
-        assert q.supported
+        assert q.refusal is None

@@ -288,6 +288,24 @@ class TestCampaign:
             run_campaign([corpus["loop"]], cfg, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget", [{"threshold": 0}, {"cap": 0}])
+    def test_budget_below_one_fails_before_work(self, tmp_path, corpus, budget):
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError):
+            run_campaign([corpus["loop"]], cfg, out, **budget)
+        assert not out.exists()
+
+    def test_duplicate_stems_fail_before_work(self, tmp_path, corpus):
+        twin = tmp_path / "twin" / "straight.c"
+        twin.parent.mkdir()
+        twin.write_text(corpus["loop"].read_text())
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="share the stem"):
+            run_campaign([corpus["straight"], twin], cfg, out)
+        assert not out.exists()
+
     def test_rerun_is_idempotent(self, tmp_path, corpus):
         cfg = stub_config(tmp_path, ("crashcc", CRASH_STUB))
         out = tmp_path / "out"

@@ -240,6 +240,8 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
     gran = Granularity(granularity)
     out_dir = Path(out)
 
+    # every file is planned before any is written, so a refusal leaves no output
+    planned = []
     for path, program in parsed:
         skel = extract(program, decl_holes=decl_holes)
         pl = plan(skel, m, gran, threshold, cap)
@@ -255,7 +257,9 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
                 err=True,
             )
             sys.exit(EXIT_THRESHOLD)
+        planned.append((path, skel, pl))
 
+    for path, skel, pl in planned:
         stem = path.stem
         vdir = out_dir / stem
         vdir.mkdir(parents=True, exist_ok=True)

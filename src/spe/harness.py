@@ -176,12 +176,17 @@ _PATH_PREFIX = re.compile(r"(?:/[\w.+-]+)+/")
 _NUMBER = re.compile(r"\d+")
 
 
+def _mask(text: str) -> str:
+    """Drop directory prefixes (temp paths differ per run) and turn
+    numbers into '#' (PIDs differ per run, positions across inputs)."""
+    return _NUMBER.sub("#", _PATH_PREFIX.sub("", text))
+
+
 def normalize_signature(stderr: str, exit_status: int) -> str:
     """Collapse a crash's diagnostics to a stable signature.
 
-    First diagnostic-looking line wins; directory prefixes are dropped
-    (temp paths differ per run), numbers become '#' (positions drift
-    across inputs), whitespace is collapsed. No usable line at all
+    First diagnostic-looking line wins; it is masked (_mask) and its
+    whitespace collapsed. No usable line at all
     degrades to "signal:<code>".
     """
     line = ""
@@ -198,9 +203,7 @@ def normalize_signature(stderr: str, exit_status: int) -> str:
     if not line:
         # subprocess reports signal deaths as negative return codes
         return f"signal:{-exit_status if exit_status < 0 else exit_status}"
-    line = _PATH_PREFIX.sub("", line)
-    line = _NUMBER.sub("#", line)
-    return " ".join(line.split())
+    return " ".join(_mask(line).split())
 
 
 def _ran(rows: Sequence[dict]) -> list[dict]:
@@ -323,14 +326,14 @@ def _evaluate_cell(
                 "status": "crash",
                 "exit": proc.returncode,
                 "signature": normalize_signature(proc.stderr or proc.stdout or "", proc.returncode),
-                "stderr": (proc.stderr or "")[-2000:],
+                "stderr": _mask(proc.stderr or "")[-2000:],
             }
             return row
         if proc.returncode != 0 or not os.path.isfile(output):
             row["compile"] = {
                 "status": "reject",
                 "exit": proc.returncode,
-                "stderr": (proc.stderr or "")[-2000:],
+                "stderr": _mask(proc.stderr or "")[-2000:],
             }
             return row
         row["compile"] = {"status": "ok", "exit": 0}

@@ -21,6 +21,18 @@ UINT_MAX = 2 ** 32 - 1
 #: Scope id of the file-level (global) scope; always the root of the tree.
 GLOBAL_SCOPE = 0
 
+#: Binary operator precedence, one row per level, loosest first; every
+#: operator is left-associative. The parser climbs this table and the
+#: renderer parenthesizes by it.
+BINARY_PREC = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+
 
 def c_div(a: int, b: int) -> int:
     """C division: truncates toward zero. Caller checks b != 0."""
@@ -99,7 +111,7 @@ class Unary:
 
 @dataclass(eq=False)
 class Binary:
-    op: str  # + - * / % == != < <= > >= && ||
+    op: str  # a key of BINARY_PREC
     left: "Expr"
     right: "Expr"
     type: str

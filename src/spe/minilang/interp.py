@@ -12,8 +12,8 @@ Semantics follow C where C defines them and stop where it does not:
   division/modulo by zero and INT_MIN / -1 (also INT_MIN % -1);
 - unsigned arithmetic wraps mod 2**32 and is never UB except for
   division/modulo by zero;
-- a step budget bounds total work; exceeding it (or exceeding the call
-  depth limit) is reported as its own status, not as UB, so looping
+- a step budget bounds total work; exceeding it (or recursing past the
+  frame budget) is reported as its own status, not as UB, so looping
   variants remain usable for crash testing.
 """
 
@@ -51,9 +51,13 @@ from .ast import (
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
-# Recursion deeper than this counts as budget exhaustion. Keeps the
-# Python call stack bounded while letting reasonable recursion run.
-MAX_CALL_DEPTH = 200
+# Python frames the interpreter may stack. Each call checks, before it
+# runs, that the deepest frame its body can reach (_frames) stays within
+# this, and counts as budget exhaustion otherwise. So deep recursion ends
+# the same way on every run, whatever the caller's stack, and well under
+# Python's default recursion limit of 1000. The parser's nesting limit
+# keeps one activation of any accepted program far below it.
+MAX_FRAMES = 600
 
 _UINT_MASK = 0xFFFFFFFF
 
@@ -97,12 +101,46 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
+def _frames(node, at: int, sites: dict) -> int:
+    """The deepest _Interp's frames reach while it evaluates node from a
+    frame `at` deep, not counting the functions it calls; records in
+    sites how deep each call is made from."""
+    if isinstance(node, (Num, Var)):
+        return at + 1  # eval
+    if isinstance(node, Unary):  # eval, _unary
+        kids, at = [node.operand], at + 2
+    elif isinstance(node, Binary):  # eval, _binary
+        kids, at = [node.left, node.right], at + 2
+    elif isinstance(node, Call):  # eval makes the call; the argument list is a frame
+        sites[node] = at + 1
+        kids, at = node.args, at + 2
+    elif isinstance(node, Block):  # exec_block, then exec_stmt per statement
+        kids, at = node.stmts, at + 2
+    elif isinstance(node, If):
+        kids = [node.cond, node.then] + ([] if node.orelse is None else [node.orelse])
+    elif isinstance(node, While):
+        kids = [node.cond, node.body]
+    elif isinstance(node, Printf):
+        kids = [node.arg]
+    elif isinstance(node, CallStmt):
+        kids = [node.call]
+    else:  # Assign, Return
+        kids = [node.value]
+    deepest = at
+    for kid in kids:  # a loop, not a generator, to stack one frame per level
+        deepest = max(deepest, _frames(kid, at, sites))
+    return deepest
+
+
 class _Interp:
     def __init__(self, program: Program, budget: int):
         self.program = program
         self.budget = budget
         self.steps = 0
-        self.depth = 0
+        self.base = 0  # frames stacked below the running call
+        self.sites: dict[Call, int] = {}
+        # frames from the call (frame 1) to the deepest in its body
+        self.cost = {f.name: _frames(f.body, 1, self.sites) for f in program.functions}
         self.out: list[str] = []
         self.globals: dict[VarDecl, int] = {
             d: (d.init if d.init is not None else 0) for d in program.globals
@@ -119,10 +157,10 @@ class _Interp:
 
     # -- execution ---------------------------------------------------
 
-    def call(self, fn: Function, args: list[int]) -> int:
-        if self.depth >= MAX_CALL_DEPTH:
+    def call(self, fn: Function, args: list[int], base: int = 0) -> int:
+        if base + self.cost[fn.name] > MAX_FRAMES:
             raise _OutOfSteps
-        self.depth += 1
+        caller_base, self.base = self.base, base
         frame: dict[VarDecl, object] = {}
         for p, a in zip(fn.params, args):
             frame[p] = a
@@ -131,7 +169,7 @@ class _Interp:
         except _ReturnSignal as r:
             return r.value
         finally:
-            self.depth -= 1
+            self.base = caller_base
         # The parser guarantees the body ends with a return statement.
         raise AssertionError(f"function {fn.name!r} fell off its end")
 
@@ -194,7 +232,7 @@ class _Interp:
             return self._binary(e, frame)
         if isinstance(e, Call):
             args = [self.eval(a, frame) for a in e.args]
-            return self.call(self.functions[e.name], args)
+            return self.call(self.functions[e.name], args, self.base + self.sites[e])
         raise TypeError(f"not an expression: {e!r}")
 
     def _unary(self, e: Unary, frame: dict) -> int:

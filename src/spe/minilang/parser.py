@@ -22,10 +22,12 @@ and checked for consistency but not stored in the AST.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .ast import (
+    BINARY_PREC,
     GLOBAL_SCOPE,
     INT,
     INT_MAX,
@@ -64,6 +66,20 @@ E_NO_MAIN = "no_main"
 E_BAD_PRINTF = "bad_printf"
 E_MISSING_RETURN = "missing_return"
 E_RANGE = "range"
+E_NESTING = "nesting"
+
+# Deepest nesting accepted. Two measures share the limit. While parsing,
+# every enclosing block, parenthesis, call argument list and unary
+# operator is one level. A finished expression adds its height, in which
+# every operator or call node is two levels: itself and the parentheses
+# the renderer may put around it, so that the rendered text of an
+# accepted program is accepted again. At 150 levels the deepest accepted
+# programs take at most 605 Python frames to parse (150 parentheses at 4
+# frames each), 451 to extract, render or key, and 304 for one
+# interpreter activation: under Python's default recursion limit of
+# 1000, with room left for the caller's own frames.
+MAX_NESTING = 150
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
 
 
 class ParseError(Exception):
@@ -89,7 +105,10 @@ KEYWORDS = frozenset(
 _PUNCT2 = ("==", "!=", "<=", ">=", "&&", "||")
 _PUNCT1 = set("(){};,=+-*/%<>!")
 
-_REL_OPS = ("<", "<=", ">", ">=")
+# The loosest arithmetic row of BINARY_PREC: arithmetic operators keep
+# their operands' type, and constant initializers use only these rows.
+_ARITH = BINARY_PREC["+"]
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": c_div, "%": c_mod}
 
 
 @dataclass
@@ -230,6 +249,8 @@ class _Parser:
         # Environment: stack of (scope_id, {name: decl}), innermost last.
         self.env: list[tuple[int, dict[str, VarDecl]]] = []
         self.cur_ret: Optional[str] = None
+        self.depth = 0  # nesting levels entered; see MAX_NESTING
+        self.heights: dict[Expr, int] = {}  # operator and call nodes only
 
     # -- token plumbing ----------------------------------------------
 
@@ -273,6 +294,12 @@ class _Parser:
     def fail(self, kind: str, message: str, tok: Optional[_Token] = None) -> None:
         t = tok or self.cur()
         raise ParseError(kind, message, t.line, t.col)
+
+    def nest(self, tok: Optional[_Token] = None) -> None:
+        """Enter one nesting level; the caller leaves it again."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(E_NESTING, _TOO_DEEP, tok)
 
     def expect_name(self, what: str) -> _Token:
         t = self.cur()
@@ -338,7 +365,7 @@ class _Parser:
             return decls
 
     def fold_const(self, target_type: str, name_tok: _Token) -> int:
-        value = self._const_add()
+        value = self.const_expr()
         lo, hi = (0, UINT_MAX) if target_type == UINT else (-(INT_MAX + 1), INT_MAX)
         if not lo <= value <= hi:
             self.fail(
@@ -348,33 +375,23 @@ class _Parser:
             )
         return value
 
-    def _const_add(self) -> int:
-        v = self._const_mul()
-        while True:
-            if self.take_punct("+"):
-                v = v + self._const_mul()
-            elif self.take_punct("-"):
-                v = v - self._const_mul()
-            else:
-                return v
+    def const_expr(self) -> int:
+        self.nest()
+        value = self._climb(self._const_unary, self._fold, _ARITH)
+        self.depth -= 1
+        return value
 
-    def _const_mul(self) -> int:
-        v = self._const_unary()
-        while True:
-            if self.take_punct("*"):
-                v = v * self._const_unary()
-            elif self.at_punct("/") or self.at_punct("%"):
-                op = self.advance()
-                rhs = self._const_unary()
-                if rhs == 0:
-                    self.fail(E_RANGE, "division by zero in constant initializer", op)
-                v = c_div(v, rhs) if op.text == "/" else c_mod(v, rhs)
-            else:
-                return v
+    def _fold(self, op: _Token, left: int, right: int) -> int:
+        if right == 0 and op.text in ("/", "%"):
+            self.fail(E_RANGE, "division by zero in constant initializer", op)
+        return _FOLD[op.text](left, right)
 
     def _const_unary(self) -> int:
-        if self.take_punct("-"):
-            return -self._const_unary()
+        if self.at_punct("-"):
+            self.nest(self.advance())
+            value = -self._const_unary()
+            self.depth -= 1
+            return value
         return self._const_primary()
 
     def _const_primary(self) -> int:
@@ -383,7 +400,7 @@ class _Parser:
             self.advance()
             return t.value[0]
         if self.take_punct("("):
-            v = self._const_add()
+            v = self.const_expr()
             self.expect_punct(")")
             return v
         if t.kind == "ident" and t.text not in KEYWORDS:
@@ -397,79 +414,60 @@ class _Parser:
 
     # -- expressions ------------------------------------------------------
 
+    def _climb(self, operand: Callable, combine: Callable, min_prec: int = 1):
+        """Precedence climbing over the BINARY_PREC rows from min_prec
+        up: `operand (op operand)*`, each op folded left-associatively
+        by combine(op token, left, right) as soon as its right operand
+        is complete. Pending operators wait on a list, not the stack."""
+        operands = [operand()]
+        ops: list[_Token] = []
+        while True:
+            # only punct tokens carry operator text (strings keep quotes)
+            prec = BINARY_PREC.get(self.cur().text, 0)
+            while ops and BINARY_PREC[ops[-1].text] >= prec:
+                right = operands.pop()
+                operands[-1] = combine(ops.pop(), operands[-1], right)
+            if prec < min_prec:
+                return operands[0]
+            ops.append(self.advance())
+            operands.append(operand())
+
     def parse_expr(self) -> Expr:
-        return self._parse_lor()
-
-    def _parse_lor(self) -> Expr:
-        e = self._parse_land()
-        while self.at_punct("||"):
-            self.advance()
-            r = self._parse_land()
-            e = Binary("||", e, r, INT)
+        start = self.cur()
+        self.nest(start)
+        e = self._climb(self._parse_unary, self._binary)
+        if self.depth + self.heights.get(e, 0) > MAX_NESTING:
+            self.fail(E_NESTING, _TOO_DEEP, start)
+        self.depth -= 1
         return e
 
-    def _parse_land(self) -> Expr:
-        e = self._parse_eq()
-        while self.at_punct("&&"):
-            self.advance()
-            r = self._parse_eq()
-            e = Binary("&&", e, r, INT)
+    def _node(self, e: Expr, *children: Expr) -> Expr:
+        """Record e's height (see MAX_NESTING) and return it."""
+        self.heights[e] = 2 + max([self.heights.get(c, 0) for c in children], default=0)
         return e
 
-    def _parse_eq(self) -> Expr:
-        e = self._parse_rel()
-        while self.at_punct("==") or self.at_punct("!="):
-            op = self.advance()
-            r = self._parse_rel()
-            self._check_same_type(op, e, r)
-            e = Binary(op.text, e, r, INT)
-        return e
-
-    def _parse_rel(self) -> Expr:
-        e = self._parse_add()
-        while any(self.at_punct(o) for o in _REL_OPS):
-            op = self.advance()
-            r = self._parse_add()
-            self._check_same_type(op, e, r)
-            e = Binary(op.text, e, r, INT)
-        return e
-
-    def _parse_add(self) -> Expr:
-        e = self._parse_mul()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance()
-            r = self._parse_mul()
-            self._check_same_type(op, e, r)
-            e = Binary(op.text, e, r, e.type)
-        return e
-
-    def _parse_mul(self) -> Expr:
-        e = self._parse_unary()
-        while self.at_punct("*") or self.at_punct("/") or self.at_punct("%"):
-            op = self.advance()
-            r = self._parse_unary()
-            self._check_same_type(op, e, r)
-            e = Binary(op.text, e, r, e.type)
-        return e
-
-    def _check_same_type(self, op: _Token, left: Expr, right: Expr) -> None:
-        if left.type != right.type:
+    def _binary(self, op: _Token, left: Expr, right: Expr) -> Binary:
+        if left.type != right.type and op.text not in ("&&", "||"):
             self.fail(
                 E_TYPE,
                 f"operands of {op.text!r} must have the same type "
                 f"({left.type} vs {right.type})",
                 op,
             )
+        arithmetic = BINARY_PREC[op.text] >= _ARITH
+        return self._node(
+            Binary(op.text, left, right, left.type if arithmetic else INT), left, right
+        )
 
     def _parse_unary(self) -> Expr:
-        if self.at_punct("-"):
-            self.advance()
+        if self.at_punct("-") or self.at_punct("!"):
+            op = self.advance()
+            self.nest(op)
             operand = self._parse_unary()
-            return Unary("-", operand, operand.type)
-        if self.at_punct("!"):
-            self.advance()
-            operand = self._parse_unary()
-            return Unary("!", operand, INT)
+            self.depth -= 1
+            return self._node(
+                Unary(op.text, operand, operand.type if op.text == "-" else INT), operand
+            )
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
@@ -529,12 +527,13 @@ class _Parser:
                     name_tok,
                 )
         self.called.setdefault(name_tok.text, name_tok)
-        return Call(name_tok.text, args, sig.ret_type)
+        return self._node(Call(name_tok.text, args, sig.ret_type), *args)
 
     # -- statements -------------------------------------------------------
 
     def parse_block_body(self, scope: ScopeNode, frame: dict) -> Block:
         """Parse `{ decls* stmts* }`; frame may be pre-seeded with params."""
+        self.nest()
         self.expect_punct("{")
         self.env.append((scope.id, frame))
         decls: list[VarDecl] = []
@@ -552,6 +551,7 @@ class _Parser:
             stmts.append(self.parse_stmt())
         self.expect_punct("}")
         self.env.pop()
+        self.depth -= 1
         return Block(scope.id, decls, stmts)
 
     def parse_stmt(self):
@@ -620,7 +620,9 @@ class _Parser:
             return self.parse_block_body(scope, {})
         scope = self.new_scope(self.env[-1][0], "block")
         self.env.append((scope.id, {}))
+        self.nest()
         stmt = self.parse_stmt()
+        self.depth -= 1
         self.env.pop()
         return Block(scope.id, [], [stmt])
 

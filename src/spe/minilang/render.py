@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .ast import (
+    BINARY_PREC,
     INT,
     UINT,
     Assign,
@@ -35,21 +36,6 @@ from .ast import (
     While,
 )
 
-_BIN_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "%": 6,
-}
 _UNARY_PREC = 8
 _PRIMARY_PREC = 9
 
@@ -62,7 +48,7 @@ def _type_name(t: str) -> str:
 
 def _prec(e: Expr) -> int:
     if isinstance(e, Binary):
-        return _BIN_PREC[e.op]
+        return BINARY_PREC[e.op]
     if isinstance(e, Unary):
         return _UNARY_PREC
     return _PRIMARY_PREC
@@ -94,7 +80,7 @@ class _Renderer:
                 inner = f"({inner})"
             return f"{e.op}{inner}"
         if isinstance(e, Binary):
-            p = _BIN_PREC[e.op]
+            p = BINARY_PREC[e.op]
             left = self._child(e.left, p)
             right = self._child(e.right, p + 1)  # left-associative
             return f"{left} {e.op} {right}"

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from conftest import CRASH_STUB, LOOP_SRC, BRANCH_SRC, OK_STUB, write_stub
 from spe.cli import EXIT_CONFIG, EXIT_FINDINGS, EXIT_OK, EXIT_THRESHOLD, main
-from spe.minilang import parse, render
+from spe.minilang import ParseError, parse, render
 
 # nested declaring blocks: rejected by paper mode, fine in complete mode
 NESTED_SRC = """\
@@ -37,6 +37,14 @@ int main(void) {
     return b;
 }
 """
+
+
+# 300 nested parentheses: past the parser's nesting limit
+DEEP_SRC = (
+    "int main(void) {\n    int x = 1;\n    x = "
+    + "(" * 300 + "x" + ")" * 300
+    + ";\n    return x;\n}\n"
+)
 
 
 @pytest.fixture
@@ -128,6 +136,16 @@ class TestCount:
         bad.write_text("int main(void) { return 0 ")
         res = runner.invoke(main, ["count", str(bad)])
         assert res.exit_code == EXIT_CONFIG
+
+    def test_too_deep_file_exits_config(self, runner, tmp_path):
+        deep = tmp_path / "deep.c"
+        deep.write_text(DEEP_SRC)
+        with pytest.raises(ParseError) as e:
+            parse(DEEP_SRC)
+        assert e.value.kind == "nesting"
+        res = runner.invoke(main, ["count", str(deep)])
+        assert res.exit_code == EXIT_CONFIG
+        assert res.output == f"{deep}: {e.value}\n"
 
     def test_missing_file_exits_config(self, runner, tmp_path):
         res = runner.invoke(main, ["count", str(tmp_path / "nope.c")])
@@ -270,6 +288,21 @@ class TestEnumerate:
             f"straight__v{seq}.c" for seq in range(17, 33)
         ]
 
+    @pytest.mark.parametrize(
+        "last,option,code",
+        [
+            ("nested", ["--mode", "paper"], EXIT_CONFIG),
+            ("branch", ["--threshold", "35"], EXIT_THRESHOLD),
+        ],
+    )
+    def test_late_refusal_writes_nothing(self, runner, corpus, tmp_path, last, option, code):
+        out = tmp_path / "v"
+        paths = [str(corpus["straight"]), str(corpus["loop"]), str(corpus[last])]
+        res = runner.invoke(main, ["enumerate", *paths, *option, "--out", str(out)])
+        assert res.exit_code == code
+        assert str(corpus[last]) in res.output
+        assert not out.exists()
+
     def test_paper_mode_unsupported_exits_config(self, runner, corpus, tmp_path):
         res = runner.invoke(
             main,
@@ -326,6 +359,23 @@ class TestTestCommand:
         )
         assert res.exit_code == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
+
+    def test_too_deep_file_is_unparseable(self, runner, corpus, tmp_path):
+        deep = tmp_path / "deep.c"
+        deep.write_text(DEEP_SRC)
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        res = runner.invoke(
+            main,
+            ["test", str(deep), str(corpus["loop"]), "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == EXIT_OK
+        assert "tested: 1" in res.output and "unparseable: 1" in res.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(f["stem"], f["status"]) for f in summary["files"]] == [
+            ("deep", "unparseable"),
+            ("loop", "tested"),
+        ]
 
     @pytest.mark.parametrize(
         "budget", [["--threshold", "0"], ["--cap", "0"], ["--cap", "-2"]]

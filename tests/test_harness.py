@@ -32,6 +32,20 @@ int main(void) {
 }
 """
 
+# recursion deeper than the interpreter's frame budget
+RECURSE_SRC = """\
+int f(int n) {
+    if (n) {
+        return f(n - 1) + 1;
+    }
+    return 0;
+}
+
+int main(void) {
+    return f(150);
+}
+"""
+
 
 class TestNormalizeSignature:
     def test_ice_line(self):
@@ -333,6 +347,27 @@ class TestCampaign:
             keys = sorted(read_log(out / "outcomes.jsonl"))
             results[workers] = (summary["reports"], keys)
         assert results[1] == results[2] == results[8]
+
+    def test_crash_logs_are_byte_identical_across_campaigns(self, tmp_path, corpus):
+        # the stub's stderr carries its PID; stored stderr is masked
+        cfg = stub_config(tmp_path, ("crashcc", CRASH_STUB))
+        logs = []
+        for name in ("first", "second"):
+            run_campaign([corpus["straight"]], cfg, tmp_path / name)
+            logs.append((tmp_path / name / "outcomes.jsonl").read_bytes())
+        assert logs[0] == logs[1]
+        assert b"fold-const.c:#" in logs[0]
+
+    def test_deep_recursion_is_a_budget_verdict(self, tmp_path):
+        src = tmp_path / "recurse.c"
+        src.write_text(RECURSE_SRC)
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "out"
+        summary = run_campaign([src], cfg, out)
+        assert summary["totals"]["tested"] == 1
+        rows = read_log(out / "outcomes.jsonl")
+        assert len(rows) == 2
+        assert {r["interp"]["verdict"] for r in rows.values()} == {"budget"}
 
     def test_tmpdir_override(self, tmp_path, corpus, monkeypatch):
         scratch = tmp_path / "scratch"

@@ -3,6 +3,7 @@ against system C compilers when present."""
 
 import shutil
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -29,12 +30,15 @@ from spe.minilang.parser import (
     E_DUPLICATE,
     E_INIT_NOT_CONST,
     E_MISSING_RETURN,
+    E_NESTING,
     E_NO_MAIN,
     E_RANGE,
     E_SYNTAX,
     E_TYPE,
     E_UNDECLARED,
 )
+from spe.minilang.ast import program_key
+from spe.skeleton import extract
 
 from conftest import LOOP_SRC, SCOPED_SRC, BRANCH_SRC, random_source
 
@@ -117,6 +121,42 @@ int helper(int x) {
             parse(source)
         assert e.value.kind == kind
 
+    @pytest.mark.parametrize(
+        "source,kind,line,col",
+        [
+            (wrap("    int x;\n    unsigned u;\n    x = x == u;"), E_TYPE, 4, 11),
+            (wrap("    int x;\n    unsigned u;\n    x = x < u;"), E_TYPE, 4, 11),
+            (wrap("    int x;\n    unsigned u;\n    x = x + u;"), E_TYPE, 4, 11),
+            (wrap("    int x;\n    unsigned u;\n    x = x * u;"), E_TYPE, 4, 11),
+            # the tighter operator is checked first, at its own token
+            (wrap("    int x;\n    unsigned u;\n    x = x + x * u;"), E_TYPE, 4, 15),
+            # an arithmetic result keeps its operands' type
+            (wrap("    int x;\n    unsigned u;\n    x = u + u == x;"), E_TYPE, 4, 15),
+            ("int g = 1 / (2 - 2);\n" + wrap(""), E_RANGE, 1, 11),
+            # initializers take the arithmetic operators only
+            ("int g = 1 == 1;\n" + wrap(""), E_SYNTAX, 1, 11),
+        ],
+    )
+    def test_operator_errors(self, source, kind, line, col):
+        with pytest.raises(ParseError) as e:
+            parse(source)
+        assert (e.value.kind, e.value.line, e.value.col) == (kind, line, col)
+
+    @pytest.mark.parametrize("expr", ["x && u", "u || x", "(u < u) + x"])
+    def test_logical_and_comparison_results_mix(self, expr):
+        p = parse(wrap(f"    int x = 1;\n    unsigned u = 2u;\n    x = {expr};"))
+        assert interpret(p).status is Status.OK
+
+    def test_initializer_folds_past_int_max(self):
+        p = parse("int g = 2147483647 + 1 - 1;\n" + wrap(""))
+        assert p.globals[0].init == INT_MAX
+
+    @pytest.mark.parametrize("expr,value", [("10 - 3 - 2", 5), ("100 / 10 / 5", 2)])
+    def test_left_associative(self, expr, value):
+        assert interpret(parse(wrap(f"    return {expr};"))).exit_code == value
+        initialized = f"int g = {expr};\n" + wrap("    return g;")
+        assert interpret(parse(initialized)).exit_code == value
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as e:
             parse("int main(void) {\n    y = 1;\n    return 0;\n}\n")
@@ -137,6 +177,54 @@ int helper(int x) {
             "    int x = 1;\n    unsigned u = 2u;\n    if (x && u) {\n        x = 0;\n    }"
         )
         assert interpret(parse(src)).exit_code == 0
+
+
+def _with_f(body: str) -> str:
+    return "int f(int p) {\n    return p;\n}\n\n" + wrap("    int x = 1;\n    " + body)
+
+
+# One statement at nesting depth n, for each way of nesting.
+_NESTED = {
+    "parentheses": lambda n: "x = " + "(" * n + "x" + ")" * n + ";",
+    "unary": lambda n: "x = " + "-" * n + "x;",
+    "operators": lambda n: "x = x" + " - x" * n + ";",
+    "calls": lambda n: "x = " + "f(" * n + "x" + ")" * n + ";",
+    "blocks": lambda n: "{" * n + "x = x;" + "}" * n,
+    "conditions": lambda n: "if (x) " * n + "x = -(x + x);",
+}
+
+
+class TestNesting:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "    x = " + "(" * 300 + "x" + ")" * 300 + ";",
+            "    x = " + "-" * 1000 + "x;",
+            "{" * 500 + "}" * 500,
+        ],
+        ids=["parentheses", "unary", "blocks"],
+    )
+    def test_too_deep_is_a_parse_error(self, body):
+        with pytest.raises(ParseError) as e:
+            parse(wrap("    int x = 1;\n" + body))
+        assert e.value.kind == E_NESTING
+
+    @pytest.mark.parametrize("shape", sorted(_NESTED))
+    def test_deepest_accepted_program_is_walked_within_the_recursion_limit(self, shape):
+        for n in range(1, 400):
+            try:
+                parse(_with_f(_NESTED[shape](n + 1)))
+            except ParseError as e:
+                assert e.kind == E_NESTING
+                break
+        else:
+            pytest.fail("no nesting limit below 400 levels")
+        assert sys.getrecursionlimit() <= 1000
+        p = parse(_with_f(_NESTED[shape](n)))
+        again = parse(render(p))
+        assert program_key(again) == program_key(p)
+        extract(p, decl_holes=True)
+        assert interpret(p).status is Status.OK
 
 
 class TestInterpreter:
@@ -239,6 +327,30 @@ int main(void) {
 """
         res = interpret(parse(src))
         assert res.status is Status.STEP_BUDGET_EXHAUSTED
+
+    def test_deep_recursion_hits_budget(self):
+        # many interpreter frames per level: the interpreter's own frame
+        # budget ends the recursion, the same way from any caller's stack
+        src = """
+int f(int n) {
+    if (n) {
+        return f(n - 1) + 1;
+    }
+    return 0;
+}
+
+int main(void) {
+    return f(150);
+}
+"""
+        first = interpret(parse(src))
+        assert first.status is Status.STEP_BUDGET_EXHAUSTED
+
+        def from_deeper(depth: int):
+            return from_deeper(depth - 1) if depth else interpret(parse(src))
+
+        assert interpret(parse(src)) == first
+        assert from_deeper(200) == first
 
     def test_stdout_kept_on_ub(self):
         res = self.run_main('    int x;\n    printf("%d", 1);\n    x = x + 1;')

@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .combinat import Mode
-from .enumerator import canonical_signature, emit, plan
+from .enumerator import emit, plan
 from .harness import (
     DEFAULT_THRESHOLD,
     ConfigError,
@@ -266,12 +266,11 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
         entries = []
         written = 0
         for fname, v in emit(skel, pl, stem):
-            sig = canonical_signature(skel, v.assignment, gran)
             entry = {
                 "seq": v.seq,
                 "valid": v.ok,
                 "assignment": list(v.assignment.values),
-                "signature": _signature_doc(sig),
+                "signature": _signature_doc(v.signature),
             }
             if v.ok:
                 (vdir / fname).write_text(v.source)
@@ -353,7 +352,11 @@ def cmd_test(paths, mode, granularity, decl_holes, threshold, cap, config, out) 
 def cmd_stats(log) -> None:
     """Aggregate an outcome log (outcomes.jsonl) into per-compiler and
     per-status totals."""
-    rows = list(read_log(log).values())
+    try:
+        rows = list(read_log(log).values())
+    except ConfigError as e:
+        click.echo(f"configuration error: {e}", err=True)
+        sys.exit(EXIT_CONFIG)
     by_compiler: dict[str, dict[str, int]] = {}
     signatures: set[str] = set()
     for row in rows:

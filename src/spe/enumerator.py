@@ -11,7 +11,9 @@ invariant under exactly those renamings.
 representative per equivalence class: block labels in first-occurrence
 order bind to the pool's variables in declaration order. The stream is
 deterministic, duplicate-free, and at COMPLETE mode covers every class
-of the naive product space.
+of the naive product space. Each scoped partition is already its class's
+canonical form, so `variants` takes every signature from the stream
+rather than recomputing it from the assignment.
 """
 
 from __future__ import annotations
@@ -21,7 +23,23 @@ from typing import Iterator, Literal, Optional
 
 from . import combinat
 from .combinat import CountReport, Mode, ScopedPartition, count_plan, lazy_product
-from .minilang.ast import Program
+from .minilang.ast import (
+    Assign,
+    Binary,
+    Block,
+    Call,
+    CallStmt,
+    Function,
+    If,
+    Num,
+    Printf,
+    Program,
+    Return,
+    Unary,
+    Var,
+    VarDecl,
+    While,
+)
 from .minilang.parser import ParseError, parse
 from .minilang.render import render
 from .skeleton import (
@@ -111,6 +129,27 @@ def _assignment_of(
     return Assignment(tuple(values))  # type: ignore[arg-type]
 
 
+def _classes(
+    skel: Skeleton, mode: Mode, granularity: Granularity
+) -> Iterator[tuple[Assignment, CanonicalSignature]]:
+    """The enumeration stream: each class's representative with its
+    canonical signature, read off the scoped partition that produced it."""
+    nfs = normal_forms(skel, granularity)
+    factories = [
+        (lambda nf=nf: combinat.partition_scope(nf, mode)) for nf in nfs
+    ]
+    for combo in lazy_product(factories):
+        parts = tuple(
+            (nf.unit, fam.type, fp.config, fp.rgs)
+            for nf, sp in zip(nfs, combo)
+            for fam, fp in zip(nf.families, sp.parts)
+        )
+        yield (
+            _assignment_of(skel, nfs, combo),
+            CanonicalSignature(granularity=granularity.value, parts=parts),
+        )
+
+
 def enumerate_assignments(
     skel: Skeleton,
     mode: Mode = Mode.COMPLETE,
@@ -122,12 +161,8 @@ def enumerate_assignments(
     partitions in lexicographic canonical order. PAPER mode propagates
     ScopeNestingError for units with nested variable-declaring blocks.
     """
-    nfs = normal_forms(skel, granularity)
-    factories = [
-        (lambda nf=nf: combinat.partition_scope(nf, mode)) for nf in nfs
-    ]
-    for combo in lazy_product(factories):
-        yield _assignment_of(skel, nfs, combo)
+    for a, _ in _classes(skel, mode, granularity):
+        yield a
 
 
 def naive_enumerate(skel: Skeleton, cap: int = 1_000_000) -> Iterator[Assignment]:
@@ -163,19 +198,81 @@ def realize_source(skel: Skeleton, assignment: Assignment) -> str:
 
 
 def realize(skel: Skeleton, assignment: Assignment) -> Program:
-    """Substitute, render, and re-parse, yielding a validated Program.
+    """The skeleton filled by the assignment, as a Program.
 
-    Raises InvalidRealization when declaration-name holes collide or
-    orphan an occurrence; without decl holes every assignment is valid
-    and a parse failure here would be a bug, so it propagates.
+    Without declaration holes every filling is valid: a hole's variable
+    set holds only the same-type declarations visible there, and
+    normalization refuses shadowing. So each hole's Var is pointed at
+    the declaration its name resolves to, on a copy of the statement
+    and expression nodes that shares the declarations and scope tree.
+
+    Renaming a declaration can change which declaration, and so which
+    type, an occurrence resolves to, or make two declarations collide.
+    With declaration holes the filling is therefore rendered and
+    re-parsed, and the parser's verdict decides: InvalidRealization
+    when it refuses the source.
     """
-    source = realize_source(skel, assignment)
-    try:
-        return parse(source)
-    except ParseError as e:
-        if skel.decl_holes:
+    if skel.decl_holes:
+        source = realize_source(skel, assignment)
+        try:
+            return parse(source)
+        except ParseError as e:
             raise InvalidRealization(assignment, str(e)) from e
-        raise
+    values = characteristic_vector(skel, assignment)
+    return _Rebinder(
+        {h.node: h.decl_of[name] for h, name in zip(skel.holes, values)}
+    ).program(skel.program)
+
+
+class _Rebinder:
+    """Copies a program's statements and expressions, pointing every Var
+    at the declaration `decls` gives it. Declarations, their lists and
+    the scope tree are shared with the original, and so are Num leaves,
+    which hold no name."""
+
+    def __init__(self, decls: dict[Var, VarDecl]):
+        self.decls = decls
+
+    def expr(self, e):
+        if isinstance(e, Var):
+            return Var(self.decls[e])
+        if isinstance(e, Num):
+            return e
+        if isinstance(e, Binary):
+            return Binary(e.op, self.expr(e.left), self.expr(e.right), e.type)
+        if isinstance(e, Unary):
+            return Unary(e.op, self.expr(e.operand), e.type)
+        if isinstance(e, Call):
+            return Call(e.name, [self.expr(a) for a in e.args], e.type)
+        raise TypeError(f"not an expression: {e!r}")
+
+    def block(self, b: Block) -> Block:
+        return Block(b.scope_id, b.decls, [self.stmt(s) for s in b.stmts])
+
+    def stmt(self, s):
+        if isinstance(s, Assign):
+            return Assign(self.expr(s.target), self.expr(s.value))
+        if isinstance(s, If):
+            orelse = None if s.orelse is None else self.block(s.orelse)
+            return If(self.expr(s.cond), self.block(s.then), orelse)
+        if isinstance(s, While):
+            return While(self.expr(s.cond), self.block(s.body))
+        if isinstance(s, Return):
+            return Return(self.expr(s.value))
+        if isinstance(s, Printf):
+            return Printf(self.expr(s.arg), s.newline)
+        if isinstance(s, CallStmt):
+            return CallStmt(self.expr(s.call))
+        if isinstance(s, Block):
+            return self.block(s)
+        raise TypeError(f"not a statement: {s!r}")
+
+    def program(self, p: Program) -> Program:
+        functions = [
+            Function(f.name, f.ret_type, f.params, self.block(f.body), f.scope_id)
+            for f in p.functions
+        ]
+        return Program(p.globals, functions, p.scopes)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +349,12 @@ def programs_alpha_equivalent(p: Program, q: Program) -> bool:
 @dataclass(frozen=True)
 class Variant:
     """One stream position: a realized program, or a skipped-invalid
-    marker (source/program None and error set)."""
+    marker (source/program None and error set). Both carry the class's
+    canonical signature."""
 
     seq: int  # 1-based position in the assignment stream
     assignment: Assignment
+    signature: CanonicalSignature
     source: Optional[str]
     program: Optional[Program]
     error: Optional[str] = None
@@ -271,17 +370,18 @@ def variants(
     granularity: Granularity = Granularity.INTRA,
     limit: Optional[int] = None,
 ) -> Iterator[Variant]:
-    """Realize the enumeration stream; invalid realizations become
-    markers rather than vanishing, so stream positions stay auditable."""
-    for seq, a in enumerate(enumerate_assignments(skel, mode, granularity), start=1):
+    """Realize the enumeration stream, rendering each program once;
+    invalid realizations become markers rather than vanishing, so stream
+    positions stay auditable. Signatures come with the stream."""
+    for seq, (a, sig) in enumerate(_classes(skel, mode, granularity), start=1):
         if limit is not None and seq > limit:
             return
         try:
             program = realize(skel, a)
         except InvalidRealization as e:
-            yield Variant(seq, a, None, None, e.reason)
+            yield Variant(seq, a, sig, None, None, e.reason)
             continue
-        yield Variant(seq, a, render(program), program)
+        yield Variant(seq, a, sig, render(program), program)
 
 
 def variant_name(stem: str, seq: int, width: int) -> str:

@@ -365,27 +365,67 @@ def _row_key(row: dict) -> tuple[str, str, str]:
     return (row["variant"], row["compiler"], " ".join(row["flags"]))
 
 
+def _parse_row(line: bytes) -> Optional[dict]:
+    """The outcome row a log line holds, or None when it holds none."""
+    try:
+        row = json.loads(line)
+        _row_key(row)
+    except (ValueError, KeyError, TypeError):
+        return None
+    return row
+
+
 def read_log(path: str | Path) -> dict[tuple[str, str, str], dict]:
-    """Outcome rows keyed by (variant id, compiler, flags)."""
+    """Outcome rows keyed by (variant id, compiler, flags).
+
+    A final line without its newline that holds no row is an append cut
+    short by an interrupted campaign; it is ignored, and the next append
+    cuts it off. Any other line that holds no row is a ConfigError
+    naming it as path:line.
+    """
     rows: dict[tuple[str, str, str], dict] = {}
     p = Path(path)
     if not p.exists():
         return rows
-    with p.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    with p.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            row = json.loads(line)
+            row = _parse_row(line)
+            if row is None:
+                if not line.endswith(b"\n"):
+                    break
+                raise ConfigError(f"{p}:{lineno}: not an outcome row")
             rows[_row_key(row)] = row
     return rows
 
 
+def _mend_last_line(fh) -> None:
+    """End a log's last line when it lacks its newline: add the newline
+    when the line holds a row (read_log kept it), cut the line off when
+    it does not (read_log ignored it). fh is open in "a+b" mode."""
+    size = fh.seek(0, os.SEEK_END)
+    if not size:
+        return
+    fh.seek(size - 1)
+    if fh.read(1) == b"\n":
+        return
+    fh.seek(0)
+    data = fh.read()
+    start = data.rfind(b"\n") + 1
+    if _parse_row(data[start:]) is None:
+        fh.truncate(start)
+    else:
+        fh.write(b"\n")
+
+
 def _append_rows(path: Path, rows: list[dict]) -> None:
+    """Append rows in key order, each on a line of its own."""
     rows = sorted(rows, key=_row_key)
-    with path.open("a") as fh:
+    with path.open("a+b") as fh:
+        _mend_last_line(fh)
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write((json.dumps(row, sort_keys=True) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------

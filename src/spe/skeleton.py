@@ -74,14 +74,18 @@ class Hole:
     var_set: tuple[tuple[str, int], ...]
     unit: str  # owning function name, or GLOBALS_UNIT
     node: object = field(repr=False)  # Var occurrence or VarDecl site
+    # Each var_set name -> the declaration that name resolves to here.
+    decl_of: dict[str, VarDecl] = field(repr=False)
     is_decl: bool = False
     # True when some same-type declaration on the scope path is hidden
     # from this hole by an inner redeclaration.
     hidden_conflict: bool = field(default=False, repr=False)
+    # The var_set names, in var_set order.
+    names: tuple[str, ...] = field(init=False, repr=False)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.var_set)
+    def __post_init__(self) -> None:
+        # var_set is fixed at extraction, and names is read per variant
+        self.names = tuple(name for name, _ in self.var_set)
 
 
 @dataclass(eq=False)
@@ -134,27 +138,28 @@ def naive_count(holes: Iterable[Hole]) -> int:
 
 def _visible_vars(
     program: Program, path: tuple[int, ...], type_: str
-) -> tuple[tuple[tuple[str, int], ...], bool]:
-    """Same-type variables visible from a scope path, nearest decl wins.
+) -> tuple[tuple[VarDecl, ...], bool]:
+    """Same-type declarations visible from a scope path, nearest decl
+    wins, ordered by (scope depth, declaration order).
 
-    Returns (var_set, hidden): hidden is True when a same-type decl on
+    Returns (decls, hidden): hidden is True when a same-type decl on
     the path lost its name to a deeper redeclaration of any type.
     """
     binding: dict[str, VarDecl] = {}
     for sid in path:
         for d in program.scopes.node(sid).decls:
             binding[d.name] = d
-    var_set = []
+    visible = []
     hidden = False
     for sid in path:
         for d in program.scopes.node(sid).decls:
             if d.type != type_:
                 continue
             if binding[d.name] is d:
-                var_set.append((d.name, sid))
+                visible.append(d)
             else:
                 hidden = True
-    return tuple(var_set), hidden
+    return tuple(visible), hidden
 
 
 class _Extractor:
@@ -165,16 +170,17 @@ class _Extractor:
 
     def add(self, node, type_: str, scope_id: int, unit: str, is_decl: bool) -> None:
         path = tuple(self.program.scopes.chain(scope_id))
-        var_set, hidden = _visible_vars(self.program, path, type_)
-        assert var_set, "a hole always sees at least its own variable"
+        decls, hidden = _visible_vars(self.program, path, type_)
+        assert decls, "a hole always sees at least its own variable"
         self.holes.append(
             Hole(
                 index=len(self.holes) + 1,
                 scope_path=path,
                 type=type_,
-                var_set=var_set,
+                var_set=tuple((d.name, d.scope_id) for d in decls),
                 unit=unit,
                 node=node,
+                decl_of={d.name: d for d in decls},
                 is_decl=is_decl,
                 hidden_conflict=hidden,
             )

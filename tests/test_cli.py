@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import CRASH_STUB, LOOP_SRC, BRANCH_SRC, OK_STUB, write_stub
+from conftest import CRASH_STUB, LOOP_SRC, BRANCH_SRC, OK_STUB, SCOPED_SRC, write_stub
 from spe.cli import EXIT_CONFIG, EXIT_FINDINGS, EXIT_OK, EXIT_THRESHOLD, main
 from spe.minilang import ParseError, parse, render
 
@@ -443,6 +443,93 @@ class TestStats:
         assert doc["variants"] == 8
         assert doc["compilers"] == {"crashcc": {"crash": 4, "ok": 12}}
         assert len(doc["distinct_crash_signatures"]) == 1
+
+
+class TestTornLog:
+    """An interrupted campaign can leave its log's last line half
+    written; both readers of the log carry on past it."""
+
+    def campaign(self, runner, cfg, path, out):
+        return runner.invoke(main, ["test", str(path), "--config", str(cfg), "--out", str(out)])
+
+    def test_torn_last_line_is_ignored_then_rerun(self, runner, corpus, tmp_path):
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        assert self.campaign(runner, cfg, corpus["loop"], out).exit_code == EXIT_OK
+        log = out / "outcomes.jsonl"
+        whole = log.read_bytes()
+        assert whole.count(b"\n") == 64
+        log.write_bytes(whole[:-40])
+
+        res = runner.invoke(main, ["stats", str(log)])
+        assert res.exit_code == EXIT_OK
+        assert json.loads(res.output)["rows"] == 63
+
+        assert self.campaign(runner, cfg, corpus["loop"], out).exit_code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["log_rows_appended"] == 1
+        assert log.read_bytes() == whole
+
+    def test_whole_last_row_without_newline_is_kept(self, runner, corpus, tmp_path):
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        # the stub's binaries exit 0 where straight returns 3: findings
+        assert self.campaign(runner, cfg, corpus["straight"], out).exit_code == EXIT_FINDINGS
+        log = out / "outcomes.jsonl"
+        whole = log.read_bytes()
+        log.write_bytes(whole[:-1])
+
+        assert self.campaign(runner, cfg, corpus["straight"], out).exit_code == EXIT_FINDINGS
+        assert json.loads((out / "summary.json").read_text())["log_rows_appended"] == 0
+        assert log.read_bytes() == whole
+
+    def test_corrupt_middle_line_exits_config(self, runner, corpus, tmp_path):
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        assert self.campaign(runner, cfg, corpus["straight"], out).exit_code == EXIT_FINDINGS
+        log = out / "outcomes.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:-40] + b"\n"
+        log.write_bytes(b"".join(lines))
+
+        for res in (
+            runner.invoke(main, ["stats", str(log)]),
+            self.campaign(runner, cfg, corpus["straight"], out),
+        ):
+            assert res.exit_code == EXIT_CONFIG
+            assert isinstance(res.exception, SystemExit)
+            assert f"{log}:3" in res.output
+
+
+class TestHotPath:
+    """Without declaration holes, a variant is neither re-parsed nor
+    given a signature by canonical_signature: both come from the
+    enumeration stream."""
+
+    def test_no_parse_and_no_signature_per_variant(self, runner, corpus, tmp_path, monkeypatch, loop_skel):
+        import spe.enumerator
+
+        scoped = tmp_path / "scoped.c"
+        scoped.write_text(SCOPED_SRC)
+        paths = [str(corpus["loop"]), str(scoped)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the variant path")
+
+        expected = [v.source for v in spe.enumerator.variants(loop_skel)]
+        res = runner.invoke(main, ["enumerate", *paths, "--out", str(tmp_path / "plain")])
+        assert res.exit_code == EXIT_OK
+
+        monkeypatch.setattr(spe.enumerator, "parse", forbidden)
+        monkeypatch.setattr(spe.enumerator, "canonical_signature", forbidden)
+        assert [v.source for v in spe.enumerator.variants(loop_skel)] == expected
+        res = runner.invoke(main, ["enumerate", *paths, "--out", str(tmp_path / "guarded")])
+        assert res.exit_code == EXIT_OK, res.output
+        for stem in ("loop", "scoped"):
+            plain = tmp_path / "plain" / stem
+            guarded = tmp_path / "guarded" / stem
+            assert (guarded / "manifest.json").read_bytes() == (plain / "manifest.json").read_bytes()
+            assert sorted(p.name for p in guarded.iterdir()) == sorted(p.name for p in plain.iterdir())
 
 
 class TestEntryPoint:

@@ -27,7 +27,7 @@ from spe.enumerator import (
 from spe.minilang import interpret, parse, render, structurally_equal
 from spe.skeleton import Granularity, extract, naive_count
 
-from conftest import LOOP_SRC, SCOPED_SRC, BRANCH_SRC, random_skeleton
+from conftest import BRANCH_SRC, LOOP_SRC, SCOPED_SRC, SHADOW_SRC, random_skeleton
 from oracles import burnside_count, orbits, pools_of_program, renaming_group
 
 
@@ -260,6 +260,54 @@ class TestRandomSkeletonOrbits:
             assert paper <= comp
             checked += 1
         assert checked >= 20
+
+
+def _stream_skeletons():
+    """The criterion-6 random skeletons and the shared fixtures; scoped
+    both with declaration holes, as its fixture has them, and without."""
+    skels = [random_skeleton(seed, max_naive=2048) for seed in range(200)]
+    skels += [extract(parse(src)) for src in (LOOP_SRC, BRANCH_SRC, SCOPED_SRC, SHADOW_SRC)]
+    skels.append(extract(parse(SCOPED_SRC), decl_holes=True))
+    return skels
+
+
+class TestStreamOracle:
+    def test_variants_agree_with_the_reparse_path(self):
+        """Every variant's signature, program and source agree with the
+        slow definitions: canonical_signature, parse and realize_source.
+        A refused stream (ScopeNestingError, ShadowingError) is a refusal
+        here too."""
+        from spe.combinat import ScopeNestingError
+        from spe.skeleton import ShadowingError
+
+        valid = 0
+        refused = 0
+        for skel in _stream_skeletons():
+            for mode in Mode:
+                for gran in Granularity:
+                    try:
+                        stream = list(variants(skel, mode, gran))
+                    except (ScopeNestingError, ShadowingError):
+                        refused += 1
+                        continue
+                    for v in stream:
+                        assert v.signature == canonical_signature(skel, v.assignment, gran)
+                        if not v.ok:
+                            with pytest.raises(InvalidRealization):
+                                realize(skel, v.assignment)
+                            continue
+                        valid += 1
+                        reparsed = parse(v.source)
+                        assert structurally_equal(v.program, reparsed)
+                        assert v.source == realize_source(skel, v.assignment)
+                        fast = interpret(v.program, step_budget=20_000)
+                        slow = interpret(reparsed, step_budget=20_000)
+                        assert (fast.status, fast.exit_code, fast.stdout) == (
+                            slow.status,
+                            slow.exit_code,
+                            slow.stdout,
+                        )
+        assert refused and valid > 10_000
 
 
 class TestVariantStream:

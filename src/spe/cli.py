@@ -30,7 +30,7 @@ from .harness import (
     run_campaign,
 )
 from .minilang.parser import ParseError, parse
-from .skeleton import Granularity, extract, to_json
+from .skeleton import Granularity, ShadowingError, extract, to_json
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -88,6 +88,16 @@ def _resolve_budget(threshold: Optional[int], cap: Optional[int]) -> tuple[int, 
     return (threshold if threshold is not None else DEFAULT_THRESHOLD), cap
 
 
+def _plan(path: Path, skel, *args):
+    """enumerator.plan, exiting with a configuration error when the
+    skeleton cannot be pooled (ShadowingError)."""
+    try:
+        return plan(skel, *args)
+    except ShadowingError as e:
+        click.echo(f"{path}: {e}", err=True)
+        sys.exit(EXIT_CONFIG)
+
+
 def _parse_corpus(paths: tuple[str, ...]) -> tuple[list[tuple[Path, object]], bool]:
     """Parse every path; diagnostics go to stderr. Returns (parsed list,
     had_errors)."""
@@ -136,7 +146,7 @@ def cmd_count(paths, mode, granularity, decl_holes, fmt) -> None:
     rows = []
     for path, program in parsed:
         skel = extract(program, decl_holes=decl_holes)
-        pl = plan(skel, m, gran)
+        pl = _plan(path, skel, m, gran)
         report, selected = pl.report, pl.selected_count
         rows.append(
             {
@@ -244,7 +254,7 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
     planned = []
     for path, program in parsed:
         skel = extract(program, decl_holes=decl_holes)
-        pl = plan(skel, m, gran, threshold, cap)
+        pl = _plan(path, skel, m, gran, threshold, cap)
         if pl.refusal == "unsupported":
             click.echo(
                 f"{path}: paper mode unsupported here (nested local scopes)", err=True

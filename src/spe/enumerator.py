@@ -18,28 +18,13 @@ rather than recomputing it from the assignment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional
 
 from . import combinat
 from .combinat import CountReport, Mode, ScopedPartition, count_plan, lazy_product
-from .minilang.ast import (
-    Assign,
-    Binary,
-    Block,
-    Call,
-    CallStmt,
-    Function,
-    If,
-    Num,
-    Printf,
-    Program,
-    Return,
-    Unary,
-    Var,
-    VarDecl,
-    While,
-)
+from .minilang.ast import Program
 from .minilang.parser import ParseError, parse
 from .minilang.render import render
 from .skeleton import (
@@ -187,92 +172,33 @@ def naive_enumerate(skel: Skeleton, cap: int = 1_000_000) -> Iterator[Assignment
 # Realization
 
 
+def _template(skel: Skeleton) -> str:
+    """The skeleton's text as a str.format template: every variant has
+    this text, with hole i (0-based) printed as its name at `{i}`.
+    Rendered once with a NUL-delimited sentinel per hole, which no
+    rendered program contains, so braces can be escaped around it."""
+    marked = render(skel.program, {h.node: f"\0{i}\0" for i, h in enumerate(skel.holes)})
+    escaped = marked.replace("{", "{{").replace("}", "}}")
+    return re.sub(r"\0(\d+)\0", r"{\1}", escaped)
+
+
 def realize_source(skel: Skeleton, assignment: Assignment) -> str:
-    """Render the skeleton with each hole filled by its assigned name."""
-    values = characteristic_vector(skel, assignment)
-    overrides = {}
-    for h, name in zip(skel.holes, values):
-        if name != h.node.name:
-            overrides[h.node] = name
-    return render(skel.program, overrides)
+    """The skeleton's text with each hole filled by its assigned name."""
+    return _template(skel).format(*characteristic_vector(skel, assignment))
 
 
 def realize(skel: Skeleton, assignment: Assignment) -> Program:
-    """The skeleton filled by the assignment, as a Program.
+    """The skeleton filled by the assignment, as a parsed Program.
 
-    Without declaration holes every filling is valid: a hole's variable
-    set holds only the same-type declarations visible there, and
-    normalization refuses shadowing. So each hole's Var is pointed at
-    the declaration its name resolves to, on a copy of the statement
-    and expression nodes that shares the declarations and scope tree.
-
-    Renaming a declaration can change which declaration, and so which
-    type, an occurrence resolves to, or make two declarations collide.
-    With declaration holes the filling is therefore rendered and
-    re-parsed, and the parser's verdict decides: InvalidRealization
-    when it refuses the source.
+    Without declaration holes every filling parses. With them, renaming
+    a declaration can change which declaration, and so which type, an
+    occurrence resolves to, or make two declarations collide; the
+    parser's verdict decides, and InvalidRealization carries it.
     """
-    if skel.decl_holes:
-        source = realize_source(skel, assignment)
-        try:
-            return parse(source)
-        except ParseError as e:
-            raise InvalidRealization(assignment, str(e)) from e
-    values = characteristic_vector(skel, assignment)
-    return _Rebinder(
-        {h.node: h.decl_of[name] for h, name in zip(skel.holes, values)}
-    ).program(skel.program)
-
-
-class _Rebinder:
-    """Copies a program's statements and expressions, pointing every Var
-    at the declaration `decls` gives it. Declarations, their lists and
-    the scope tree are shared with the original, and so are Num leaves,
-    which hold no name."""
-
-    def __init__(self, decls: dict[Var, VarDecl]):
-        self.decls = decls
-
-    def expr(self, e):
-        if isinstance(e, Var):
-            return Var(self.decls[e])
-        if isinstance(e, Num):
-            return e
-        if isinstance(e, Binary):
-            return Binary(e.op, self.expr(e.left), self.expr(e.right), e.type)
-        if isinstance(e, Unary):
-            return Unary(e.op, self.expr(e.operand), e.type)
-        if isinstance(e, Call):
-            return Call(e.name, [self.expr(a) for a in e.args], e.type)
-        raise TypeError(f"not an expression: {e!r}")
-
-    def block(self, b: Block) -> Block:
-        return Block(b.scope_id, b.decls, [self.stmt(s) for s in b.stmts])
-
-    def stmt(self, s):
-        if isinstance(s, Assign):
-            return Assign(self.expr(s.target), self.expr(s.value))
-        if isinstance(s, If):
-            orelse = None if s.orelse is None else self.block(s.orelse)
-            return If(self.expr(s.cond), self.block(s.then), orelse)
-        if isinstance(s, While):
-            return While(self.expr(s.cond), self.block(s.body))
-        if isinstance(s, Return):
-            return Return(self.expr(s.value))
-        if isinstance(s, Printf):
-            return Printf(self.expr(s.arg), s.newline)
-        if isinstance(s, CallStmt):
-            return CallStmt(self.expr(s.call))
-        if isinstance(s, Block):
-            return self.block(s)
-        raise TypeError(f"not a statement: {s!r}")
-
-    def program(self, p: Program) -> Program:
-        functions = [
-            Function(f.name, f.ret_type, f.params, self.block(f.body), f.scope_id)
-            for f in p.functions
-        ]
-        return Program(p.globals, functions, p.scopes)
+    try:
+        return parse(realize_source(skel, assignment))
+    except ParseError as e:
+        raise InvalidRealization(assignment, str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +274,19 @@ def programs_alpha_equivalent(p: Program, q: Program) -> bool:
 
 @dataclass(frozen=True)
 class Variant:
-    """One stream position: a realized program, or a skipped-invalid
-    marker (source/program None and error set). Both carry the class's
+    """One stream position: a variant's source, or a skipped-invalid
+    marker (source None and error set). Both carry the class's
     canonical signature."""
 
     seq: int  # 1-based position in the assignment stream
     assignment: Assignment
     signature: CanonicalSignature
     source: Optional[str]
-    program: Optional[Program]
     error: Optional[str] = None
 
     @property
     def ok(self) -> bool:
-        return self.program is not None
+        return self.error is None
 
 
 def variants(
@@ -370,18 +295,22 @@ def variants(
     granularity: Granularity = Granularity.INTRA,
     limit: Optional[int] = None,
 ) -> Iterator[Variant]:
-    """Realize the enumeration stream, rendering each program once;
+    """Realize the enumeration stream by filling the skeleton's template;
     invalid realizations become markers rather than vanishing, so stream
-    positions stay auditable. Signatures come with the stream."""
+    positions stay auditable. Signatures come with the stream. Without
+    declaration holes every filling is valid and nothing is parsed;
+    with them, `realize` decides each position's validity."""
+    template = _template(skel)
     for seq, (a, sig) in enumerate(_classes(skel, mode, granularity), start=1):
         if limit is not None and seq > limit:
             return
-        try:
-            program = realize(skel, a)
-        except InvalidRealization as e:
-            yield Variant(seq, a, sig, None, None, e.reason)
-            continue
-        yield Variant(seq, a, sig, render(program), program)
+        if skel.decl_holes:
+            try:
+                realize(skel, a)
+            except InvalidRealization as e:
+                yield Variant(seq, a, sig, None, e.reason)
+                continue
+        yield Variant(seq, a, sig, template.format(*a.values))
 
 
 def variant_name(stem: str, seq: int, width: int) -> str:

@@ -31,7 +31,7 @@ from .combinat import Mode
 from .enumerator import emit, plan
 from .minilang.interp import Status, interpret
 from .minilang.parser import ParseError, parse
-from .skeleton import Granularity, extract
+from .skeleton import Granularity, ShadowingError, extract
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -137,12 +137,20 @@ class ToolchainConfig:
             )
         except (KeyError, TypeError) as e:
             raise ConfigError(f"malformed compilers list: {e}") from e
-        flags = tuple(tuple(str(f) for f in row) for row in data.get("flags", DEFAULT_FLAG_MATRIX))
+
+        def value(key, default, convert):
+            try:
+                return convert(data.get(key, default))
+            except (ValueError, TypeError) as e:
+                raise ConfigError(f"malformed {key}: {e}") from e
+
         return cls(
             compilers=compilers,
-            flags=flags,
-            timeout_s=int(data.get("timeout_s", DEFAULT_TIMEOUT_S)),
-            workers=int(data.get("workers", DEFAULT_WORKERS)),
+            flags=value(
+                "flags", DEFAULT_FLAG_MATRIX, lambda m: tuple(tuple(map(str, r)) for r in m)
+            ),
+            timeout_s=value("timeout_s", DEFAULT_TIMEOUT_S, int),
+            workers=value("workers", DEFAULT_WORKERS, int),
         )
 
     @classmethod
@@ -366,10 +374,12 @@ def _row_key(row: dict) -> tuple[str, str, str]:
 
 
 def _parse_row(line: bytes) -> Optional[dict]:
-    """The outcome row a log line holds, or None when it holds none."""
+    """The outcome row a log line holds, or None when it holds none: a
+    row has a key and a compile status."""
     try:
         row = json.loads(line)
         _row_key(row)
+        row["compile"]["status"]
     except (ValueError, KeyError, TypeError):
         return None
     return row
@@ -541,10 +551,11 @@ def run_campaign(
 ) -> dict:
     """Enumerate, realize, and differentially test a corpus.
 
-    Per file: parse (unparseable entries recorded and skipped), count,
-    and either skip (selected-mode count above threshold, recorded) or
-    evaluate every variant under every toolchain cell. Returns the
-    summary, which is also written to <out>/summary.json.
+    Per file: parse (unparseable entries recorded and skipped), count
+    (unsupported entries, including shadowing ones, recorded and
+    skipped), and either skip (selected-mode count above threshold,
+    recorded) or evaluate every variant under every toolchain cell.
+    Returns the summary, which is also written to <out>/summary.json.
     """
     if threshold < 1:
         raise ConfigError(f"threshold must be >= 1, got {threshold}")
@@ -581,8 +592,13 @@ def run_campaign(
                 continue
 
             skel = extract(program, decl_holes=decl_holes)
-            pl = plan(skel, mode, granularity, threshold, cap)
             entry["n"] = skel.n
+            try:
+                pl = plan(skel, mode, granularity, threshold, cap)
+            except ShadowingError as e:
+                entry.update(status="unsupported", error=str(e))
+                files.append(entry)
+                continue
             entry["naive"] = pl.report.naive_count
             total_naive += pl.report.naive_count
             if pl.refusal == "unsupported":
@@ -598,7 +614,7 @@ def run_campaign(
             vdir = variants_dir / stem
             vdir.mkdir(parents=True, exist_ok=True)
 
-            ok_variants: list[tuple[str, Path, str, dict]] = []
+            ok_variants: list[tuple[str, Path, str]] = []
             invalid = 0
             for fname, v in emit(skel, pl, stem):
                 if not v.ok:
@@ -606,16 +622,21 @@ def run_campaign(
                     continue
                 vpath = vdir / fname
                 vpath.write_text(v.source)
-                ok_variants.append((vpath.stem, vpath, v.source, _interp_record(v.program)))
+                ok_variants.append((vpath.stem, vpath, v.source))
 
             futures = {}
             rows_by_variant: dict[str, list[dict]] = {vid: [] for vid, *_ in ok_variants}
-            for vid, vpath, _, interp_rec in ok_variants:
+            for vid, vpath, source in ok_variants:
+                # logged rows carry the interpreter record; a variant is
+                # parsed and interpreted only when a cell is missing
+                interp_rec = None
                 for spec, flags in cfg.cells():
                     key = (vid, spec.name, " ".join(flags))
                     if key in log:
                         rows_by_variant[vid].append(log[key])
                         continue
+                    if interp_rec is None:
+                        interp_rec = _interp_record(parse(source))
                     fut = pool.submit(
                         _evaluate_cell, spec, flags, vid, vpath, interp_rec, cfg.timeout_s
                     )
@@ -629,7 +650,7 @@ def run_campaign(
             by_name = {c.name: c for c in cfg.compilers}
             file_crashes = 0
             file_wrong = 0
-            for vid, _, source, _ in ok_variants:
+            for vid, _, source in ok_variants:
                 rows = sorted(rows_by_variant[vid], key=_row_key)
                 for row in rows:
                     if row["compile"]["status"] == "crash":

@@ -6,8 +6,9 @@ to the compiler), globals, then the definitions. Reparsing the output
 gives a structurally identical Program.
 
 name_overrides maps individual Var or VarDecl nodes to replacement
-names; the enumeration pipeline uses it to fill holes without mutating
-a shared AST.
+names without mutating the AST. The enumerator prints every hole of a
+skeleton as a sentinel through it, once per skeleton, to get the
+source template that each variant fills with its names.
 """
 
 from __future__ import annotations

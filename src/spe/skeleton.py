@@ -74,8 +74,6 @@ class Hole:
     var_set: tuple[tuple[str, int], ...]
     unit: str  # owning function name, or GLOBALS_UNIT
     node: object = field(repr=False)  # Var occurrence or VarDecl site
-    # Each var_set name -> the declaration that name resolves to here.
-    decl_of: dict[str, VarDecl] = field(repr=False)
     is_decl: bool = False
     # True when some same-type declaration on the scope path is hidden
     # from this hole by an inner redeclaration.
@@ -180,7 +178,6 @@ class _Extractor:
                 var_set=tuple((d.name, d.scope_id) for d in decls),
                 unit=unit,
                 node=node,
-                decl_of={d.name: d for d in decls},
                 is_decl=is_decl,
                 hidden_conflict=hidden,
             )

@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check the
 package. Everything here is deliberately naive: plain recursion and
-whole-group orbit walks, sharing no code with src/."""
+whole-group orbit walks, sharing no code with src/ beyond the MiniC
+renderer that `realize_source` prints through."""
 
 from __future__ import annotations
 
@@ -105,3 +106,12 @@ def burnside_count(var_sets: Sequence[Sequence[str]], group: Sequence[dict[str, 
         total += fixed
     assert total % len(group) == 0
     return total // len(group)
+
+
+def realize_source(skel, assignment) -> str:
+    """A variant's text by definition: the skeleton's program rendered
+    with each hole's node printed under its assigned name."""
+    from spe.minilang import render
+
+    names = {h.node: name for h, name in zip(skel.holes, assignment.values)}
+    return render(skel.program, names)

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import CRASH_STUB, LOOP_SRC, BRANCH_SRC, OK_STUB, SCOPED_SRC, write_stub
+from conftest import CRASH_STUB, LOOP_SRC, BRANCH_SRC, OK_STUB, SCOPED_SRC, SHADOW_SRC, write_stub
 from spe.cli import EXIT_CONFIG, EXIT_FINDINGS, EXIT_OK, EXIT_THRESHOLD, main
+from spe.harness import read_log
 from spe.minilang import ParseError, parse, render
 
 # nested declaring blocks: rejected by paper mode, fine in complete mode
@@ -60,6 +61,7 @@ def corpus(tmp_path):
         ("branch", BRANCH_SRC),
         ("nested", NESTED_SRC),
         ("straight", STRAIGHT_SRC),
+        ("shadow", SHADOW_SRC),
     ):
         path = tmp_path / f"{stem}.c"
         path.write_text(src)
@@ -150,6 +152,13 @@ class TestCount:
     def test_missing_file_exits_config(self, runner, tmp_path):
         res = runner.invoke(main, ["count", str(tmp_path / "nope.c")])
         assert res.exit_code == EXIT_CONFIG
+
+    def test_shadowing_file_exits_config(self, runner, corpus):
+        res = runner.invoke(main, ["count", str(corpus["loop"]), str(corpus["shadow"])])
+        assert res.exit_code == EXIT_CONFIG
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line.startswith(f"{corpus['shadow']}: ") and "shadowing" in line
 
 
 class TestSkeleton:
@@ -303,6 +312,16 @@ class TestEnumerate:
         assert str(corpus[last]) in res.output
         assert not out.exists()
 
+    def test_shadowing_file_exits_config_and_writes_nothing(self, runner, corpus, tmp_path):
+        out = tmp_path / "v"
+        paths = [str(corpus["loop"]), str(corpus["shadow"])]
+        res = runner.invoke(main, ["enumerate", *paths, "--out", str(out)])
+        assert res.exit_code == EXIT_CONFIG
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line.startswith(f"{corpus['shadow']}: ") and "shadowing" in line
+        assert not out.exists()
+
     def test_paper_mode_unsupported_exits_config(self, runner, corpus, tmp_path):
         res = runner.invoke(
             main,
@@ -376,6 +395,76 @@ class TestTestCommand:
             ("deep", "unparseable"),
             ("loop", "tested"),
         ]
+
+    @pytest.mark.parametrize(
+        "key,value", [("timeout_s", "abc"), ("workers", "two"), ("flags", 5)]
+    )
+    def test_malformed_toolchain_value_exits_config(self, runner, corpus, tmp_path, key, value):
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        doc = json.loads(cfg.read_text())
+        doc[key] = value
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "campaign"
+        res = runner.invoke(
+            main, ["test", str(corpus["loop"]), "--config", str(cfg), "--out", str(out)]
+        )
+        assert res.exit_code == EXIT_CONFIG
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"configuration error: malformed {key}: ")
+        assert not out.exists()
+
+    def test_shadowing_file_is_unsupported(self, runner, corpus, tmp_path):
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        res = runner.invoke(
+            main,
+            ["test", str(corpus["straight"]), str(corpus["shadow"]),
+             "--config", str(cfg), "--out", str(out)],
+        )
+        # the stub's binaries exit 0 where straight returns 3: findings
+        assert res.exit_code == EXIT_FINDINGS
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(f["stem"], f["status"]) for f in summary["files"]] == [
+            ("straight", "tested"),
+            ("shadow", "unsupported"),
+        ]
+        assert "shadowing" in summary["files"][1]["error"]
+        assert summary["totals"]["unsupported"] == 1
+        assert len(read_log(out / "outcomes.jsonl")) == 16
+
+    def test_rerun_neither_parses_nor_interprets_logged_variants(
+        self, runner, corpus, tmp_path, monkeypatch
+    ):
+        import spe.harness
+
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        args = ["test", str(corpus["straight"]), "--config", str(cfg), "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == EXIT_FINDINGS
+        first = json.loads((out / "summary.json").read_text())
+        log = (out / "outcomes.jsonl").read_bytes()
+        assert first["log_rows_appended"] == 16 and first["new_reports"]["wrong_code"]
+
+        real_parse = spe.harness.parse
+
+        def parse_input_only(text):
+            assert text == STRAIGHT_SRC, "parsed a variant"
+            return real_parse(text)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("interpreted a logged variant")
+
+        monkeypatch.setattr(spe.harness, "parse", parse_input_only)
+        monkeypatch.setattr(spe.harness, "interpret", forbidden)
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_FINDINGS, res.output
+        rerun = json.loads((out / "summary.json").read_text())
+        assert rerun == {
+            **first,
+            "log_rows_appended": 0,
+            "new_reports": {"crash": 0, "wrong_code": 0},
+        }
+        assert (out / "outcomes.jsonl").read_bytes() == log
 
     @pytest.mark.parametrize(
         "budget", [["--threshold", "0"], ["--cap", "0"], ["--cap", "-2"]]
@@ -501,10 +590,35 @@ class TestTornLog:
             assert f"{log}:3" in res.output
 
 
+    def test_row_without_compile_status_exits_config(self, runner, corpus, tmp_path):
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        assert self.campaign(runner, cfg, corpus["straight"], out).exit_code == EXIT_FINDINGS
+        log = out / "outcomes.jsonl"
+        whole = log.read_bytes()
+        statusless = b'{"variant":"x","compiler":"c","flags":[]}'
+
+        # unterminated, it is a torn last line like any other
+        log.write_bytes(whole + statusless)
+        res = runner.invoke(main, ["stats", str(log)])
+        assert res.exit_code == EXIT_OK
+        assert json.loads(res.output)["rows"] == 16
+
+        log.write_bytes(whole + statusless + b"\n")
+        for res in (
+            runner.invoke(main, ["stats", str(log)]),
+            self.campaign(runner, cfg, corpus["straight"], out),
+        ):
+            assert res.exit_code == EXIT_CONFIG
+            assert isinstance(res.exception, SystemExit)
+            assert f"{log}:17: not an outcome row" in res.output
+
+
 class TestHotPath:
-    """Without declaration holes, a variant is neither re-parsed nor
-    given a signature by canonical_signature: both come from the
-    enumeration stream."""
+    """Without declaration holes, a variant is neither parsed nor
+    rendered nor given a signature by canonical_signature: its source
+    fills the skeleton's template, rendered once per file, and its
+    signature comes from the enumeration stream."""
 
     def test_no_parse_and_no_signature_per_variant(self, runner, corpus, tmp_path, monkeypatch, loop_skel):
         import spe.enumerator
@@ -520,11 +634,28 @@ class TestHotPath:
         res = runner.invoke(main, ["enumerate", *paths, "--out", str(tmp_path / "plain")])
         assert res.exit_code == EXIT_OK
 
+        import spe.cli
+
+        parsed = []
+        renders = []
+
+        def record(log, fn):
+            def recorded(*args, **kwargs):
+                log.append(args[0])
+                return fn(*args, **kwargs)
+
+            return recorded
+
         monkeypatch.setattr(spe.enumerator, "parse", forbidden)
         monkeypatch.setattr(spe.enumerator, "canonical_signature", forbidden)
+        monkeypatch.setattr(spe.enumerator, "render", record(renders, spe.enumerator.render))
+        monkeypatch.setattr(spe.cli, "parse", record(parsed, spe.cli.parse))
         assert [v.source for v in spe.enumerator.variants(loop_skel)] == expected
+        renders.clear()
         res = runner.invoke(main, ["enumerate", *paths, "--out", str(tmp_path / "guarded")])
         assert res.exit_code == EXIT_OK, res.output
+        assert parsed == [LOOP_SRC, SCOPED_SRC]
+        assert len(renders) == 2
         for stem in ("loop", "scoped"):
             plain = tmp_path / "plain" / stem
             guarded = tmp_path / "guarded" / stem

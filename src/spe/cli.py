@@ -343,7 +343,7 @@ def cmd_test(paths, mode, granularity, decl_holes, threshold, cap, config, out) 
     t = summary["totals"]
     click.echo(
         f"files: {t['files']} tested: {t['tested']} skipped: {t['skipped']} "
-        f"unparseable: {t['unparseable']}"
+        f"unparseable: {t['unparseable']} unsupported: {t['unsupported']}"
     )
     red = t["reduction"]
     red_s = f"{red:.1f}x" if red else "-"

@@ -7,6 +7,11 @@ here are restricted growth strings (RGS): digit strings ``a`` with
 digits meaning "same variable".  Every stream is emitted in lexicographic
 order and is duplicate-free.
 
+The stream API is one pair per hole family: ``family_stream`` yields the
+family's scoped partitions and ``family_count`` gives their number in
+closed form.  A skeleton's class stream is the ``lazy_product`` of its
+families' streams, and ``count_plan`` multiplies their counts.
+
 Two enumeration modes exist for scoped families:
 
 * COMPLETE: every hole independently picks one pool on its scope path
@@ -28,10 +33,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .skeleton import NormalForm
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Mode",
@@ -41,16 +43,11 @@ __all__ = [
     "rgs_at_most",
     "rgs_exact",
     "rgs_of_vector",
-    "blocks_of_rgs",
     "Pool",
     "Family",
-    "FamilyPartition",
-    "ScopedPartition",
-    "partition_scope",
+    "family_stream",
     "family_count",
-    "scoped_count",
     "lazy_product",
-    "UnitCounts",
     "CountReport",
     "count_plan",
 ]
@@ -160,15 +157,6 @@ def rgs_of_vector(values: Sequence) -> tuple[int, ...]:
     return tuple(out)
 
 
-def blocks_of_rgs(rgs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Positions grouped by digit, blocks in first-occurrence order."""
-    nblocks = max(rgs) + 1 if rgs else 0
-    blocks: list[list[int]] = [[] for _ in range(nblocks)]
-    for pos, d in enumerate(rgs):
-        blocks[d].append(pos)
-    return tuple(tuple(b) for b in blocks)
-
-
 def lazy_product(factories: Sequence[Callable[[], Iterable]]) -> Iterator[tuple]:
     """Row-major Cartesian product of restartable streams.
 
@@ -237,37 +225,6 @@ class Family:
         return self.eligible[pos][-1]
 
 
-@dataclass(frozen=True)
-class FamilyPartition:
-    """One scoped partition of a single family.
-
-    ``config`` assigns each hole (normal-form order) a pool index; ``rgs``
-    holds, per pool, the RGS over the holes that chose it (again in
-    normal-form order).  Root-pool data sits first.  The pair is a full
-    canonical form: two fillings are within-pool-renaming equivalent iff
-    their FamilyPartitions are equal.
-    """
-
-    type: str
-    config: tuple[int, ...]
-    rgs: tuple[tuple[int, ...], ...]
-
-    @property
-    def key(self) -> tuple:
-        return (self.config, self.rgs)
-
-
-@dataclass(frozen=True)
-class ScopedPartition:
-    """Product of FamilyPartitions, one per family of a normal form."""
-
-    parts: tuple[FamilyPartition, ...]
-
-    @property
-    def key(self) -> tuple:
-        return tuple(p.key for p in self.parts)
-
-
 def _pool_positions(family: Family, config: Sequence[int]) -> list[list[int]]:
     per_pool: list[list[int]] = [[] for _ in family.pools]
     for pos, pi in enumerate(config):
@@ -287,7 +244,16 @@ def _paper_config_ok(family: Family, config: Sequence[int]) -> bool:
     return True
 
 
-def _family_stream(family: Family, mode: Mode) -> Iterator[FamilyPartition]:
+def family_stream(
+    family: Family, mode: Mode
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Every scoped partition of one family as a ``(config, rgs)`` pair,
+    lexicographic and duplicate-free.  ``config`` assigns each hole
+    (normal-form order) a pool index; ``rgs`` holds, per pool, the RGS
+    over the holes that chose it, root pool first.  The pair is the
+    family's canonical form: two fillings are within-pool-renaming
+    equivalent iff their pairs are equal.  PAPER mode raises
+    ScopeNestingError on a family whose pool tree is not flat."""
     if mode is Mode.PAPER and not family.is_flat:
         raise ScopeNestingError(
             "paper mode handles one level of local pools under the root; "
@@ -307,11 +273,11 @@ def _family_stream(family: Family, mode: Mode) -> Iterator[FamilyPartition]:
 
         factories = [pool_factory(pi, pos) for pi, pos in enumerate(per_pool)]
         for rgs_tuple in lazy_product(factories):
-            yield FamilyPartition(type=family.type, config=config, rgs=rgs_tuple)
+            yield config, rgs_tuple
 
 
 def family_count(family: Family, mode: Mode) -> int:
-    """Closed-form size of _family_stream without enumerating it."""
+    """Closed-form size of family_stream without enumerating it."""
     if mode is Mode.PAPER:
         return _paper_count(family)
     return _complete_count(family)
@@ -401,41 +367,7 @@ def _first_of(family: Family, pool: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Normal-form level API
-
-
-def partition_scope(nf: "NormalForm", mode: Mode) -> Iterator[ScopedPartition]:
-    """Stream every scoped partition of a normal form, one ScopedPartition
-    covering all of its families, lexicographic in the canonical key and
-    duplicate-free.  PAPER mode raises ScopeNestingError on non-flat forms."""
-    factories = [
-        (lambda fam=fam: _family_stream(fam, mode)) for fam in nf.families
-    ]
-    for parts in lazy_product(factories):
-        yield ScopedPartition(parts=parts)
-
-
-def scoped_count(nf: "NormalForm", mode: Mode) -> int:
-    total = 1
-    for fam in nf.families:
-        total *= family_count(fam, mode)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Skeleton-level counting
-
-
-@dataclass(frozen=True)
-class UnitCounts:
-    """Counts for one enumeration unit (a function, the global-decl
-    pseudo-unit, or the whole program at inter granularity)."""
-
-    unit: str
-    n: int
-    naive: int
-    paper: int | None  # None when PAPER mode rejects the unit's nesting
-    complete: int
 
 
 @dataclass(frozen=True)
@@ -443,15 +375,13 @@ class CountReport:
     """Arithmetic-only size report for a skeleton; no enumeration happens.
 
     naive_count multiplies each hole's variable-set size; the mode counts
-    multiply per-unit partition counts (the intra-procedural product, or
-    the single program-wide problem at inter granularity).
+    multiply the partition counts of every family of every enumeration
+    unit (per function at intra granularity, program-wide at inter).
     """
 
     naive_count: int
-    paper_mode_count: int | None
+    paper_mode_count: int | None  # None when PAPER mode rejects a family's nesting
     complete_mode_count: int
-    granularity: str  # "intra" | "inter"
-    per_function: tuple[UnitCounts, ...]
 
 
 def count_plan(skel, granularity=None) -> CountReport:
@@ -462,34 +392,16 @@ def count_plan(skel, granularity=None) -> CountReport:
     """
     from .skeleton import Granularity, naive_count, normal_forms
 
-    if granularity is None:
-        granularity = Granularity.INTRA
-
-    rows = []
-    paper_total: int | None = 1
-    complete_total = 1
-    for nf in normal_forms(skel, granularity):
-        complete = scoped_count(nf, Mode.COMPLETE)
-        try:
-            paper: int | None = scoped_count(nf, Mode.PAPER)
-        except ScopeNestingError:
-            paper = None
-        rows.append(
-            UnitCounts(
-                unit=nf.unit,
-                n=len(nf.permutation),
-                naive=naive_count(skel.hole(index) for index in nf.permutation),
-                paper=paper,
-                complete=complete,
-            )
-        )
-        complete_total *= complete
-        paper_total = None if (paper is None or paper_total is None) else paper_total * paper
-
+    families = [
+        fam for nf in normal_forms(skel, granularity or Granularity.INTRA) for fam in nf.families
+    ]
+    paper = (
+        math.prod(family_count(fam, Mode.PAPER) for fam in families)
+        if all(fam.is_flat for fam in families)
+        else None
+    )
     return CountReport(
         naive_count=naive_count(skel.holes),
-        paper_mode_count=paper_total,
-        complete_mode_count=complete_total,
-        granularity=granularity.value,
-        per_function=tuple(rows),
+        paper_mode_count=paper,
+        complete_mode_count=math.prod(family_count(fam, Mode.COMPLETE) for fam in families),
     )

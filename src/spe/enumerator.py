@@ -7,11 +7,13 @@ variables only within their (scope, type) pool maps one onto the other;
 configuration plus one restricted growth string per pool, which is
 invariant under exactly those renamings.
 
-`enumerate_assignments` walks the scoped-partition streams and emits one
+`enumerate_assignments` walks one flat row-major product of the
+partition streams of every (unit, type) family and emits one
 representative per equivalence class: block labels in first-occurrence
 order bind to the pool's variables in declaration order. The stream is
 deterministic, duplicate-free, and at COMPLETE mode covers every class
-of the naive product space. Each scoped partition is already its class's
+of the naive product space; its length is the product of the same
+families' counts. A row of family partitions is already its class's
 canonical form, so `variants` takes every signature from the stream
 rather than recomputing it from the assignment.
 """
@@ -23,13 +25,12 @@ from dataclasses import dataclass
 from typing import Iterator, Literal, Optional
 
 from . import combinat
-from .combinat import CountReport, Mode, ScopedPartition, count_plan, lazy_product
+from .combinat import CountReport, Mode, count_plan, lazy_product
 from .minilang.ast import Program
 from .minilang.parser import ParseError, parse
 from .minilang.render import render
 from .skeleton import (
     Granularity,
-    NormalForm,
     Skeleton,
     characteristic_vector,
     extract,
@@ -97,41 +98,28 @@ class InvalidRealization(Exception):
 # Enumeration
 
 
-def _assignment_of(
-    skel: Skeleton, nfs: list[NormalForm], parts_per_nf: tuple[ScopedPartition, ...]
-) -> Assignment:
-    values: list[Optional[str]] = [None] * skel.n
-    for nf, sp in zip(nfs, parts_per_nf):
-        for fam, fp in zip(nf.families, sp.parts):
-            per_pool: dict[int, list[int]] = {}
-            for pos, pool_i in enumerate(fp.config):
-                per_pool.setdefault(pool_i, []).append(pos)
-            for pool_i, rgs in enumerate(fp.rgs):
-                pool_vars = fam.pools[pool_i].vars
-                for pos, digit in zip(per_pool.get(pool_i, ()), rgs):
-                    values[fam.holes[pos] - 1] = pool_vars[digit]
-    assert all(v is not None for v in values)
-    return Assignment(tuple(values))  # type: ignore[arg-type]
-
-
 def _classes(
     skel: Skeleton, mode: Mode, granularity: Granularity
 ) -> Iterator[tuple[Assignment, CanonicalSignature]]:
     """The enumeration stream: each class's representative with its
-    canonical signature, read off the scoped partition that produced it."""
-    nfs = normal_forms(skel, granularity)
-    factories = [
-        (lambda nf=nf: combinat.partition_scope(nf, mode)) for nf in nfs
-    ]
-    for combo in lazy_product(factories):
-        parts = tuple(
-            (nf.unit, fam.type, fp.config, fp.rgs)
-            for nf, sp in zip(nfs, combo)
-            for fam, fp in zip(nf.families, sp.parts)
-        )
+    canonical signature, read off the family partitions that produced it.
+    One row-major product over every family of every unit; a row's
+    pair per family fills that family's holes, block labels binding to
+    the chosen pool's variables in declaration order."""
+    families = [(nf.unit, fam) for nf in normal_forms(skel, granularity) for fam in nf.families]
+    factories = [(lambda fam=fam: combinat.family_stream(fam, mode)) for _, fam in families]
+    for row in lazy_product(factories):
+        values = [""] * skel.n
+        parts = []
+        for (unit, fam), (config, rgs) in zip(families, row):
+            used = [0] * len(rgs)
+            for index, pool_i in zip(fam.holes, config):
+                values[index - 1] = fam.pools[pool_i].vars[rgs[pool_i][used[pool_i]]]
+                used[pool_i] += 1
+            parts.append((unit, fam.type, config, rgs))
         yield (
-            _assignment_of(skel, nfs, combo),
-            CanonicalSignature(granularity=granularity.value, parts=parts),
+            Assignment(tuple(values)),
+            CanonicalSignature(granularity=granularity.value, parts=tuple(parts)),
         )
 
 
@@ -299,18 +287,20 @@ def variants(
     invalid realizations become markers rather than vanishing, so stream
     positions stay auditable. Signatures come with the stream. Without
     declaration holes every filling is valid and nothing is parsed;
-    with them, `realize` decides each position's validity."""
+    with them, the parser's verdict on the filled template decides each
+    position's validity, as in `realize`."""
     template = _template(skel)
     for seq, (a, sig) in enumerate(_classes(skel, mode, granularity), start=1):
         if limit is not None and seq > limit:
             return
+        source = template.format(*a.values)
         if skel.decl_holes:
             try:
-                realize(skel, a)
-            except InvalidRealization as e:
-                yield Variant(seq, a, sig, None, e.reason)
+                parse(source)
+            except ParseError as e:
+                yield Variant(seq, a, sig, None, str(e))
                 continue
-        yield Variant(seq, a, sig, template.format(*a.values))
+        yield Variant(seq, a, sig, source)
 
 
 def variant_name(stem: str, seq: int, width: int) -> str:

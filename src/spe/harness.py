@@ -144,11 +144,15 @@ class ToolchainConfig:
             except (ValueError, TypeError) as e:
                 raise ConfigError(f"malformed {key}: {e}") from e
 
+        def flag_matrix(m):
+            # a string row would be split into one-character flags
+            if any(isinstance(r, str) for r in m):
+                raise TypeError(f"expected a list of flag lists, got {m!r}")
+            return tuple(tuple(map(str, r)) for r in m)
+
         return cls(
             compilers=compilers,
-            flags=value(
-                "flags", DEFAULT_FLAG_MATRIX, lambda m: tuple(tuple(map(str, r)) for r in m)
-            ),
+            flags=value("flags", DEFAULT_FLAG_MATRIX, flag_matrix),
             timeout_s=value("timeout_s", DEFAULT_TIMEOUT_S, int),
             workers=value("workers", DEFAULT_WORKERS, int),
         )
@@ -571,9 +575,10 @@ def run_campaign(
     reports_dir.mkdir(parents=True, exist_ok=True)
     log_path = out / "outcomes.jsonl"
     log = read_log(log_path)
+    _append_rows(log_path, [])  # create the log and mend a torn tail up front
 
     files: list[dict] = []
-    new_rows: list[dict] = []
+    appended = 0
     crash_new = 0
     wrong_new = 0
     total_naive = 0
@@ -641,11 +646,15 @@ def run_campaign(
                         _evaluate_cell, spec, flags, vid, vpath, interp_rec, cfg.timeout_s
                     )
                     futures[fut] = vid
+            file_rows = []
             for fut, vid in futures.items():
                 row = fut.result()
                 rows_by_variant[vid].append(row)
-                new_rows.append(row)
-                log[_row_key(row)] = row
+                file_rows.append(row)
+            # persisted per file, so an interrupted campaign keeps every
+            # file whose cells all finished
+            _append_rows(log_path, file_rows)
+            appended += len(file_rows)
 
             by_name = {c.name: c for c in cfg.compilers}
             file_crashes = 0
@@ -673,8 +682,6 @@ def run_campaign(
             total_enumerated += len(ok_variants)
             files.append(entry)
 
-    _append_rows(log_path, new_rows)
-
     report_dirs = sorted(p.name for p in reports_dir.iterdir() if p.is_dir())
     summary = {
         "schema": SCHEMA_VERSION,
@@ -693,7 +700,7 @@ def run_campaign(
             "enumerated": total_enumerated,
             "reduction": (total_naive / total_enumerated) if total_enumerated else None,
         },
-        "log_rows_appended": len(new_rows),
+        "log_rows_appended": appended,
         "reports": report_dirs,
         "new_reports": {"crash": crash_new, "wrong_code": wrong_new},
     }

@@ -397,7 +397,14 @@ class TestTestCommand:
         ]
 
     @pytest.mark.parametrize(
-        "key,value", [("timeout_s", "abc"), ("workers", "two"), ("flags", 5)]
+        "key,value",
+        [
+            ("timeout_s", "abc"),
+            ("workers", "two"),
+            ("flags", 5),
+            ("flags", ["-O0", "-O2"]),
+            ("flags", "-O2"),
+        ],
     )
     def test_malformed_toolchain_value_exits_config(self, runner, corpus, tmp_path, key, value):
         cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
@@ -430,6 +437,9 @@ class TestTestCommand:
         ]
         assert "shadowing" in summary["files"][1]["error"]
         assert summary["totals"]["unsupported"] == 1
+        assert res.output.splitlines()[0] == (
+            "files: 2 tested: 1 skipped: 0 unparseable: 0 unsupported: 1"
+        )
         assert len(read_log(out / "outcomes.jsonl")) == 16
 
     def test_rerun_neither_parses_nor_interprets_logged_variants(
@@ -661,6 +671,27 @@ class TestHotPath:
             guarded = tmp_path / "guarded" / stem
             assert (guarded / "manifest.json").read_bytes() == (plain / "manifest.json").read_bytes()
             assert sorted(p.name for p in guarded.iterdir()) == sorted(p.name for p in plain.iterdir())
+
+    def test_decl_holes_renders_once_per_file(self, runner, corpus, tmp_path, monkeypatch):
+        import spe.enumerator
+
+        renders = []
+        real_render = spe.enumerator.render
+
+        def recorded(*args, **kwargs):
+            renders.append(args[0])
+            return real_render(*args, **kwargs)
+
+        monkeypatch.setattr(spe.enumerator, "render", recorded)
+        res = runner.invoke(
+            main,
+            ["enumerate", "--decl-holes", str(corpus["straight"]), str(corpus["loop"]),
+             "--cap", "300", "--out", str(tmp_path / "out")],
+        )
+        assert res.exit_code == EXIT_OK, res.output
+        manifest = json.loads((tmp_path / "out" / "straight" / "manifest.json").read_text())
+        assert (manifest["written"], manifest["invalid"]) == (16, 16)
+        assert len(renders) == 2
 
 
 class TestEntryPoint:

@@ -11,9 +11,9 @@ from spe.combinat import (
     Mode,
     Pool,
     ScopeNestingError,
-    blocks_of_rgs,
     count_at_most,
     family_count,
+    family_stream,
     lazy_product,
     rgs_at_most,
     rgs_exact,
@@ -101,15 +101,6 @@ class TestRgsStreams:
             for k in range(0, n + 1):
                 assert set(rgs_exact(n, k)) == set(set_partitions(n, k))
 
-    def test_blocks_round_trip(self):
-        for rgs in rgs_at_most(5, 3):
-            blocks = blocks_of_rgs(rgs)
-            rebuilt = [None] * len(rgs)
-            for label, block in enumerate(blocks):
-                for pos in block:
-                    rebuilt[pos] = label
-            assert tuple(rebuilt) == tuple(rgs)
-
     @given(st.lists(st.sampled_from("xyzw"), max_size=8))
     def test_rgs_of_vector_is_relabeling_invariant(self, values):
         rgs = rgs_of_vector(values)
@@ -151,7 +142,7 @@ class TestFamilyCounts:
         fam = Family(type="int", pools=(root,), holes=(1, 2, 3, 4, 5, 6), eligible=((0,),) * 6)
         assert family_count(fam, Mode.PAPER) == 32
         assert family_count(fam, Mode.COMPLETE) == 32
-        assert len(list(_stream(fam, Mode.COMPLETE))) == 32
+        assert len(list(family_stream(fam, Mode.COMPLETE))) == 32
 
     def test_two_pool_instance(self):
         # 3 root-only holes over 2 vars, 2 nested holes over 2+2 vars
@@ -161,8 +152,8 @@ class TestFamilyCounts:
 
     def test_paper_stream_is_subset_of_complete(self):
         fam = flat_family(2, 2, 3, 2)
-        paper = {fp.key for fp in _stream(fam, Mode.PAPER)}
-        comp = {fp.key for fp in _stream(fam, Mode.COMPLETE)}
+        paper = set(family_stream(fam, Mode.PAPER))
+        comp = set(family_stream(fam, Mode.COMPLETE))
         assert len(paper) == 36 and len(comp) == 40
         assert paper < comp
 
@@ -170,14 +161,8 @@ class TestFamilyCounts:
         for n_root, n_local, rh, lh in [(1, 1, 1, 1), (2, 1, 2, 2), (2, 3, 1, 3), (3, 2, 0, 3)]:
             fam = flat_family(n_root, n_local, rh, lh)
             for mode in Mode:
-                rows = [fp.key for fp in _stream(fam, mode)]
+                rows = list(family_stream(fam, mode))
                 assert len(rows) == len(set(rows)) == family_count(fam, mode), (fam, mode)
-
-
-def _stream(fam, mode):
-    from spe.combinat import _family_stream
-
-    return _family_stream(fam, mode)
 
 
 class TestNestedPools:
@@ -200,5 +185,5 @@ class TestNestedPools:
     def test_complete_mode_handles_nesting(self):
         fam = self.make_nested()
         count = family_count(fam, Mode.COMPLETE)
-        rows = [fp.key for fp in _stream(fam, Mode.COMPLETE)]
+        rows = list(family_stream(fam, Mode.COMPLETE))
         assert len(rows) == len(set(rows)) == count

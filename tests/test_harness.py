@@ -336,6 +336,37 @@ class TestCampaign:
         # first-seen metadata survives the re-run
         assert meta_path.read_bytes() == meta_first
 
+    def test_interrupted_campaign_keeps_finished_files(self, tmp_path, corpus, monkeypatch):
+        import spe.harness
+
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB))
+        corpus_paths = [corpus["loop"], corpus["straight"]]
+        run_campaign(corpus_paths, cfg, tmp_path / "clean")
+        clean = (tmp_path / "clean" / "outcomes.jsonl").read_bytes()
+
+        real = spe.harness._evaluate_cell
+
+        def fail_on_second_file(spec, flags, variant_id, *args):
+            if variant_id.startswith("straight__"):
+                raise RuntimeError("cell interrupted")
+            return real(spec, flags, variant_id, *args)
+
+        out = tmp_path / "out"
+        monkeypatch.setattr(spe.harness, "_evaluate_cell", fail_on_second_file)
+        with pytest.raises(RuntimeError, match="cell interrupted"):
+            run_campaign(corpus_paths, cfg, out)
+        log_path = out / "outcomes.jsonl"
+        interrupted = log_path.read_bytes()
+        rows = [json.loads(line) for line in interrupted.splitlines()]
+        assert len(rows) == 32 * 2
+        assert all(r["variant"].startswith("loop__") for r in rows)
+        assert clean.startswith(interrupted)
+
+        monkeypatch.undo()
+        summary = run_campaign(corpus_paths, cfg, out)
+        assert summary["log_rows_appended"] == 8 * 2
+        assert log_path.read_bytes() == clean
+
     def test_worker_count_does_not_change_results(self, tmp_path, corpus):
         results = {}
         for workers in (1, 2, 8):

@@ -1,0 +1,35 @@
+"""The traced benchmark (`perfbench/run.py --trace 1`) wraps spe's layer
+functions by name from outside the program. Check that every name in its
+tables still resolves, so that renaming or deleting one of them fails
+here instead of in the traced run."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _tracer()
+
+
+@pytest.mark.parametrize(
+    "module,attr,span", tracer.FUNCTIONS + tracer.GENERATORS
+)
+def test_traced_name_is_callable(module, attr, span):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("module,attr,span", tracer.GENERATORS)
+def test_traced_generator_is_a_generator_function(module, attr, span):
+    assert inspect.isgeneratorfunction(getattr(importlib.import_module(module), attr))

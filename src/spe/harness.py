@@ -1,11 +1,12 @@
 """Differential-testing harness over enumerated variants.
 
 A campaign walks a corpus of source files, enumerates each file's
-variants, and evaluates every variant under every (compiler, flags)
+variants, and compiles every variant under every (compiler, flags)
 cell of the toolchain matrix, with the reference interpreter as ground
-truth. Compile crashes are deduplicated by normalized diagnostic
-signature; output disagreements on UB-free variants become wrong-code
-candidates. All outcomes land in an append-only JSONL log keyed by
+truth. Only the variants the interpreter finds UB-free and terminating
+are run, since only their runs can be judged. Compile crashes are
+deduplicated by normalized diagnostic signature; output disagreements
+on UB-free variants become wrong-code candidates. All outcomes land in an append-only JSONL log keyed by
 (variant id, compiler, flags), so re-running a campaign is idempotent
 and worker scheduling cannot change the persisted result.
 """
@@ -47,7 +48,7 @@ __all__ = [
     "read_log",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_THRESHOLD = 10_000
 DEFAULT_FLAG_MATRIX: tuple[tuple[str, ...], ...] = (("-O0",), ("-O3",))
 DEFAULT_TIMEOUT_S = 30
@@ -304,8 +305,12 @@ def _evaluate_cell(
     interp_rec: dict,
     timeout_s: int,
 ) -> dict:
-    """Compile and (on success) run one variant under one cell, inside
-    a fresh temp dir with a scrubbed environment."""
+    """Compile one variant under one cell, inside a fresh temp dir with
+    a scrubbed environment, and run the binary when the interpreter
+    found the variant ok. A UB or budget variant is compiled, since
+    compiler crashes need no run, but its binary is not run, since
+    differential_verdict ignores its runs; the row says so with
+    run_skipped, the interpreter's verdict, and keeps run None."""
     row: dict = {
         "schema": SCHEMA_VERSION,
         "variant": variant_id,
@@ -349,6 +354,9 @@ def _evaluate_cell(
             }
             return row
         row["compile"] = {"status": "ok", "exit": 0}
+        if interp_rec["verdict"] != "ok":
+            row["run_skipped"] = interp_rec["verdict"]
+            return row
         os.chmod(output, os.stat(output).st_mode | stat.S_IXUSR)
         try:
             run = subprocess.run(

@@ -15,17 +15,28 @@ Semantics follow C where C defines them and stop where it does not:
 - a step budget bounds total work; exceeding it (or recursing past the
   frame budget) is reported as its own status, not as UB, so looping
   variants remain usable for crash testing.
+
+A run costs one step per declaration on entering its block, one per
+statement executed, one per expression node evaluated (before its
+operands), and one after each iteration of a loop body; the step that
+exceeds the budget ends the run, so steps_used is then budget + 1.
+
+`interpret` first compiles the Program into Python closures, one per
+node. Everything the tree decides is settled while compiling: which
+kind of node a closure evaluates, which operator at which type, which
+frame slot holds each variable and how deep each call may recurse.
+Running does only the arithmetic, the checks above and the step count.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .ast import (
     GLOBAL_SCOPE,
-    INT,
     INT_MAX,
     INT_MIN,
     UINT,
@@ -41,6 +52,7 @@ from .ast import (
     Printf,
     Program,
     Return,
+    Stmt,
     Unary,
     Var,
     VarDecl,
@@ -51,12 +63,15 @@ from .ast import (
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
-# Python frames the interpreter may stack. Each call checks, before it
-# runs, that the deepest frame its body can reach (_frames) stays within
-# this, and counts as budget exhaustion otherwise. So deep recursion ends
-# the same way on every run, whatever the caller's stack, and well under
-# Python's default recursion limit of 1000. The parser's nesting limit
-# keeps one activation of any accepted program far below it.
+# Frame-cost budget for recursion. Each call checks, before it runs,
+# that the deepest frame its body can reach (_frames) stays within this,
+# and counts as budget exhaustion otherwise. So deep recursion ends at
+# the same depth on every run, whatever the caller's stack. The cost is
+# counted in the frames a recursive tree walker stacks; neither
+# compiling a program into closures nor running them stacks more Python
+# frames than that, so every run stays well under Python's default
+# recursion limit of 1000. The parser's nesting limit keeps one
+# activation of any accepted program far below the budget.
 MAX_FRAMES = 600
 
 _UINT_MASK = 0xFFFFFFFF
@@ -96,15 +111,12 @@ class _OutOfSteps(Exception):
     pass
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value: int):
-        self.value = value
-
-
 def _frames(node, at: int, sites: dict) -> int:
-    """The deepest _Interp's frames reach while it evaluates node from a
-    frame `at` deep, not counting the functions it calls; records in
-    sites how deep each call is made from."""
+    """The frame cost of evaluating node from a frame `at` deep, not
+    counting the functions it calls; records in sites how deep each call
+    is made from. It counts the frames that a recursive tree walker
+    stacks, one method call per frame, named in the comments (the test
+    suite keeps that walker as its reference interpreter)."""
     if isinstance(node, (Num, Var)):
         return at + 1  # eval
     if isinstance(node, Unary):  # eval, _unary
@@ -132,168 +144,481 @@ def _frames(node, at: int, sites: dict) -> int:
     return deepest
 
 
-class _Interp:
-    def __init__(self, program: Program, budget: int):
-        self.program = program
-        self.budget = budget
-        self.steps = 0
-        self.base = 0  # frames stacked below the running call
-        self.sites: dict[Call, int] = {}
-        # frames from the call (frame 1) to the deepest in its body
-        self.cost = {f.name: _frames(f.body, 1, self.sites) for f in program.functions}
-        self.out: list[str] = []
-        self.globals: dict[VarDecl, int] = {
-            d: (d.init if d.init is not None else 0) for d in program.globals
-        }
-        self.functions = {f.name: f for f in program.functions}
+# Division and remainder, signed and unsigned, by operator.
+_DIVIDE = {"/": (c_div, operator.floordiv), "%": (c_mod, operator.mod)}
 
-    def output(self) -> str:
-        return "".join(self.out)
 
-    def _tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.budget:
-            raise _OutOfSteps
+def _compile(program: Program) -> Callable[[int], ExecResult]:
+    """Compile program into closures; return run(step_budget), which
+    executes main from a fresh state on each call.
 
-    # -- execution ---------------------------------------------------
+    Every closure takes the running call's frame, a list whose slot 0
+    holds the frame cost stacked below the call and whose other slots
+    hold the function's parameters and locals. An expression closure
+    returns its value; a statement or block closure returns the running
+    function's value once a return statement runs, and None otherwise.
+    """
+    steps = 0
+    budget = 0
+    out: list[str] = []
+    gslot = {d: i for i, d in enumerate(program.globals)}
+    ginit = [d.init if d.init is not None else 0 for d in program.globals]
+    gvals = list(ginit)
+    sites: dict[Call, int] = {}
+    # frame cost from the call (frame 1) to the deepest in its body
+    cost = {f.name: _frames(f.body, 1, sites) for f in program.functions}
+    entries: dict[str, Callable[[list], int]] = {}  # filled once all are compiled
 
-    def call(self, fn: Function, args: list[int], base: int = 0) -> int:
-        if base + self.cost[fn.name] > MAX_FRAMES:
-            raise _OutOfSteps
-        caller_base, self.base = self.base, base
-        frame: dict[VarDecl, object] = {}
-        for p, a in zip(fn.params, args):
-            frame[p] = a
-        try:
-            self.exec_block(fn.body, frame)
-        except _ReturnSignal as r:
-            return r.value
-        finally:
-            self.base = caller_base
-        # The parser guarantees the body ends with a return statement.
-        raise AssertionError(f"function {fn.name!r} fell off its end")
-
-    def exec_block(self, block: Block, frame: dict) -> None:
-        for d in block.decls:
-            self._tick()
-            frame[d] = d.init if d.init is not None else _UNINIT
-        for s in block.stmts:
-            self.exec_stmt(s, frame)
-
-    def exec_stmt(self, s, frame: dict) -> None:
-        self._tick()
-        if isinstance(s, Assign):
-            value = self.eval(s.value, frame)
-            self._store(s.target.decl, value, frame)
-        elif isinstance(s, If):
-            if self.eval(s.cond, frame) != 0:
-                self.exec_block(s.then, frame)
-            elif s.orelse is not None:
-                self.exec_block(s.orelse, frame)
-        elif isinstance(s, While):
-            while self.eval(s.cond, frame) != 0:
-                self.exec_block(s.body, frame)
-                self._tick()
-        elif isinstance(s, Return):
-            raise _ReturnSignal(self.eval(s.value, frame))
-        elif isinstance(s, Printf):
-            v = self.eval(s.arg, frame)
-            self.out.append(str(v))
-            if s.newline:
-                self.out.append("\n")
-        elif isinstance(s, CallStmt):
-            self.eval(s.call, frame)
-        elif isinstance(s, Block):
-            self.exec_block(s, frame)
-        else:
-            raise TypeError(f"not a statement: {s!r}")
-
-    def _store(self, decl: VarDecl, value: int, frame: dict) -> None:
-        if decl.scope_id == GLOBAL_SCOPE:
-            self.globals[decl] = value
-        else:
-            frame[decl] = value
-
-    # -- evaluation ---------------------------------------------------
-
-    def eval(self, e: Expr, frame: dict) -> int:
-        self._tick()
+    def expr(e: Expr, slots: dict[VarDecl, int]) -> Callable[[list], int]:
         if isinstance(e, Num):
-            return e.value
+            value = e.value
+
+            def num(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return value
+
+            return num
         if isinstance(e, Var):
             d = e.decl
-            v = self.globals[d] if d.scope_id == GLOBAL_SCOPE else frame[d]
-            if v is _UNINIT:
-                raise _UB(UBKind.UNINIT_READ)
-            return v  # type: ignore[return-value]
+            if d.scope_id == GLOBAL_SCOPE:
+                g = gslot[d]
+
+                def global_var(f):
+                    nonlocal steps
+                    steps += 1
+                    if steps > budget:
+                        raise _OutOfSteps
+                    return gvals[g]
+
+                return global_var
+            i = slots[d]
+            if d.is_param or d.init is not None:
+                # set on entry to its scope, before any statement reads it
+                def initialized_var(f):
+                    nonlocal steps
+                    steps += 1
+                    if steps > budget:
+                        raise _OutOfSteps
+                    return f[i]
+
+                return initialized_var
+
+            def var(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                v = f[i]
+                if v is _UNINIT:
+                    raise _UB(UBKind.UNINIT_READ)
+                return v
+
+            return var
         if isinstance(e, Unary):
-            return self._unary(e, frame)
+            operand = expr(e.operand, slots)
+            if e.op == "!":
+                def not_(f):
+                    nonlocal steps
+                    steps += 1
+                    if steps > budget:
+                        raise _OutOfSteps
+                    return 0 if operand(f) else 1
+
+                return not_
+            if e.type == UINT:
+                def negate_wrapping(f):
+                    nonlocal steps
+                    steps += 1
+                    if steps > budget:
+                        raise _OutOfSteps
+                    return -operand(f) & _UINT_MASK
+
+                return negate_wrapping
+
+            def negate(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                v = operand(f)
+                if v == INT_MIN:
+                    raise _UB(UBKind.SIGNED_OVERFLOW)
+                return -v
+
+            return negate
         if isinstance(e, Binary):
-            return self._binary(e, frame)
+            return binary(e.op, e.type, expr(e.left, slots), expr(e.right, slots))
         if isinstance(e, Call):
-            args = [self.eval(a, frame) for a in e.args]
-            return self.call(self.functions[e.name], args, self.base + self.sites[e])
+            return call(e, [expr(a, slots) for a in e.args])
         raise TypeError(f"not an expression: {e!r}")
 
-    def _unary(self, e: Unary, frame: dict) -> int:
-        v = self.eval(e.operand, frame)
-        if e.op == "!":
-            return 1 if v == 0 else 0
-        # unary minus
-        if e.type == UINT:
-            return (-v) & _UINT_MASK
-        if v == INT_MIN:
-            raise _UB(UBKind.SIGNED_OVERFLOW)
-        return -v
-
-    def _binary(self, e: Binary, frame: dict) -> int:
-        op = e.op
+    def binary(op: str, type_: str, left, right) -> Callable[[list], int]:
         if op == "&&":
-            if self.eval(e.left, frame) == 0:
-                return 0
-            return 1 if self.eval(e.right, frame) != 0 else 0
+            def and_(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return 1 if left(f) and right(f) else 0
+
+            return and_
         if op == "||":
-            if self.eval(e.left, frame) != 0:
-                return 1
-            return 1 if self.eval(e.right, frame) != 0 else 0
+            def or_(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return 1 if left(f) or right(f) else 0
 
-        l = self.eval(e.left, frame)
-        r = self.eval(e.right, frame)
+            return or_
         if op == "==":
-            return 1 if l == r else 0
+            def eq(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return 1 if left(f) == right(f) else 0
+
+            return eq
         if op == "!=":
-            return 1 if l != r else 0
+            def ne(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return 1 if left(f) != right(f) else 0
+
+            return ne
         if op == "<":
-            return 1 if l < r else 0
+            def lt(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return 1 if left(f) < right(f) else 0
+
+            return lt
         if op == "<=":
-            return 1 if l <= r else 0
+            def le(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return 1 if left(f) <= right(f) else 0
+
+            return le
         if op == ">":
-            return 1 if l > r else 0
+            def gt(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return 1 if left(f) > right(f) else 0
+
+            return gt
         if op == ">=":
-            return 1 if l >= r else 0
+            def ge(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return 1 if left(f) >= right(f) else 0
 
-        if op in ("/", "%"):
-            if r == 0:
-                raise _UB(UBKind.DIV_BY_ZERO)
-            if e.type == UINT:
-                return l // r if op == "/" else l % r
-            if l == INT_MIN and r == -1:
-                raise _UB(UBKind.SIGNED_DIV_OVERFLOW)
-            return c_div(l, r) if op == "/" else c_mod(l, r)
+            return ge
+        if op == "+" and type_ == UINT:
+            def add_wrapping(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return (left(f) + right(f)) & _UINT_MASK
 
+            return add_wrapping
         if op == "+":
-            v = l + r
-        elif op == "-":
-            v = l - r
-        elif op == "*":
-            v = l * r
-        else:
-            raise ValueError(f"unknown operator {op!r}")
-        if e.type == UINT:
-            return v & _UINT_MASK
-        if not INT_MIN <= v <= INT_MAX:
-            raise _UB(UBKind.SIGNED_OVERFLOW)
-        return v
+            def add(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                v = left(f) + right(f)
+                if INT_MIN <= v <= INT_MAX:
+                    return v
+                raise _UB(UBKind.SIGNED_OVERFLOW)
+
+            return add
+        if op == "-" and type_ == UINT:
+            def sub_wrapping(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return (left(f) - right(f)) & _UINT_MASK
+
+            return sub_wrapping
+        if op == "-":
+            def sub(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                v = left(f) - right(f)
+                if INT_MIN <= v <= INT_MAX:
+                    return v
+                raise _UB(UBKind.SIGNED_OVERFLOW)
+
+            return sub
+        if op == "*" and type_ == UINT:
+            def mul_wrapping(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return (left(f) * right(f)) & _UINT_MASK
+
+            return mul_wrapping
+        if op == "*":
+            def mul(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                v = left(f) * right(f)
+                if INT_MIN <= v <= INT_MAX:
+                    return v
+                raise _UB(UBKind.SIGNED_OVERFLOW)
+
+            return mul
+        if op in _DIVIDE:
+            signed_op, unsigned_op = _DIVIDE[op]
+            if type_ == UINT:
+                def divide_unsigned(f):
+                    nonlocal steps
+                    steps += 1
+                    if steps > budget:
+                        raise _OutOfSteps
+                    l = left(f)
+                    r = right(f)
+                    if r == 0:
+                        raise _UB(UBKind.DIV_BY_ZERO)
+                    return unsigned_op(l, r)
+
+                return divide_unsigned
+
+            def divide(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                l = left(f)
+                r = right(f)
+                if r == 0:
+                    raise _UB(UBKind.DIV_BY_ZERO)
+                if l == INT_MIN and r == -1:
+                    raise _UB(UBKind.SIGNED_DIV_OVERFLOW)
+                return signed_op(l, r)
+
+            return divide
+        raise ValueError(f"unknown operator {op!r}")
+
+    def call(e: Call, args: list) -> Callable[[list], int]:
+        site = sites[e]
+        # the callee's frame cost, stacked on the caller's, must fit
+        limit = MAX_FRAMES - site - cost[e.name]
+        name = e.name
+
+        def call_(f):
+            nonlocal steps
+            steps += 1
+            if steps > budget:
+                raise _OutOfSteps
+            base = f[0]
+            frame = [base + site]
+            for a in args:
+                frame.append(a(f))
+            if base > limit:
+                raise _OutOfSteps
+            return entries[name](frame)
+
+        return call_
+
+    def stmt(s: Stmt, slots: dict[VarDecl, int]) -> Callable[[list], Optional[int]]:
+        if isinstance(s, Assign):
+            value = expr(s.value, slots)
+            d = s.target.decl
+            if d.scope_id == GLOBAL_SCOPE:
+                g = gslot[d]
+
+                def assign_global(f):
+                    nonlocal steps
+                    steps += 1
+                    if steps > budget:
+                        raise _OutOfSteps
+                    gvals[g] = value(f)
+
+                return assign_global
+            i = slots[d]
+
+            def assign(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                f[i] = value(f)
+
+            return assign
+        if isinstance(s, If):
+            cond = expr(s.cond, slots)
+            then = block(s.then, slots)
+            if s.orelse is None:
+                def if_(f):
+                    nonlocal steps
+                    steps += 1
+                    if steps > budget:
+                        raise _OutOfSteps
+                    if cond(f):
+                        return then(f)
+
+                return if_
+            orelse = block(s.orelse, slots)
+
+            def if_else(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                if cond(f):
+                    return then(f)
+                return orelse(f)
+
+            return if_else
+        if isinstance(s, While):
+            cond = expr(s.cond, slots)
+            body = block(s.body, slots)
+
+            def while_(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                while cond(f):
+                    r = body(f)
+                    if r is not None:
+                        return r
+                    steps += 1
+                    if steps > budget:
+                        raise _OutOfSteps
+
+            return while_
+        if isinstance(s, Return):
+            value = expr(s.value, slots)
+
+            def return_(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return value(f)
+
+            return return_
+        if isinstance(s, Printf):
+            value = expr(s.arg, slots)
+            end = "\n" if s.newline else ""
+
+            def printf(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                out.append(f"{value(f)}{end}")
+
+            return printf
+        if isinstance(s, CallStmt):
+            value = expr(s.call, slots)
+
+            def call_stmt(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                value(f)
+
+            return call_stmt
+        if isinstance(s, Block):
+            inner = block(s, slots)
+
+            def nested(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return inner(f)
+
+            return nested
+        raise TypeError(f"not a statement: {s!r}")
+
+    def block(b: Block, slots: dict[VarDecl, int]) -> Callable[[list], Optional[int]]:
+        inits = []
+        for d in b.decls:
+            slots[d] = len(slots) + 1
+            inits.append((slots[d], _UNINIT if d.init is None else d.init))
+        stmts = []
+        for s in b.stmts:  # a loop, not a comprehension, to stack one frame per level
+            stmts.append(stmt(s, slots))
+        if not inits and len(stmts) == 1:
+            return stmts[0]
+
+        def run_block(f):
+            nonlocal steps
+            for i, v in inits:
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                f[i] = v
+            for s in stmts:
+                r = s(f)
+                if r is not None:
+                    return r
+
+        return run_block
+
+    def function(fn: Function) -> Callable[[list], int]:
+        slots = {p: i for i, p in enumerate(fn.params, start=1)}
+        body = block(fn.body, slots)
+        pad = [_UNINIT] * (len(slots) - len(fn.params))
+
+        def enter(frame):
+            frame += pad
+            r = body(frame)
+            if r is None:
+                # The parser guarantees the body ends with a return statement.
+                raise AssertionError(f"function {fn.name!r} fell off its end")
+            return r
+
+        return enter
+
+    for fn in program.functions:
+        entries[fn.name] = function(fn)
+    main = program.main_function().name
+
+    def run(step_budget: int) -> ExecResult:
+        nonlocal steps, budget
+        steps, budget = 0, step_budget
+        out.clear()
+        gvals[:] = ginit
+        try:
+            if cost[main] > MAX_FRAMES:
+                raise _OutOfSteps
+            ret = entries[main]([0])
+            return ExecResult(Status.OK, ret & 0xFF, "".join(out), steps)
+        except _UB as ub:
+            return ExecResult(Status.UNDEFINED_BEHAVIOR, 0, "".join(out), steps, ub.kind)
+        except _OutOfSteps:
+            return ExecResult(Status.STEP_BUDGET_EXHAUSTED, 0, "".join(out), steps)
+
+    return run
 
 
 def interpret(program: Program, step_budget: int = DEFAULT_STEP_BUDGET) -> ExecResult:
@@ -305,13 +630,4 @@ def interpret(program: Program, step_budget: int = DEFAULT_STEP_BUDGET) -> ExecR
     """
     if step_budget < 1:
         raise ValueError("step_budget must be at least 1")
-    it = _Interp(program, step_budget)
-    try:
-        ret = it.call(program.main_function(), [])
-        return ExecResult(Status.OK, ret & 0xFF, it.output(), it.steps)
-    except _UB as ub:
-        return ExecResult(
-            Status.UNDEFINED_BEHAVIOR, 0, it.output(), it.steps, ub.kind
-        )
-    except _OutOfSteps:
-        return ExecResult(Status.STEP_BUDGET_EXHAUSTED, 0, it.output(), it.steps)
+    return _compile(program)(step_budget)

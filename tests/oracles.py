@@ -1,12 +1,46 @@
 """Independent reference implementations used to cross-check the
 package. Everything here is deliberately naive: plain recursion and
 whole-group orbit walks, sharing no code with src/ beyond the MiniC
-renderer that `realize_source` prints through."""
+renderer that `realize_source` prints through, and the interpreter's
+result types and frame-cost model (`_frames`, `MAX_FRAMES`) that
+`reference_interpret` must share with it for budget verdicts to agree."""
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator, Sequence
+
+from spe.minilang.ast import (
+    GLOBAL_SCOPE,
+    INT_MAX,
+    INT_MIN,
+    UINT,
+    Assign,
+    Block,
+    Binary,
+    Call,
+    CallStmt,
+    Function,
+    If,
+    Num,
+    Printf,
+    Program,
+    Return,
+    Unary,
+    Var,
+    VarDecl,
+    While,
+    c_div,
+    c_mod,
+)
+from spe.minilang.interp import (
+    DEFAULT_STEP_BUDGET,
+    MAX_FRAMES,
+    ExecResult,
+    Status,
+    UBKind,
+    _frames,
+)
 
 
 def set_partitions(n: int, k: int | None = None) -> list[tuple[int, ...]]:
@@ -115,3 +149,209 @@ def realize_source(skel, assignment) -> str:
 
     names = {h.node: name for h, name in zip(skel.holes, assignment.values)}
     return render(skel.program, names)
+
+
+# ---------------------------------------------------------------------------
+# Reference interpreter
+
+_UINT_MASK = 0xFFFFFFFF
+_UNINIT = object()
+
+
+class _UB(Exception):
+    def __init__(self, kind: UBKind):
+        self.kind = kind
+
+
+class _OutOfSteps(Exception):
+    pass
+
+
+class _ReturnSignal(Exception):
+    def __init__(self, value: int):
+        self.value = value
+
+
+class _Walker:
+    def __init__(self, program: Program, budget: int):
+        self.program = program
+        self.budget = budget
+        self.steps = 0
+        self.base = 0  # frames stacked below the running call
+        self.sites: dict[Call, int] = {}
+        # frames from the call (frame 1) to the deepest in its body
+        self.cost = {f.name: _frames(f.body, 1, self.sites) for f in program.functions}
+        self.out: list[str] = []
+        self.globals: dict[VarDecl, int] = {
+            d: (d.init if d.init is not None else 0) for d in program.globals
+        }
+        self.functions = {f.name: f for f in program.functions}
+
+    def output(self) -> str:
+        return "".join(self.out)
+
+    def _tick(self) -> None:
+        self.steps += 1
+        if self.steps > self.budget:
+            raise _OutOfSteps
+
+    # -- execution ---------------------------------------------------
+
+    def call(self, fn: Function, args: list[int], base: int = 0) -> int:
+        if base + self.cost[fn.name] > MAX_FRAMES:
+            raise _OutOfSteps
+        caller_base, self.base = self.base, base
+        frame: dict[VarDecl, object] = {}
+        for p, a in zip(fn.params, args):
+            frame[p] = a
+        try:
+            self.exec_block(fn.body, frame)
+        except _ReturnSignal as r:
+            return r.value
+        finally:
+            self.base = caller_base
+        # The parser guarantees the body ends with a return statement.
+        raise AssertionError(f"function {fn.name!r} fell off its end")
+
+    def exec_block(self, block: Block, frame: dict) -> None:
+        for d in block.decls:
+            self._tick()
+            frame[d] = d.init if d.init is not None else _UNINIT
+        for s in block.stmts:
+            self.exec_stmt(s, frame)
+
+    def exec_stmt(self, s, frame: dict) -> None:
+        self._tick()
+        if isinstance(s, Assign):
+            value = self.eval(s.value, frame)
+            self._store(s.target.decl, value, frame)
+        elif isinstance(s, If):
+            if self.eval(s.cond, frame) != 0:
+                self.exec_block(s.then, frame)
+            elif s.orelse is not None:
+                self.exec_block(s.orelse, frame)
+        elif isinstance(s, While):
+            while self.eval(s.cond, frame) != 0:
+                self.exec_block(s.body, frame)
+                self._tick()
+        elif isinstance(s, Return):
+            raise _ReturnSignal(self.eval(s.value, frame))
+        elif isinstance(s, Printf):
+            v = self.eval(s.arg, frame)
+            self.out.append(str(v))
+            if s.newline:
+                self.out.append("\n")
+        elif isinstance(s, CallStmt):
+            self.eval(s.call, frame)
+        elif isinstance(s, Block):
+            self.exec_block(s, frame)
+        else:
+            raise TypeError(f"not a statement: {s!r}")
+
+    def _store(self, decl: VarDecl, value: int, frame: dict) -> None:
+        if decl.scope_id == GLOBAL_SCOPE:
+            self.globals[decl] = value
+        else:
+            frame[decl] = value
+
+    # -- evaluation ---------------------------------------------------
+
+    def eval(self, e: Expr, frame: dict) -> int:
+        self._tick()
+        if isinstance(e, Num):
+            return e.value
+        if isinstance(e, Var):
+            d = e.decl
+            v = self.globals[d] if d.scope_id == GLOBAL_SCOPE else frame[d]
+            if v is _UNINIT:
+                raise _UB(UBKind.UNINIT_READ)
+            return v  # type: ignore[return-value]
+        if isinstance(e, Unary):
+            return self._unary(e, frame)
+        if isinstance(e, Binary):
+            return self._binary(e, frame)
+        if isinstance(e, Call):
+            args = [self.eval(a, frame) for a in e.args]
+            return self.call(self.functions[e.name], args, self.base + self.sites[e])
+        raise TypeError(f"not an expression: {e!r}")
+
+    def _unary(self, e: Unary, frame: dict) -> int:
+        v = self.eval(e.operand, frame)
+        if e.op == "!":
+            return 1 if v == 0 else 0
+        # unary minus
+        if e.type == UINT:
+            return (-v) & _UINT_MASK
+        if v == INT_MIN:
+            raise _UB(UBKind.SIGNED_OVERFLOW)
+        return -v
+
+    def _binary(self, e: Binary, frame: dict) -> int:
+        op = e.op
+        if op == "&&":
+            if self.eval(e.left, frame) == 0:
+                return 0
+            return 1 if self.eval(e.right, frame) != 0 else 0
+        if op == "||":
+            if self.eval(e.left, frame) != 0:
+                return 1
+            return 1 if self.eval(e.right, frame) != 0 else 0
+
+        l = self.eval(e.left, frame)
+        r = self.eval(e.right, frame)
+        if op == "==":
+            return 1 if l == r else 0
+        if op == "!=":
+            return 1 if l != r else 0
+        if op == "<":
+            return 1 if l < r else 0
+        if op == "<=":
+            return 1 if l <= r else 0
+        if op == ">":
+            return 1 if l > r else 0
+        if op == ">=":
+            return 1 if l >= r else 0
+
+        if op in ("/", "%"):
+            if r == 0:
+                raise _UB(UBKind.DIV_BY_ZERO)
+            if e.type == UINT:
+                return l // r if op == "/" else l % r
+            if l == INT_MIN and r == -1:
+                raise _UB(UBKind.SIGNED_DIV_OVERFLOW)
+            return c_div(l, r) if op == "/" else c_mod(l, r)
+
+        if op == "+":
+            v = l + r
+        elif op == "-":
+            v = l - r
+        elif op == "*":
+            v = l * r
+        else:
+            raise ValueError(f"unknown operator {op!r}")
+        if e.type == UINT:
+            return v & _UINT_MASK
+        if not INT_MIN <= v <= INT_MAX:
+            raise _UB(UBKind.SIGNED_OVERFLOW)
+        return v
+
+
+
+
+def reference_interpret(program, step_budget: int = DEFAULT_STEP_BUDGET) -> ExecResult:
+    """The tree-walking interpreter that `spe.minilang.interpret`
+    replaced: one Python method per construct, dispatched by isinstance
+    on every node it evaluates. The compiled interpreter must return an
+    equal ExecResult, steps_used included, on every program."""
+    if step_budget < 1:
+        raise ValueError("step_budget must be at least 1")
+    it = _Walker(program, step_budget)
+    try:
+        ret = it.call(program.main_function(), [])
+        return ExecResult(Status.OK, ret & 0xFF, it.output(), it.steps)
+    except _UB as ub:
+        return ExecResult(
+            Status.UNDEFINED_BEHAVIOR, 0, it.output(), it.steps, ub.kind
+        )
+    except _OutOfSteps:
+        return ExecResult(Status.STEP_BUDGET_EXHAUSTED, 0, it.output(), it.steps)

@@ -544,6 +544,35 @@ class TestStats:
         assert len(doc["distinct_crash_signatures"]) == 1
 
 
+    def test_runs_say_why_a_binary_did_not_run(self, runner, corpus, tmp_path):
+        cfg = stub_config_file(tmp_path, ("crashcc", CRASH_STUB))
+        out = tmp_path / "campaign"
+        paths = [str(corpus["loop"]), str(corpus["straight"])]
+        runner.invoke(main, ["test", *paths, "--config", str(cfg), "--out", str(out)])
+        log = out / "outcomes.jsonl"
+        res = runner.invoke(main, ["stats", str(log)])
+        assert res.exit_code == EXIT_OK
+        # loop: 6 ok, 14 UB and 12 budget variants; straight: its 2
+        # variants with `b = a;` crash, 5 of the other 6 are UB
+        assert json.loads(res.output)["runs"] == {
+            "crashcc": {"none": 4, "ok": 14, "skipped_budget": 24, "skipped_ub": 38, "timeout": 0}
+        }
+
+        # rows logged before runs were skipped count by the run they carry
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        for row in rows:
+            row["schema"] = 1
+            if row.pop("run_skipped", None):
+                row["run"] = {"timeout": True} if row["interp"]["verdict"] == "budget" else {
+                    "exit": 0, "stdout_sha256": "0" * 64
+                }
+        log.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        res = runner.invoke(main, ["stats", str(log)])
+        assert json.loads(res.output)["runs"] == {
+            "crashcc": {"none": 4, "ok": 52, "skipped_budget": 0, "skipped_ub": 0, "timeout": 24}
+        }
+
+
 class TestTornLog:
     """An interrupted campaign can leave its log's last line half
     written; both readers of the log carry on past it."""

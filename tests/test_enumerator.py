@@ -24,11 +24,11 @@ from spe.enumerator import (
     variant_name,
     variants,
 )
-from spe.minilang import ParseError, parse, render, structurally_equal
+from spe.minilang import ParseError, interpret, parse, render, structurally_equal
 from spe.skeleton import Granularity, extract, naive_count
 
 from conftest import BRANCH_SRC, LOOP_SRC, SCOPED_SRC, SHADOW_SRC, random_skeleton
-from oracles import burnside_count, orbits, pools_of_program, renaming_group
+from oracles import burnside_count, orbits, pools_of_program, reference_interpret, renaming_group
 from oracles import realize_source as oracle_realize_source
 
 
@@ -276,7 +276,8 @@ class TestStreamOracle:
     def test_variants_agree_with_the_reparse_path(self):
         """Every variant's signature and source agree with the slow
         definitions: canonical_signature and the oracle's render-based
-        realize_source. Without declaration holes every position is
+        realize_source, and the interpreter agrees with the reference
+        walker on it. Without declaration holes every position is
         valid; with them, a position is valid exactly when the parser
         accepts the reference text. A refused stream (ScopeNestingError,
         ShadowingError) is a refusal here too."""
@@ -309,6 +310,8 @@ class TestStreamOracle:
                         if v.ok:
                             valid += 1
                             assert v.source == reference
+                            program = parse(v.source)
+                            assert interpret(program, 20_000) == reference_interpret(program, 20_000)
                         else:
                             invalid += 1
                             assert v.source is None and v.error

@@ -1,6 +1,7 @@
 """Campaign driver, crash deduplication, and differential verdicts,
 exercised with stub compilers so no system toolchain is needed."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -378,6 +379,52 @@ class TestCampaign:
             keys = sorted(read_log(out / "outcomes.jsonl"))
             results[workers] = (summary["reports"], keys)
         assert results[1] == results[2] == results[8]
+
+    def test_only_ok_variants_run(self, tmp_path, corpus):
+        # binaries of this stub append a line to runs.txt when they run
+        runs = tmp_path / "runs.txt"
+        counting = OK_STUB.replace("exit 0\\n' > ", f"echo run >> {runs}\\nexit 0\\n' > ")
+        assert counting != OK_STUB
+        logs = []
+        for workers in (1, 2, 8):
+            runs.unlink(missing_ok=True)
+            out = tmp_path / f"out{workers}"
+            cfg = stub_config(tmp_path, ("countcc", counting), workers=workers)
+            run_campaign([corpus["loop"]], cfg, out)
+            rows = read_log(out / "outcomes.jsonl").values()
+            verdicts = [r["interp"]["verdict"] for r in rows]
+            assert verdicts.count("ok") == 6 * 2
+            assert runs.read_text().count("run") == 6 * 2
+            for r in rows:
+                assert r["schema"] == 2 and r["compile"]["status"] == "ok"
+                if r["interp"]["verdict"] == "ok":
+                    assert r["run"] == {"exit": 0, "stdout_sha256": hashlib.sha256(b"").hexdigest()}
+                    assert "run_skipped" not in r
+                else:
+                    assert r["run"] is None
+                    assert r["run_skipped"] == r["interp"]["verdict"]
+            logs.append((out / "outcomes.jsonl").read_bytes())
+        assert logs[0] == logs[1] == logs[2]
+
+    def test_rerun_over_schema_1_log_appends_nothing(self, tmp_path, corpus):
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "out"
+        run_campaign([corpus["loop"]], cfg, out)
+        log = out / "outcomes.jsonl"
+        # a log written before runs were skipped: UB and budget rows carry
+        # runs, here ones that disagree with the interpreter
+        old = []
+        for line in log.read_text().splitlines():
+            row = json.loads(line)
+            row["schema"] = 1
+            if row.pop("run_skipped", None):
+                row["run"] = {"exit": 7, "stdout_sha256": "0" * 64}
+            old.append(json.dumps(row, sort_keys=True) + "\n")
+        log.write_text("".join(old))
+        summary = run_campaign([corpus["loop"]], cfg, out)
+        assert summary["log_rows_appended"] == 0
+        assert summary["reports"] == [] and not any((out / "reports").iterdir())
+        assert log.read_text() == "".join(old)
 
     def test_crash_logs_are_byte_identical_across_campaigns(self, tmp_path, corpus):
         # the stub's stderr carries its PID; stored stderr is masked

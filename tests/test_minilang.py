@@ -41,6 +41,7 @@ from spe.minilang.ast import program_key
 from spe.skeleton import extract
 
 from conftest import LOOP_SRC, SCOPED_SRC, BRANCH_SRC, random_source
+from oracles import reference_interpret
 
 
 def wrap(body: str) -> str:
@@ -356,6 +357,311 @@ int main(void) {
         res = self.run_main('    int x;\n    printf("%d", 1);\n    x = x + 1;')
         assert res.status is Status.UNDEFINED_BEHAVIOR
         assert res.stdout == "1"
+
+
+# Hand-written programs for the compiled-against-reference check: each
+# covers constructs or outcomes that random_source does not generate.
+REFERENCE_PROGRAMS = {
+    "calls_and_recursion": """
+int g;
+
+int fact(int n) {
+    if (n < 2) {
+        return 1;
+    }
+    return n * fact(n - 1);
+}
+
+int fib(int n) {
+    if (n < 2) {
+        return n;
+    }
+    return fib(n - 1) + fib(n - 2);
+}
+
+int bump(int by) {
+    g = g + by;
+    return g;
+}
+
+int main(void) {
+    bump(3);
+    bump(fact(3));
+    printf("%d\\n", g);
+    return fact(5) + fib(7);
+}
+""",
+    "frame_budget_probe": """
+int f(int n) {
+    if (n) {
+        return f(n - 1) + 1;
+    }
+    return 0;
+}
+
+int main(void) {
+    return f(150);
+}
+""",
+    "shallow_recursion": """
+int f(int n) {
+    if (n) {
+        return f(n - 1) + 1;
+    }
+    return 0;
+}
+
+int main(void) {
+    return f(20);
+}
+""",
+    "printf": """
+int main(void) {
+    int x = -5;
+    printf("%d", x);
+    printf("%d\\n", x + 1);
+    printf("%d", 0);
+    printf("%d\\n", 2147483647);
+    return 0;
+}
+""",
+    "unsigned_wrap": """
+unsigned big = 4294967295u;
+
+int main(void) {
+    unsigned u = 0u;
+    unsigned v;
+    u = u - 1u;
+    v = big * big;
+    u = u + big;
+    v = -v;
+    if (u / 7u == 613566756u) {
+        printf("%d\\n", 1);
+    }
+    if (v % 10u != 1u) {
+        return 1;
+    }
+    return 0;
+}
+""",
+    "comparisons_and_not": """
+int main(void) {
+    int a = 3;
+    int b = -4;
+    unsigned c = 3u;
+    unsigned d = 7u;
+    printf("%d", (a == b) + (a != b) * 2 + (a < b) * 4 + (a <= b) * 8);
+    printf("%d", (a > b) + (a >= b) * 2 + !a * 4 + !(a - a) * 8);
+    printf("%d\\n", (c < d) + (c >= d) * 2 + (c == c) * 4 + (d != c) * 8);
+    return -a / 2 + b % 3 + 7 / -2 + -7 % 2;
+}
+""",
+    "short_circuit": """
+int main(void) {
+    int x = 0;
+    int y = 1;
+    y = x && 1 / x;
+    y = y + (1 || 1 / x);
+    y = y + (x || 3) + (2 && 5) + (x && 1) + (x || x);
+    return y;
+}
+""",
+    "globals": """
+int g;
+int h = 5;
+unsigned w;
+
+int set(int v) {
+    h = v;
+    return h;
+}
+
+int main(void) {
+    g = g + h;
+    set(g * 2);
+    w = w - 1u;
+    if (w == 4294967295u) {
+        return g + h;
+    }
+    return 0;
+}
+""",
+    "nested_blocks": """
+int main(void) {
+    int x = 1;
+    int i = 0;
+    {
+        int y = 2;
+        {
+            int z;
+            z = x + y;
+            x = z;
+        }
+    }
+    while (i < 3) {
+        int k = 10;
+        int m;
+        m = k + i;
+        k = m;
+        i = i + 1;
+        x = x + k;
+    }
+    {
+    }
+    return x;
+}
+""",
+    "return_from_loop": """
+int first_over(int limit) {
+    int i = 0;
+    while (1) {
+        if (i * i > limit) {
+            return i;
+        } else {
+            i = i + 1;
+        }
+    }
+    return -1;
+}
+
+int main(void) {
+    return first_over(50);
+}
+""",
+    "endless_loop": """
+int main(void) {
+    int a = 10;
+    int b = 0;
+    while (a) {
+        a = a - b;
+    }
+    return 0;
+}
+""",
+    "runaway_recursion": """
+int spin(int n) {
+    return spin(n + 1);
+}
+
+int main(void) {
+    return spin(0);
+}
+""",
+    "ub_uninit_read": """
+int main(void) {
+    int x;
+    int y = 1;
+    printf("%d", y);
+    y = x;
+    return y;
+}
+""",
+    "ub_div_by_zero": """
+int main(void) {
+    int x = 0;
+    x = 1 / x;
+    return x;
+}
+""",
+    "ub_mod_by_zero": """
+int main(void) {
+    int x = 0;
+    x = 1 % x;
+    return x;
+}
+""",
+    "ub_unsigned_div_by_zero": """
+int main(void) {
+    unsigned u = 0u;
+    u = 5u / u;
+    return 0;
+}
+""",
+    "ub_unsigned_mod_by_zero": """
+int main(void) {
+    unsigned u = 0u;
+    u = 5u % u;
+    return 0;
+}
+""",
+    "ub_add_overflow": """
+int main(void) {
+    int x = 2147483647;
+    x = x + 1;
+    return 0;
+}
+""",
+    "ub_sub_overflow": """
+int main(void) {
+    int x = -2147483647;
+    x = x - 2;
+    return 0;
+}
+""",
+    "ub_mul_overflow": """
+int main(void) {
+    int x = 65536;
+    x = x * x;
+    return 0;
+}
+""",
+    "ub_negate_int_min": """
+int main(void) {
+    int x = -2147483647 - 1;
+    x = -x;
+    return 0;
+}
+""",
+    "ub_int_min_div_minus_one": """
+int main(void) {
+    int x = -2147483647 - 1;
+    x = x / -1;
+    return 0;
+}
+""",
+    "ub_int_min_mod_minus_one": """
+int main(void) {
+    int x = -2147483647 - 1;
+    x = x % -1;
+    return 0;
+}
+""",
+}
+
+
+class TestAgainstReference:
+    """The compiled interpreter returns the same ExecResult as the
+    tree-walking reference, steps_used and UB kind included."""
+
+    def test_every_ub_kind_is_covered(self):
+        kinds = {reference_interpret(parse(src)).ub_kind for src in REFERENCE_PROGRAMS.values()}
+        assert kinds >= set(UBKind)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PROGRAMS))
+    def test_hand_written_program_at_every_budget(self, name):
+        # every budget up to the step count ends the run at a different
+        # step, so the two must tick in the same order to agree
+        p = parse(REFERENCE_PROGRAMS[name])
+        full = reference_interpret(p)
+        assert interpret(p) == full
+        for budget in range(1, min(full.steps_used, 300) + 2):
+            assert interpret(p, budget) == reference_interpret(p, budget), budget
+
+    @pytest.mark.parametrize("pad", range(4))
+    def test_frame_budget_cuts_where_the_reference_does(self, pad):
+        # each minus puts main's call two frames deeper; the probe's
+        # recursion adds 8 per level, so one pad puts a call exactly on
+        # MAX_FRAMES
+        call = "-(" * pad + "f(150)" + ")" * pad
+        p = parse(REFERENCE_PROGRAMS["frame_budget_probe"].replace("f(150)", call))
+        assert interpret(p) == reference_interpret(p)
+
+    @given(st.integers(0, 10_000), st.integers(1, 120))
+    @settings(max_examples=200, deadline=None)
+    def test_random_programs(self, seed, budget):
+        p = parse(random_source(seed))
+        assert interpret(p) == reference_interpret(p)
+        assert interpret(p, budget) == reference_interpret(p, budget)
 
 
 class TestRender:

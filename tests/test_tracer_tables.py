@@ -33,3 +33,13 @@ def test_traced_name_is_callable(module, attr, span):
 @pytest.mark.parametrize("module,attr,span", tracer.GENERATORS)
 def test_traced_generator_is_a_generator_function(module, attr, span):
     assert inspect.isgeneratorfunction(getattr(importlib.import_module(module), attr))
+
+
+def test_campaign_interprets_through_the_traced_name():
+    # the tracer wraps spe.minilang.interp.interpret by name; a campaign
+    # that reached the interpreter some other way would read 0 on every
+    # minilang.interpret.* metric
+    import spe.harness
+    import spe.minilang.interp
+
+    assert spe.harness.interpret is spe.minilang.interp.interpret

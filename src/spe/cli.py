@@ -12,7 +12,10 @@ refused because the variant count exceeds the threshold.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -214,11 +217,78 @@ def cmd_skeleton(paths, decl_holes) -> None:
 # ---------------------------------------------------------------------------
 # enumerate
 
-def _signature_doc(sig) -> list:
-    return [
-        {"unit": unit, "type": type_, "config": list(config), "rgs": [list(r) for r in rgs]}
-        for unit, type_, config, rgs in sig.parts
-    ]
+# manifest.json has the bytes of json.dumps(manifest, indent=2,
+# sort_keys=True) + "\n", but is written one variant entry at a time, so
+# memory does not grow with the number of variants. CPython encodes with
+# `indent` in pure Python; here only scalars go through json.dumps (its
+# C fast path), and the indent-2 layout of the entries' fixed shape is
+# spelled out below, keys in sorted order.
+
+
+def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON list or object whose items are already encoded, opening
+    where it stands and closing at `indent`, items one level deeper."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _ints(values, indent: str) -> str:
+    return _block([str(x) for x in values], indent)
+
+
+def _family_doc(part) -> str:
+    unit, type_, config, rgs = part
+    return _block(
+        [
+            '"config": ' + _ints(config, " " * 10),
+            '"rgs": ' + _block([_ints(r, " " * 12) for r in rgs], " " * 10),
+            '"type": ' + json.dumps(type_),
+            '"unit": ' + json.dumps(unit),
+        ],
+        " " * 8,
+        "{}",
+    )
+
+
+def _manifest_entry(fname: Optional[str], v) -> str:
+    """One variant's entry in the manifest's "variants" list."""
+    return _block(
+        [
+            '"assignment": ' + _block([json.dumps(x) for x in v.assignment.values], " " * 6),
+            ('"file": ' + json.dumps(fname)) if v.ok else ('"error": ' + json.dumps(v.error)),
+            '"seq": ' + str(v.seq),
+            '"signature": ' + _block([_family_doc(p) for p in v.signature.parts], " " * 6),
+            '"valid": ' + ("true" if v.ok else "false"),
+        ],
+        "    ",
+        "{}",
+    )
+
+
+def _write_manifest(path: Path, fields: dict, spool) -> None:
+    """Write the manifest at `path`: the top-level `fields` plus
+    "variants", whose encoded entries, each led by its separator, are in
+    the text file `spool`. It is assembled under a temporary name and
+    renamed over `path`, so `path` holds either the complete new
+    manifest or whatever it held before."""
+    # every quote inside an encoded string is escaped, so the key is the
+    # only place this text occurs
+    head, _, tail = json.dumps(
+        {**fields, "variants": []}, indent=2, sort_keys=True
+    ).partition('"variants": []')
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        empty = spool.tell() == 0
+        spool.seek(0)
+        with open(tmp, "w") as out:
+            out.write(head + '"variants": [')
+            shutil.copyfileobj(spool, out)
+            out.write(("]" if empty else "\n  ]") + tail + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @main.command("enumerate")
@@ -273,38 +343,29 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
         stem = path.stem
         vdir = out_dir / stem
         vdir.mkdir(parents=True, exist_ok=True)
-        entries = []
-        written = 0
-        for fname, v in emit(skel, pl, stem):
-            entry = {
-                "seq": v.seq,
-                "valid": v.ok,
-                "assignment": list(v.assignment.values),
-                "signature": _signature_doc(v.signature),
+        emitted = written = 0
+        # entries are spooled because "invalid", which sorts before
+        # "variants", is known only when the stream ends
+        with tempfile.TemporaryFile("w+", dir=vdir) as spool:
+            for fname, v in emit(skel, pl, stem):
+                if v.ok:
+                    (vdir / fname).write_text(v.source)
+                    written += 1
+                spool.write(("\n    " if emitted == 0 else ",\n    ") + _manifest_entry(fname, v))
+                emitted += 1
+            fields = {
+                "schema": 1,
+                "stem": stem,
+                "source": str(path),
+                "mode": m.value,
+                "granularity": gran.value,
+                "decl_holes": decl_holes,
+                "count": pl.selected_count,
+                "emitted": emitted,
+                "written": written,
+                "invalid": emitted - written,
             }
-            if v.ok:
-                (vdir / fname).write_text(v.source)
-                entry["file"] = fname
-                written += 1
-            else:
-                entry["error"] = v.error
-            entries.append(entry)
-        manifest = {
-            "schema": 1,
-            "stem": stem,
-            "source": str(path),
-            "mode": m.value,
-            "granularity": gran.value,
-            "decl_holes": decl_holes,
-            "count": pl.selected_count,
-            "emitted": len(entries),
-            "written": written,
-            "invalid": len(entries) - written,
-            "variants": entries,
-        }
-        (vdir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+            _write_manifest(vdir / "manifest.json", fields, spool)
         click.echo(f"{path}: wrote {written} variants to {vdir}")
 
 

@@ -384,17 +384,18 @@ class CountReport:
     complete_mode_count: int
 
 
-def count_plan(skel, granularity=None) -> CountReport:
+def count_plan(skel, granularity=None, forms=None) -> CountReport:
     """Count a skeleton's naive and deduplicated enumeration sizes.
 
     Big-integer exact; cost is polynomial in the skeleton size, never in
-    the counts themselves.
+    the counts themselves. `forms` are the skeleton's normal forms at
+    that granularity when the caller already holds them.
     """
     from .skeleton import Granularity, naive_count, normal_forms
 
-    families = [
-        fam for nf in normal_forms(skel, granularity or Granularity.INTRA) for fam in nf.families
-    ]
+    if forms is None:
+        forms = normal_forms(skel, granularity or Granularity.INTRA)
+    families = [fam for nf in forms for fam in nf.families]
     paper = (
         math.prod(family_count(fam, Mode.PAPER) for fam in families)
         if all(fam.is_flat for fam in families)

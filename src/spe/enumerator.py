@@ -21,8 +21,8 @@ rather than recomputing it from the assignment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Literal, Optional
+from dataclasses import dataclass, field
+from typing import Iterator, Literal, Optional, Sequence
 
 from . import combinat
 from .combinat import CountReport, Mode, count_plan, lazy_product
@@ -31,6 +31,7 @@ from .minilang.parser import ParseError, parse
 from .minilang.render import render
 from .skeleton import (
     Granularity,
+    NormalForm,
     Skeleton,
     characteristic_vector,
     extract,
@@ -99,14 +100,21 @@ class InvalidRealization(Exception):
 
 
 def _classes(
-    skel: Skeleton, mode: Mode, granularity: Granularity
+    skel: Skeleton,
+    mode: Mode,
+    granularity: Granularity,
+    forms: Optional[Sequence[NormalForm]] = None,
 ) -> Iterator[tuple[Assignment, CanonicalSignature]]:
     """The enumeration stream: each class's representative with its
     canonical signature, read off the family partitions that produced it.
     One row-major product over every family of every unit; a row's
     pair per family fills that family's holes, block labels binding to
-    the chosen pool's variables in declaration order."""
-    families = [(nf.unit, fam) for nf in normal_forms(skel, granularity) for fam in nf.families]
+    the chosen pool's variables in declaration order. `forms` are the
+    skeleton's normal forms at `granularity`, computed here when not
+    given."""
+    if forms is None:
+        forms = normal_forms(skel, granularity)
+    families = [(nf.unit, fam) for nf in forms for fam in nf.families]
     factories = [(lambda fam=fam: combinat.family_stream(fam, mode)) for _, fam in families]
     for row in lazy_product(factories):
         values = [""] * skel.n
@@ -282,15 +290,17 @@ def variants(
     mode: Mode = Mode.COMPLETE,
     granularity: Granularity = Granularity.INTRA,
     limit: Optional[int] = None,
+    forms: Optional[Sequence[NormalForm]] = None,
 ) -> Iterator[Variant]:
     """Realize the enumeration stream by filling the skeleton's template;
     invalid realizations become markers rather than vanishing, so stream
     positions stay auditable. Signatures come with the stream. Without
     declaration holes every filling is valid and nothing is parsed;
     with them, the parser's verdict on the filled template decides each
-    position's validity, as in `realize`."""
+    position's validity, as in `realize`. `forms`, when given, are the
+    skeleton's normal forms at `granularity` (see `plan`)."""
     template = _template(skel)
-    for seq, (a, sig) in enumerate(_classes(skel, mode, granularity), start=1):
+    for seq, (a, sig) in enumerate(_classes(skel, mode, granularity, forms), start=1):
         if limit is not None and seq > limit:
             return
         source = template.format(*a.values)
@@ -318,7 +328,7 @@ def emit(
         raise ValueError(f"plan is refused: {plan.refusal}")
     count = plan.selected_count if plan.cap is None else min(plan.selected_count, plan.cap)
     width = len(str(max(count, 1)))
-    for v in variants(skel, plan.mode, plan.granularity, limit=plan.cap):
+    for v in variants(skel, plan.mode, plan.granularity, limit=plan.cap, forms=plan.forms):
         yield (variant_name(stem, v.seq, width) if v.ok else None), v
 
 
@@ -328,13 +338,16 @@ def emit(
 
 @dataclass(frozen=True)
 class EnumerationPlan:
-    """Counting plus the enumerate/skip decision for one skeleton."""
+    """Counting plus the enumerate/skip decision for one skeleton.
+    `forms` are the skeleton's normal forms at `granularity`, computed
+    once for both the count and the stream `emit` walks."""
 
     report: CountReport
     mode: Mode
     granularity: Granularity
     threshold: int
     cap: Optional[int]
+    forms: tuple[NormalForm, ...] = field(repr=False, compare=False)
 
     @property
     def selected_count(self) -> Optional[int]:
@@ -361,10 +374,12 @@ def plan(
     threshold: int = 10_000,
     cap: Optional[int] = None,
 ) -> EnumerationPlan:
+    forms = tuple(normal_forms(skel, granularity))
     return EnumerationPlan(
-        report=count_plan(skel, granularity),
+        report=count_plan(skel, granularity, forms),
         mode=mode,
         granularity=granularity,
         threshold=threshold,
         cap=cap,
+        forms=forms,
     )

@@ -3,9 +3,13 @@ package. Everything here is deliberately naive: plain recursion and
 whole-group orbit walks, sharing no code with src/ beyond the MiniC
 renderer that `realize_source` prints through, and the interpreter's
 result types and frame-cost model (`_frames`, `MAX_FRAMES`) that
-`reference_interpret` must share with it for budget verdicts to agree."""
+`reference_interpret` must share with it for budget verdicts to agree.
+`reference_manifest` builds a manifest as one in-memory document and
+encodes it with the standard library."""
 
 from __future__ import annotations
+
+import json
 
 import itertools
 from typing import Iterable, Iterator, Sequence
@@ -149,6 +153,52 @@ def realize_source(skel, assignment) -> str:
 
     names = {h.node: name for h, name in zip(skel.holes, assignment.values)}
     return render(skel.program, names)
+
+
+def reference_manifest(
+    stem: str,
+    source: str,
+    mode: str,
+    granularity: str,
+    decl_holes: bool,
+    count: int,
+    rows: Sequence[tuple],
+) -> str:
+    """The text of a file's manifest.json, built as one document and
+    encoded by `json.dumps(indent=2, sort_keys=True)`. `rows` are the
+    (file name, Variant) pairs `spe enumerate` emitted for the file,
+    None for an invalid variant's name."""
+    entries = []
+    for fname, v in rows:
+        entry = {
+            "seq": v.seq,
+            "valid": v.ok,
+            "assignment": list(v.assignment.values),
+            "signature": [
+                {"unit": unit, "type": type_, "config": list(config), "rgs": [list(r) for r in rgs]}
+                for unit, type_, config, rgs in v.signature.parts
+            ],
+        }
+        if v.ok:
+            entry["file"] = fname
+        else:
+            entry["error"] = v.error
+        entries.append(entry)
+    written = sum(1 for _, v in rows if v.ok)
+    manifest = {
+        "schema": 1,
+        "stem": stem,
+        "source": source,
+        "mode": mode,
+        "granularity": granularity,
+        "decl_holes": decl_holes,
+        "count": count,
+        "emitted": len(entries),
+        "written": written,
+        "invalid": len(entries) - written,
+        "variants": entries,
+    }
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,31 @@ budget handling, campaign exit codes, and log statistics."""
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CRASH_STUB, LOOP_SRC, BRANCH_SRC, OK_STUB, SCOPED_SRC, SHADOW_SRC, write_stub
+from conftest import (
+    BRANCH_SRC,
+    CRASH_STUB,
+    LOOP_SRC,
+    OK_STUB,
+    SCOPED_SRC,
+    SHADOW_SRC,
+    random_source,
+    write_stub,
+)
+from oracles import reference_manifest
 from spe.cli import EXIT_CONFIG, EXIT_FINDINGS, EXIT_OK, EXIT_THRESHOLD, main
+from spe.combinat import Mode
+from spe.enumerator import emit, plan
 from spe.harness import read_log
 from spe.minilang import ParseError, parse, render
+from spe.skeleton import Granularity, extract
 
 # nested declaring blocks: rejected by paper mode, fine in complete mode
 NESTED_SRC = """\
@@ -653,6 +669,157 @@ class TestTornLog:
             assert f"{log}:17: not an outcome row" in res.output
 
 
+# nine holes over four variables of one pool: 11,051 classes
+WIDE_SRC = """\
+int main(void) {
+    int a = 1;
+    int b = 2;
+    int c = 3;
+    int d = 4;
+    a = b + c;
+    d = a * b;
+    c = d - a;
+    return 0;
+}
+"""
+
+
+def _enumerate_matches_reference(runner, path, out, mode="complete", granularity="intra",
+                                 decl_holes=False, cap=None):
+    """Run `spe enumerate` on one file and check its manifest.json
+    against the reference manifest of the stream it was written from."""
+    options = ["--mode", mode, "--granularity", granularity]
+    options += ["--decl-holes"] if decl_holes else []
+    options += ["--cap", str(cap)] if cap is not None else []
+    res = runner.invoke(main, ["enumerate", str(path), *options, "--out", str(out)])
+    assert res.exit_code == EXIT_OK, res.output
+
+    skel = extract(parse(path.read_text()), decl_holes=decl_holes)
+    pl = plan(skel, Mode(mode), Granularity(granularity), cap=cap)
+    expected = reference_manifest(
+        path.stem, str(path), mode, granularity, decl_holes, pl.selected_count,
+        list(emit(skel, pl, path.stem)),
+    )
+    written = (out / path.stem / "manifest.json").read_text()
+    if written != expected:
+        # report the first difference: a full diff of manifests this size
+        # takes pytest minutes
+        at = next(
+            (i for i, (a, b) in enumerate(zip(written, expected)) if a != b),
+            min(len(written), len(expected)),
+        )
+        pytest.fail(f"differs at {at}: {written[at - 80:at + 80]!r} != {expected[at - 80:at + 80]!r}")
+
+
+class TestManifest:
+    """manifest.json is streamed while the variants are written, yet has
+    exactly the bytes of the whole document encoded by
+    json.dumps(indent=2, sort_keys=True); it appears only complete."""
+
+    @pytest.mark.parametrize(
+        "stem,options",
+        [
+            ("loop", {}),
+            ("branch", {}),
+            ("scoped", {}),
+            ("straight", {}),
+            ("nested", {}),
+            ("straight", {"decl_holes": True}),
+            ("scoped", {"decl_holes": True, "cap": 3000}),
+            ("branch", {"mode": "paper"}),
+            ("scoped", {"granularity": "inter"}),
+            ("scoped", {"decl_holes": True, "granularity": "inter", "mode": "paper", "cap": 300}),
+            ("loop", {"cap": 1}),
+            ("wide", {"cap": 300}),
+        ],
+    )
+    def test_bytes_equal_reference(self, runner, corpus, tmp_path, stem, options):
+        for name, src in (("scoped", SCOPED_SRC), ("wide", WIDE_SRC)):
+            corpus[name] = tmp_path / f"{name}.c"
+            corpus[name].write_text(src)
+        _enumerate_matches_reference(runner, corpus[stem], tmp_path / "out", **options)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        decl_holes=st.booleans(),
+        granularity=st.sampled_from(["intra", "inter"]),
+        cap=st.sampled_from([1, 7, 500]),
+    )
+    def test_random_programs_equal_reference(self, seed, decl_holes, granularity, cap):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "prog.c"
+            path.write_text(random_source(seed))
+            _enumerate_matches_reference(
+                CliRunner(), path, Path(d) / "out",
+                granularity=granularity, decl_holes=decl_holes, cap=cap,
+            )
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    @pytest.mark.parametrize("fail_at", ["stream:0", "stream:3", "assembly"])
+    def test_failure_leaves_no_torn_manifest(
+        self, runner, corpus, tmp_path, monkeypatch, earlier, fail_at
+    ):
+        import shutil
+
+        import spe.cli
+
+        out = tmp_path / "out"
+        args = ["enumerate", "--decl-holes", str(corpus["straight"]), "--out", str(out)]
+        vdir = out / "straight"
+        before = None
+        if earlier:
+            assert runner.invoke(main, [*args, "--cap", "5"]).exit_code == EXIT_OK
+            before = (vdir / "manifest.json").read_bytes()
+
+        class Injected(Exception):
+            pass
+
+        if fail_at == "assembly":
+            def copy(*args):
+                raise Injected
+
+            monkeypatch.setattr(shutil, "copyfileobj", copy)
+        else:
+            k = int(fail_at.split(":")[1])
+            real_emit = spe.cli.emit
+
+            def failing_emit(*args):
+                for i, row in enumerate(real_emit(*args)):
+                    if i == k:
+                        raise Injected
+                    yield row
+
+            monkeypatch.setattr(spe.cli, "emit", failing_emit)
+        res = runner.invoke(main, args)
+        assert isinstance(res.exception, Injected)
+        if earlier:
+            assert (vdir / "manifest.json").read_bytes() == before
+        else:
+            assert not (vdir / "manifest.json").exists()
+        strays = [p.name for p in vdir.iterdir() if p.suffix != ".c" and p.name != "manifest.json"]
+        assert strays == []
+
+    def test_memory_does_not_grow_with_cap(self, runner, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "wide.c"
+        path.write_text(WIDE_SRC)
+        peaks = {}
+        for cap in (200, 200, 2000):
+            tracemalloc.start()
+            try:
+                res = runner.invoke(
+                    main, ["enumerate", str(path), "--cap", str(cap), "--out", str(tmp_path / f"o{cap}")]
+                )
+                peaks[cap] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.exit_code == EXIT_OK, res.output
+        assert len(list((tmp_path / "o2000" / "wide").glob("*.c"))) == 2000
+        assert abs(peaks[2000] - peaks[200]) < 512 * 1024, peaks
+
+
 class TestHotPath:
     """Without declaration holes, a variant is neither parsed nor
     rendered nor given a signature by canonical_signature: its source
@@ -721,6 +888,36 @@ class TestHotPath:
         manifest = json.loads((tmp_path / "out" / "straight" / "manifest.json").read_text())
         assert (manifest["written"], manifest["invalid"]) == (16, 16)
         assert len(renders) == 2
+
+
+    def test_normal_forms_once_per_file(self, runner, corpus, tmp_path, monkeypatch):
+        # the count and the stream share one computation; every loaded spe
+        # module's reference is counted, as the traced benchmark wraps them
+        import spe.skeleton
+
+        real = spe.skeleton.normal_forms
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "spe" or name.startswith("spe."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+        paths = [str(corpus["loop"]), str(corpus["branch"])]
+        res = runner.invoke(main, ["enumerate", *paths, "--out", str(tmp_path / "e")])
+        assert res.exit_code == EXIT_OK, res.output
+        assert len(calls) == 2
+        calls.clear()
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        res = runner.invoke(
+            main, ["test", *paths, "--cap", "3", "--config", str(cfg), "--out", str(tmp_path / "t")]
+        )
+        assert res.exit_code == EXIT_OK, res.output
+        assert len(calls) == 2
 
 
 class TestEntryPoint:

@@ -43,3 +43,12 @@ def test_campaign_interprets_through_the_traced_name():
     import spe.minilang.interp
 
     assert spe.harness.interpret is spe.minilang.interp.interpret
+
+
+def test_enumerate_command_callback_is_traceable():
+    # install() wraps spe.cli.cmd_enumerate.callback as cli.enumerate
+    import click
+    import spe.cli
+
+    assert isinstance(spe.cli.cmd_enumerate, click.Command)
+    assert callable(spe.cli.cmd_enumerate.callback)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -23,7 +24,7 @@ import click
 
 from . import __version__
 from .combinat import Mode
-from .enumerator import emit, plan
+from .enumerator import emit, plan, variant_name
 from .harness import (
     DEFAULT_THRESHOLD,
     ConfigError,
@@ -291,6 +292,21 @@ def _write_manifest(path: Path, fields: dict, spool) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _remove_stale_variants(vdir: Path, stem: str, width: int, count: int, also: list[str]) -> None:
+    """Remove the variant files an earlier run left in vdir: every
+    <stem>__v<digits>.c except this run's, which are named by seqs 1 to
+    `count` at `width` digits, and the names in `also`, which this run's
+    invalid entries would have taken."""
+    name = re.compile(re.escape(stem) + r"__v([0-9]+)\.c")
+    with os.scandir(vdir) as entries:
+        for e in entries:
+            m = name.fullmatch(e.name)
+            if m and e.is_file() and (len(m[1]) != width or not 1 <= int(m[1]) <= count):
+                os.unlink(e.path)
+    for n in also:
+        (vdir / n).unlink(missing_ok=True)
+
+
 @main.command("enumerate")
 @click.argument("paths", nargs=-1, type=click.Path())
 @_mode_option
@@ -305,7 +321,9 @@ def _write_manifest(path: Path, fields: dict, spool) -> None:
 )
 def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> None:
     """Write every variant as <stem>__v<seq>.c plus a manifest mapping
-    stream positions to canonical signatures."""
+    stream positions to canonical signatures. Variant files an earlier
+    run left in the stem directory are removed once the new manifest is
+    in place."""
     threshold, cap = _resolve_budget(threshold, cap)
     try:
         check_unique_stems(paths)
@@ -344,6 +362,7 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
         vdir = out_dir / stem
         vdir.mkdir(parents=True, exist_ok=True)
         emitted = written = 0
+        stale = []  # earlier files at the names of this run's invalid entries
         # entries are spooled because "invalid", which sorts before
         # "variants", is known only when the stream ends
         with tempfile.TemporaryFile("w+", dir=vdir) as spool:
@@ -351,6 +370,8 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
                 if v.ok:
                     (vdir / fname).write_text(v.source)
                     written += 1
+                elif (vdir / (name := variant_name(stem, v.seq, pl.name_width))).is_file():
+                    stale.append(name)
                 spool.write(("\n    " if emitted == 0 else ",\n    ") + _manifest_entry(fname, v))
                 emitted += 1
             fields = {
@@ -366,6 +387,7 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
                 "invalid": emitted - written,
             }
             _write_manifest(vdir / "manifest.json", fields, spool)
+        _remove_stale_variants(vdir, stem, pl.name_width, emitted, stale)
         click.echo(f"{path}: wrote {written} variants to {vdir}")
 
 

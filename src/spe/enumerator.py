@@ -326,8 +326,7 @@ def emit(
     entries emitted, so names sort in stream order."""
     if plan.refusal is not None:
         raise ValueError(f"plan is refused: {plan.refusal}")
-    count = plan.selected_count if plan.cap is None else min(plan.selected_count, plan.cap)
-    width = len(str(max(count, 1)))
+    width = plan.name_width
     for v in variants(skel, plan.mode, plan.granularity, limit=plan.cap, forms=plan.forms):
         yield (variant_name(stem, v.seq, width) if v.ok else None), v
 
@@ -354,6 +353,13 @@ class EnumerationPlan:
         if self.mode is Mode.PAPER:
             return self.report.paper_mode_count
         return self.report.complete_mode_count
+
+    @property
+    def name_width(self) -> int:
+        """The digits of each seq in a variant file name: those of the
+        number of entries `emit` yields, the count or the cap if smaller."""
+        count = self.selected_count if self.cap is None else min(self.selected_count, self.cap)
+        return len(str(max(count, 1)))
 
     @property
     def refusal(self) -> Optional[Literal["unsupported", "threshold"]]:

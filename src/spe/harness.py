@@ -329,6 +329,8 @@ def _evaluate_cell(
                 argv,
                 capture_output=True,
                 text=True,
+                # a crashing compiler may write any bytes
+                errors="replace",
                 timeout=timeout_s,
                 env=_run_env(),
                 cwd=workdir,

@@ -26,6 +26,21 @@ node. Everything the tree decides is settled while compiling: which
 kind of node a closure evaluates, which operator at which type, which
 frame slot holds each variable and how deep each call may recurse.
 Running does only the arithmetic, the checks above and the step count.
+
+A while loop that never ends is fast-forwarded to its budget. Its
+closures are a deterministic function of the running frame and the
+globals: the step count only decides when the budget trips, and the
+output is only appended to. So if the loop head sees the same frame and
+globals twice in one activation, everything between the two visits
+repeats forever, and the run can add as many whole periods of steps and
+output as the budget leaves room for, then run on until the budget
+trips. The loop looks for such a repeat with Brent's cycle detection,
+sampling its state at the first head past every CYCLE_SAMPLE_STEPS
+steps, so a loop that ends, or that never repeats, pays nothing per
+iteration beyond the budget check it already made. A slot that cannot
+affect the future (a block local that is reset on entry) can only hide
+a repeat, never fake one. The result is the one the step-by-step run
+gives, steps_used and output included.
 """
 
 from __future__ import annotations
@@ -73,6 +88,10 @@ DEFAULT_STEP_BUDGET = 1_000_000
 # recursion limit of 1000. The parser's nesting limit keeps one
 # activation of any accepted program far below the budget.
 MAX_FRAMES = 600
+
+# A while loop compares its state with the saved one at the first loop
+# head past every this many steps (see the module docstring).
+CYCLE_SAMPLE_STEPS = 2048
 
 _UINT_MASK = 0xFFFFFFFF
 
@@ -503,13 +522,44 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
                 steps += 1
                 if steps > budget:
                     raise _OutOfSteps
+                # Brent's cycle detection on the state at the loop head,
+                # sampled at the first head past every CYCLE_SAMPLE_STEPS
+                # steps: `mark` is the next step to sample at, never past
+                # the budget, so the per-iteration tick compares once.
+                mark = steps + CYCLE_SAMPLE_STEPS
+                if mark > budget:
+                    mark = budget
+                seen = None  # the saved sample: (f, gvals, steps, len(out))
                 while cond(f):
                     r = body(f)
                     if r is not None:
                         return r
                     steps += 1
-                    if steps > budget:
-                        raise _OutOfSteps
+                    if steps > mark:
+                        if steps > budget:
+                            raise _OutOfSteps
+                        mark = min(steps + CYCLE_SAMPLE_STEPS, budget)
+                        if seen is None:
+                            seen = (f[:], gvals[:], steps, len(out))
+                            power = 2
+                            lam = 1
+                        elif seen[0] == f and seen[1] == gvals:
+                            # the state repeats, so the rest does too: skip
+                            # every whole period the budget leaves room for
+                            period = steps - seen[2]
+                            k = (budget - steps) // period
+                            steps += k * period
+                            if k and len(out) > seen[3]:
+                                out.append("".join(out[seen[3]:]) * k)
+                            mark = budget
+                        elif lam == power:
+                            # compared with `power` samples: save this one
+                            # and compare it with twice as many
+                            seen = (f[:], gvals[:], steps, len(out))
+                            power *= 2
+                            lam = 1
+                        else:
+                            lam += 1
 
             return while_
         if isinstance(s, Return):

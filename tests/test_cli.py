@@ -2,6 +2,8 @@
 budget handling, campaign exit codes, and log statistics."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -352,6 +354,65 @@ class TestEnumerate:
         )
         assert res.exit_code == EXIT_CONFIG
 
+    @staticmethod
+    def _variant_files(vdir, stem):
+        return sorted(p.name for p in vdir.iterdir() if re.fullmatch(stem + r"__v[0-9]+\.c", p.name))
+
+    @staticmethod
+    def _manifest_files(vdir):
+        entries = json.loads((vdir / "manifest.json").read_text())["variants"]
+        return sorted(e["file"] for e in entries if e["valid"])
+
+    def test_rerun_removes_stale_variants(self, runner, corpus, tmp_path):
+        out = tmp_path / "out"
+        vdir = out / "loop"
+        args = ["enumerate", str(corpus["loop"]), "--out", str(out)]
+        assert runner.invoke(main, [*args, "--cap", "30"]).exit_code == EXIT_OK
+        kept = {"notes.txt": "mine", "loop__v01.c.orig": "mine", "loop__vx.c": "mine"}
+        for name, text in kept.items():
+            (vdir / name).write_text(text)
+        assert runner.invoke(main, [*args, "--cap", "5"]).exit_code == EXIT_OK
+        files = self._variant_files(vdir, "loop")
+        assert files == self._manifest_files(vdir) == [f"loop__v{i}.c" for i in range(1, 6)]
+        assert {n: (vdir / n).read_text() for n in kept} == kept
+
+    def test_rerun_removes_stale_files_at_invalid_seqs(self, runner, corpus, tmp_path):
+        # --decl-holes emits 32 entries of which 16 are invalid; an earlier
+        # file at every seq, at this width and others, must go unless rewritten
+        out = tmp_path / "out"
+        vdir = out / "straight"
+        vdir.mkdir(parents=True)
+        for name in [f"straight__v{i:02d}.c" for i in range(0, 34)] + ["straight__v7.c", "straight__v007.c"]:
+            (vdir / name).write_text("stale\n")
+        args = ["enumerate", "--decl-holes", str(corpus["straight"]), "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == EXIT_OK
+        files = self._variant_files(vdir, "straight")
+        assert files == self._manifest_files(vdir) and len(files) == 16
+        assert all((vdir / f).read_text() != "stale\n" for f in files)
+
+    @pytest.mark.parametrize("fail_at", [0, 3])
+    def test_failed_rerun_removes_nothing(self, runner, corpus, tmp_path, monkeypatch, fail_at):
+        import spe.cli
+
+        out = tmp_path / "out"
+        vdir = out / "loop"
+        args = ["enumerate", str(corpus["loop"]), "--out", str(out)]
+        assert runner.invoke(main, [*args, "--cap", "30"]).exit_code == EXIT_OK
+        before = {p.name: p.read_bytes() for p in vdir.iterdir()}
+        real_emit = spe.cli.emit
+
+        def failing_emit(*args):
+            for i, row in enumerate(real_emit(*args)):
+                if i == fail_at:
+                    raise RuntimeError("injected")
+                yield row
+
+        monkeypatch.setattr(spe.cli, "emit", failing_emit)
+        res = runner.invoke(main, [*args, "--cap", "5"])
+        assert isinstance(res.exception, RuntimeError)
+        # this run's first variants may be written; nothing earlier changes
+        assert {n: (vdir / n).read_bytes() for n in before} == before
+
 
 class TestTestCommand:
     def test_clean_campaign_exits_zero(self, runner, corpus, tmp_path):
@@ -375,6 +436,28 @@ class TestTestCommand:
         )
         assert res.exit_code == EXIT_FINDINGS
         assert any(l.strip().startswith("crash-") for l in res.output.splitlines())
+
+    @pytest.mark.parametrize(
+        "lead,decoded",
+        [(r"\377\376", "��"), (r"\303\251t\303\251", "été")],
+        ids=["not-utf8", "utf8"],
+    )
+    def test_compiler_output_in_any_bytes(self, runner, corpus, tmp_path, lead, decoded):
+        # bytes that are not UTF-8 are replaced; UTF-8 is decoded as it was
+        stub = f"#!/bin/sh\nprintf '{lead} internal compiler error: in f, at x.c:1\\n' >&2\nexit 4\n"
+        cfg = stub_config_file(tmp_path, ("bytescc", stub))
+        out = tmp_path / "campaign"
+        res = runner.invoke(
+            main, ["test", str(corpus["straight"]), "--config", str(cfg), "--out", str(out)]
+        )
+        # an uncaught exception would exit 1 too
+        assert isinstance(res.exception, SystemExit) and res.exit_code == EXIT_FINDINGS, res.output
+        line = f"{decoded} internal compiler error: in f, at x.c:#"
+        rows = read_log(out / "outcomes.jsonl").values()
+        assert rows and all(
+            r["compile"] == {"status": "crash", "exit": 4, "signature": line, "stderr": line + "\n"}
+            for r in rows
+        )
 
     def test_bad_config_exits_config(self, runner, corpus, tmp_path):
         cfg = tmp_path / "toolchain.json"
@@ -920,6 +1003,16 @@ class TestHotPath:
         assert len(calls) == 2
 
 
+def _spe_env() -> dict:
+    """The environment for a `python -m spe.cli` child: the spe package
+    these tests import comes first on its path, so a plain `pytest` in a
+    checkout runs the child from the checkout too."""
+    import spe
+
+    src = str(Path(spe.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestEntryPoint:
     def test_module_invocation(self, corpus):
         proc = subprocess.run(
@@ -927,6 +1020,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             timeout=60,
+            env=_spe_env(),
         )
         assert proc.returncode == 0
         assert "loop.c" in proc.stdout
@@ -937,6 +1031,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             timeout=60,
+            env=_spe_env(),
         )
         assert proc.returncode == 0
         assert "0.1.0" in proc.stdout

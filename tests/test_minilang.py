@@ -38,6 +38,7 @@ from spe.minilang.parser import (
     E_UNDECLARED,
 )
 from spe.minilang.ast import program_key
+from spe.minilang.interp import CYCLE_SAMPLE_STEPS
 from spe.skeleton import extract
 
 from conftest import LOOP_SRC, SCOPED_SRC, BRANCH_SRC, random_source
@@ -538,6 +539,114 @@ int main(void) {
     return 0;
 }
 """,
+    # the loops below never end, and each repeats its state at the loop
+    # head, so the interpreter fast-forwards them
+    "cycle_printf": """
+int main(void) {
+    int a = 1;
+    int b = 0;
+    while (a) {
+        printf("%d", b);
+        b = a - b;
+        printf("%d\\n", a + b);
+    }
+    return 0;
+}
+""",
+    "cycle_global_through_call": """
+int g;
+
+int flip(int x) {
+    g = x - g;
+    return g;
+}
+
+int main(void) {
+    int a = 3;
+    while (a) {
+        flip(a);
+    }
+    return g;
+}
+""",
+    "cycle_in_callee": """
+int spin(int n) {
+    int k = 0;
+    while (n) {
+        k = n - k;
+    }
+    return k;
+}
+
+int main(void) {
+    printf("%d\\n", 7);
+    return spin(4) + 1;
+}
+""",
+    "cycle_nested_outer_only": """
+int main(void) {
+    int i = 0;
+    int t = 0;
+    while (1) {
+        i = 0;
+        while (i < 3) {
+            i = i + 1;
+            t = t + i;
+        }
+        t = t - 6;
+        printf("%d", i);
+    }
+    return t;
+}
+""",
+    "cycle_block_decls": """
+int main(void) {
+    int a = 5;
+    int b = 2;
+    while (a) {
+        int t;
+        int u = 1;
+        t = a;
+        u = b - t;
+        a = b - u;
+        b = t;
+    }
+    return 0;
+}
+""",
+    # the frame repeats at every loop head, but the global does not
+    "counter_not_a_cycle": """
+int g;
+
+int tick(int by) {
+    g = g + by;
+    return g;
+}
+
+int main(void) {
+    int a = 1;
+    while (a) {
+        printf("%d\\n", tick(a));
+    }
+    return 0;
+}
+""",
+    # a period of three iterations and 33 steps
+    "cycle_rotation": """
+int main(void) {
+    int a = 1;
+    int b = 2;
+    int c = 3;
+    while (a) {
+        int t;
+        t = a;
+        a = b;
+        b = c;
+        c = t;
+    }
+    return 0;
+}
+""",
     "runaway_recursion": """
 int spin(int n) {
     return spin(n + 1);
@@ -629,6 +738,88 @@ int main(void) {
 }
 
 
+@st.composite
+def loop_programs(draw) -> str:
+    """A main that runs one while loop over two or three int locals, with
+    an optional global, helper call, printf, if and block local. Many of
+    these loops never end, and many of those repeat their state, which
+    random_source's straight-line programs never do."""
+    small = st.integers(0, 2)
+    names = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    lines = []
+    if draw(st.booleans()):
+        names.append("g")
+        lines += [f"int g = {draw(small)};", ""]
+    use_call = draw(st.booleans())
+    if use_call:
+        helper = "    g = x - g;\n    return g;" if "g" in names else "    return x - 1;"
+        lines += ["int h(int x) {", helper, "}", ""]
+    lines.append("int main(void) {")
+    for n in names:
+        if n != "g":
+            # mostly initialized, or nearly every loop reads one uninitialized
+            init = "" if draw(st.integers(0, 4)) == 0 else f" = {draw(small)}"
+            lines.append(f"    int {n}{init};")
+
+    def operand(visible):
+        return draw(st.sampled_from(visible + ["0", "1", "2"]))
+
+    def value(visible):
+        kind = draw(st.integers(0, 3 if use_call else 2))
+        if kind == 0:
+            return operand(visible)
+        if kind == 1:
+            return f"{operand(visible)} {draw(st.sampled_from('+-'))} {operand(visible)}"
+        if kind == 2:
+            return f"{operand(visible)} - {operand(visible)} - {operand(visible)}"
+        return f"h({operand(visible)})"
+
+    def stmt(visible, pad, nested):
+        kind = draw(st.sampled_from(["assign", "assign", "printf"] + ["call"] * use_call + ["if"] * nested))
+        if kind == "assign":
+            return [f"{pad}{draw(st.sampled_from(visible))} = {value(visible)};"]
+        if kind == "printf":
+            end = draw(st.sampled_from(["", "\\n"]))
+            return [f'{pad}printf("%d{end}", {operand(visible)});']
+        if kind == "call":
+            return [f"{pad}h({operand(visible)});"]
+        return [f"{pad}if ({operand(visible)}) {{", *stmt(visible, pad + "    ", False), f"{pad}}}"]
+
+    cond = draw(st.sampled_from(["{}", "{} != {}", "{} < {}", "{} > {}"]))
+    lines.append(f"    while ({cond.format(operand(names), operand(names))}) {{")
+    body_names = names
+    if draw(st.booleans()):
+        lines += ["        int t;", f"        t = {operand(names)};"]
+        body_names = names + ["t"]
+    for _ in range(draw(st.integers(1, 3))):
+        lines += stmt(body_names, "        ", True)
+    lines += ["    }", f"    return {names[0]};", "}", ""]
+    return "\n".join(lines)
+
+
+def check_against_reference(p, budget: int = DEFAULT_STEP_BUDGET):
+    """Assert that interpret(p, budget) equals reference_interpret(p,
+    budget), and return the latter. A mismatch names the fields that
+    differ, and for stdout the first differing offset, because pytest's
+    own diff of a long output takes minutes."""
+    got, want = interpret(p, budget), reference_interpret(p, budget)
+    if got != want:
+        diffs = [
+            f"{k}: {getattr(got, k)!r} != {getattr(want, k)!r}"
+            for k in ("status", "exit_code", "steps_used", "ub_kind")
+            if getattr(got, k) != getattr(want, k)
+        ]
+        a, b = got.stdout, want.stdout
+        if a != b:
+            at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            diffs.append(
+                f"stdout of {len(a)} and {len(b)} chars differs at {at}: "
+                f"{a[at:at + 20]!r} != {b[at:at + 20]!r}"
+            )
+        pytest.fail(f"budget {budget}: " + "; ".join(diffs))
+    return want
+
+
 class TestAgainstReference:
     """The compiled interpreter returns the same ExecResult as the
     tree-walking reference, steps_used and UB kind included."""
@@ -642,10 +833,9 @@ class TestAgainstReference:
         # every budget up to the step count ends the run at a different
         # step, so the two must tick in the same order to agree
         p = parse(REFERENCE_PROGRAMS[name])
-        full = reference_interpret(p)
-        assert interpret(p) == full
+        full = check_against_reference(p)
         for budget in range(1, min(full.steps_used, 300) + 2):
-            assert interpret(p, budget) == reference_interpret(p, budget), budget
+            check_against_reference(p, budget)
 
     @pytest.mark.parametrize("pad", range(4))
     def test_frame_budget_cuts_where_the_reference_does(self, pad):
@@ -662,6 +852,38 @@ class TestAgainstReference:
         p = parse(random_source(seed))
         assert interpret(p) == reference_interpret(p)
         assert interpret(p, budget) == reference_interpret(p, budget)
+
+    @pytest.mark.parametrize("name", sorted(n for n in REFERENCE_PROGRAMS if "cycle" in n))
+    def test_fast_forward_at_consecutive_budgets(self, name):
+        # past where the cycle is found, and at enough consecutive budgets
+        # for the run to end at every offset into each loop's period
+        p = parse(REFERENCE_PROGRAMS[name])
+        start = 8 * CYCLE_SAMPLE_STEPS
+        for budget in range(start, start + 80):
+            check_against_reference(p, budget)
+
+    def test_fast_forward_skips_the_work(self):
+        # counted in Python calls, not timed: stepping to the budget
+        # makes about 800,000 of them
+        p = parse(REFERENCE_PROGRAMS["endless_loop"])
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            res = interpret(p, 10**6)
+        finally:
+            sys.setprofile(None)
+        assert res.status is Status.STEP_BUDGET_EXHAUSTED and res.steps_used == 10**6 + 1
+        assert calls < 10_000
+
+    @given(loop_programs(), st.integers(1, 20_000))
+    @settings(max_examples=150, deadline=None)
+    def test_random_loop_programs(self, source, budget):
+        check_against_reference(parse(source), budget)
 
 
 class TestRender:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -24,9 +23,8 @@ import click
 
 from . import __version__
 from .combinat import Mode
-from .enumerator import emit, plan, variant_name
+from .enumerator import DEFAULT_THRESHOLD, emit, plan, remove_stale_variants, variant_name
 from .harness import (
-    DEFAULT_THRESHOLD,
     ConfigError,
     ToolchainConfig,
     check_unique_stems,
@@ -292,21 +290,6 @@ def _write_manifest(path: Path, fields: dict, spool) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _remove_stale_variants(vdir: Path, stem: str, width: int, count: int, also: list[str]) -> None:
-    """Remove the variant files an earlier run left in vdir: every
-    <stem>__v<digits>.c except this run's, which are named by seqs 1 to
-    `count` at `width` digits, and the names in `also`, which this run's
-    invalid entries would have taken."""
-    name = re.compile(re.escape(stem) + r"__v([0-9]+)\.c")
-    with os.scandir(vdir) as entries:
-        for e in entries:
-            m = name.fullmatch(e.name)
-            if m and e.is_file() and (len(m[1]) != width or not 1 <= int(m[1]) <= count):
-                os.unlink(e.path)
-    for n in also:
-        (vdir / n).unlink(missing_ok=True)
-
-
 @main.command("enumerate")
 @click.argument("paths", nargs=-1, type=click.Path())
 @_mode_option
@@ -387,7 +370,7 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
                 "invalid": emitted - written,
             }
             _write_manifest(vdir / "manifest.json", fields, spool)
-        _remove_stale_variants(vdir, stem, pl.name_width, emitted, stale)
+        remove_stale_variants(vdir, stem, pl.name_width, emitted, stale)
         click.echo(f"{path}: wrote {written} variants to {vdir}")
 
 

@@ -1,4 +1,4 @@
-"""Assignment enumeration, realization, and alpha-equivalence.
+"""Assignment enumeration, realization, and canonical signatures.
 
 An Assignment is a characteristic vector: one variable name per hole.
 Two assignments are alpha-equivalent when some renaming that permutes
@@ -20,8 +20,10 @@ rather than recomputing it from the assignment.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator, Literal, Optional, Sequence
 
 from . import combinat
@@ -34,29 +36,29 @@ from .skeleton import (
     NormalForm,
     Skeleton,
     characteristic_vector,
-    extract,
-    naive_count,
     normal_forms,
 )
 
 __all__ = [
+    "DEFAULT_THRESHOLD",
     "Assignment",
     "CanonicalSignature",
     "InvalidRealization",
     "Variant",
     "EnumerationPlan",
     "enumerate_assignments",
-    "naive_enumerate",
     "realize",
     "realize_source",
     "canonical_signature",
-    "alpha_equivalent",
-    "programs_alpha_equivalent",
     "variants",
     "variant_name",
     "emit",
+    "remove_stale_variants",
     "plan",
 ]
+
+#: The largest variant count a file is enumerated at without --cap.
+DEFAULT_THRESHOLD = 10_000
 
 
 @dataclass(frozen=True)
@@ -64,12 +66,6 @@ class Assignment:
     """A total map hole index -> variable name, as a vector in hole order."""
 
     values: tuple[str, ...]
-
-    def value(self, index: int) -> str:
-        return self.values[index - 1]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -146,24 +142,6 @@ def enumerate_assignments(
         yield a
 
 
-def naive_enumerate(skel: Skeleton, cap: int = 1_000_000) -> Iterator[Assignment]:
-    """The full Cartesian product of every hole's variable set, in
-    lexicographic order. Oracle use only; refuses when the product
-    exceeds cap."""
-    total = naive_count(skel.holes)
-    if total > cap:
-        raise ValueError(f"naive space has {total} assignments, cap is {cap}")
-
-    def rec(i: int, prefix: tuple[str, ...]) -> Iterator[Assignment]:
-        if i == len(skel.holes):
-            yield Assignment(prefix)
-            return
-        for name in skel.holes[i].names:
-            yield from rec(i + 1, prefix + (name,))
-
-    return rec(0, ())
-
-
 # ---------------------------------------------------------------------------
 # Realization
 
@@ -198,7 +176,7 @@ def realize(skel: Skeleton, assignment: Assignment) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# Alpha-equivalence
+# Canonical signatures
 
 
 def canonical_signature(
@@ -229,39 +207,6 @@ def canonical_signature(
             )
             parts.append((nf.unit, fam.type, tuple(config), rgs))
     return CanonicalSignature(granularity=granularity.value, parts=tuple(parts))
-
-
-def alpha_equivalent(
-    skel: Skeleton,
-    a1: Assignment,
-    a2: Assignment,
-    granularity: Granularity = Granularity.INTER,
-) -> bool:
-    """True iff a compact renaming maps one filling onto the other.
-
-    Defaults to INTER because alpha-equivalence is a whole-program
-    relation; pass INTRA to ask about the per-function approximation.
-    """
-    s1 = canonical_signature(skel, a1, granularity)
-    s2 = canonical_signature(skel, a2, granularity)
-    return s1 == s2
-
-
-def programs_alpha_equivalent(p: Program, q: Program) -> bool:
-    """Whole-program alpha-equivalence of two parsed programs.
-
-    Both are skeletonized with declaration holes so every name position
-    is abstracted; the programs are equivalent iff the name-free shapes
-    match and their own fillings reduce to the same canonical signature.
-    """
-    sp, sq = extract(p, decl_holes=True), extract(q, decl_holes=True)
-    shape_p = render(p, {h.node: f"__h{h.index}" for h in sp.holes})
-    shape_q = render(q, {h.node: f"__h{h.index}" for h in sq.holes})
-    if shape_p != shape_q:
-        return False
-    return canonical_signature(
-        sp, sp.origin_assignment, Granularity.INTER
-    ) == canonical_signature(sq, sq.origin_assignment, Granularity.INTER)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +276,21 @@ def emit(
         yield (variant_name(stem, v.seq, width) if v.ok else None), v
 
 
+def remove_stale_variants(vdir: Path, stem: str, width: int, count: int, also: list[str]) -> None:
+    """Remove the variant files an earlier run left in vdir: every
+    <stem>__v<digits>.c except this run's, which are named by seqs 1 to
+    `count` at `width` digits, and the names in `also`, which this run's
+    invalid entries would have taken."""
+    name = re.compile(re.escape(stem) + r"__v([0-9]+)\.c")
+    with os.scandir(vdir) as entries:
+        for e in entries:
+            m = name.fullmatch(e.name)
+            if m and e.is_file() and (len(m[1]) != width or not 1 <= int(m[1]) <= count):
+                os.unlink(e.path)
+    for n in also:
+        (vdir / n).unlink(missing_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # Planning
 
@@ -377,7 +337,7 @@ def plan(
     skel: Skeleton,
     mode: Mode = Mode.COMPLETE,
     granularity: Granularity = Granularity.INTRA,
-    threshold: int = 10_000,
+    threshold: int = DEFAULT_THRESHOLD,
     cap: Optional[int] = None,
 ) -> EnumerationPlan:
     forms = tuple(normal_forms(skel, granularity))

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .combinat import Mode
-from .enumerator import emit, plan
+from .enumerator import DEFAULT_THRESHOLD, emit, plan, remove_stale_variants, variant_name
 from .minilang.interp import Status, interpret
 from .minilang.parser import ParseError, parse
 from .skeleton import Granularity, ShadowingError, extract
@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
-DEFAULT_THRESHOLD = 10_000
 DEFAULT_FLAG_MATRIX: tuple[tuple[str, ...], ...] = (("-O0",), ("-O3",))
 DEFAULT_TIMEOUT_S = 30
 DEFAULT_WORKERS = 4
@@ -569,7 +568,8 @@ def run_campaign(
     (unsupported entries, including shadowing ones, recorded and
     skipped), and either skip (selected-mode count above threshold,
     recorded) or evaluate every variant under every toolchain cell.
-    Returns the summary, which is also written to <out>/summary.json.
+    Variant files an earlier run left in the file's variants directory
+    are removed once this run's are written. Returns the summary, which is also written to <out>/summary.json.
     """
     if threshold < 1:
         raise ConfigError(f"threshold must be >= 1, got {threshold}")
@@ -630,14 +630,15 @@ def run_campaign(
             vdir.mkdir(parents=True, exist_ok=True)
 
             ok_variants: list[tuple[str, Path, str]] = []
-            invalid = 0
+            invalid: list[str] = []  # the names this run's invalid entries would take
             for fname, v in emit(skel, pl, stem):
                 if not v.ok:
-                    invalid += 1
+                    invalid.append(variant_name(stem, v.seq, pl.name_width))
                     continue
                 vpath = vdir / fname
                 vpath.write_text(v.source)
                 ok_variants.append((vpath.stem, vpath, v.source))
+            remove_stale_variants(vdir, stem, pl.name_width, len(ok_variants) + len(invalid), invalid)
 
             futures = {}
             rows_by_variant: dict[str, list[dict]] = {vid: [] for vid, *_ in ok_variants}
@@ -685,7 +686,7 @@ def run_campaign(
             entry.update(
                 status="tested",
                 enumerated=len(ok_variants),
-                invalid=invalid,
+                invalid=len(invalid),
                 crash_cells=file_crashes,
                 wrong_code_variants=file_wrong,
             )

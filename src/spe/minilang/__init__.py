@@ -6,81 +6,13 @@ assignments, if/else, while, blocks, return, in-file calls, and
 printf("%d", e) as the only IO. Everything a conforming C compiler
 accepts here means the same thing to the reference interpreter, which
 additionally flags undefined behavior instead of exploiting it.
+
+The package re-exports only the parser and the renderer. The AST lives
+in `spe.minilang.ast` and the interpreter in `spe.minilang.interp`,
+which importing the package does not load.
 """
 
-from .ast import (
-    BASE_TYPES,
-    GLOBAL_SCOPE,
-    INT,
-    INT_MAX,
-    INT_MIN,
-    UINT,
-    UINT_MAX,
-    Assign,
-    Binary,
-    Block,
-    Call,
-    CallStmt,
-    Function,
-    If,
-    Num,
-    Printf,
-    Program,
-    Return,
-    ScopeNode,
-    ScopeTree,
-    Unary,
-    Var,
-    VarDecl,
-    While,
-    c_div,
-    c_mod,
-    structurally_equal,
-)
 from .parser import ParseError, parse
-from .interp import (
-    DEFAULT_STEP_BUDGET,
-    ExecResult,
-    Status,
-    UBKind,
-    interpret,
-)
 from .render import render
 
-__all__ = [
-    "BASE_TYPES",
-    "GLOBAL_SCOPE",
-    "INT",
-    "INT_MAX",
-    "INT_MIN",
-    "UINT",
-    "UINT_MAX",
-    "Assign",
-    "Binary",
-    "Block",
-    "Call",
-    "CallStmt",
-    "Function",
-    "If",
-    "Num",
-    "Printf",
-    "Program",
-    "Return",
-    "ScopeNode",
-    "ScopeTree",
-    "Unary",
-    "Var",
-    "VarDecl",
-    "While",
-    "c_div",
-    "c_mod",
-    "structurally_equal",
-    "ParseError",
-    "parse",
-    "DEFAULT_STEP_BUDGET",
-    "ExecResult",
-    "Status",
-    "UBKind",
-    "interpret",
-    "render",
-]
+__all__ = ["ParseError", "parse", "render"]

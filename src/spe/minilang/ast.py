@@ -2,7 +2,7 @@
 
 Nodes use identity equality so they can serve as dictionary keys (the
 interpreter keys frames by VarDecl, the renderer accepts per-node name
-overrides). Structural comparison goes through `structurally_equal`.
+overrides).
 """
 
 from __future__ import annotations
@@ -203,80 +203,3 @@ class Program:
             if f.name == name:
                 return f
         raise LookupError(f"no function named {name!r}")
-
-
-# --- Structural comparison -----------------------------------------------
-#
-# Scope ids are allocated in source order by the parser, so two programs
-# parsed from equivalent sources carry identical ids and the ids can take
-# part in the comparison directly.
-
-
-def _decl_key(d: VarDecl) -> tuple:
-    return (d.name, d.type, d.scope_id, d.init, d.is_param)
-
-
-def _expr_key(e: Expr) -> tuple:
-    if isinstance(e, Num):
-        return ("num", e.type, e.value)
-    if isinstance(e, Var):
-        return ("var", _decl_key(e.decl))
-    if isinstance(e, Unary):
-        return ("unary", e.op, e.type, _expr_key(e.operand))
-    if isinstance(e, Binary):
-        return ("binary", e.op, e.type, _expr_key(e.left), _expr_key(e.right))
-    if isinstance(e, Call):
-        return ("call", e.name, e.type, tuple(_expr_key(a) for a in e.args))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _stmt_key(s: Stmt) -> tuple:
-    if isinstance(s, Assign):
-        return ("assign", _expr_key(s.target), _expr_key(s.value))
-    if isinstance(s, If):
-        return (
-            "if",
-            _expr_key(s.cond),
-            _block_key(s.then),
-            _block_key(s.orelse) if s.orelse is not None else None,
-        )
-    if isinstance(s, While):
-        return ("while", _expr_key(s.cond), _block_key(s.body))
-    if isinstance(s, Return):
-        return ("return", _expr_key(s.value))
-    if isinstance(s, Printf):
-        return ("printf", s.newline, _expr_key(s.arg))
-    if isinstance(s, CallStmt):
-        return ("callstmt", _expr_key(s.call))
-    if isinstance(s, Block):
-        return _block_key(s)
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def _block_key(b: Block) -> tuple:
-    return (
-        "block",
-        b.scope_id,
-        tuple(_decl_key(d) for d in b.decls),
-        tuple(_stmt_key(s) for s in b.stmts),
-    )
-
-
-def program_key(p: Program) -> tuple:
-    """A hashable value that identifies p up to structural equality."""
-    return (
-        tuple(_decl_key(d) for d in p.globals),
-        tuple(
-            (
-                f.name,
-                f.ret_type,
-                tuple(_decl_key(d) for d in f.params),
-                _block_key(f.body),
-            )
-            for f in p.functions
-        ),
-    )
-
-
-def structurally_equal(p: Program, q: Program) -> bool:
-    return program_key(p) == program_key(q)

@@ -108,20 +108,11 @@ class Skeleton:
     def n(self) -> int:
         return len(self.holes)
 
-    def hole(self, index: int) -> Hole:
-        return self.holes[index - 1]
-
     def units(self) -> list[str]:
         return list(self.per_function_ranges)
 
     def unit_holes(self, unit: str) -> list[Hole]:
         return [h for h in self.holes if h.unit == unit]
-
-    @property
-    def origin_assignment(self):
-        from .enumerator import Assignment
-
-        return Assignment(self.origin_vector)
 
 
 def naive_count(holes: Iterable[Hole]) -> int:

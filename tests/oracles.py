@@ -1,17 +1,18 @@
 """Independent reference implementations used to cross-check the
-package. Everything here is deliberately naive: plain recursion and
-whole-group orbit walks, sharing no code with src/ beyond the MiniC
-renderer that `realize_source` prints through, and the interpreter's
-result types and frame-cost model (`_frames`, `MAX_FRAMES`) that
-`reference_interpret` must share with it for budget verdicts to agree.
-`reference_manifest` builds a manifest as one in-memory document and
-encodes it with the standard library."""
+package. Everything here is deliberately naive: plain recursion, the
+full product space (`naive_space`) and whole-group orbit walks, sharing
+no code with src/ beyond the MiniC renderer that `realize_source` prints
+through, and the interpreter's result types and frame-cost model
+(`_frames`, `MAX_FRAMES`) that `reference_interpret` must share with it
+for budget verdicts to agree. `structurally_equal` compares two parsed
+programs node by node. `reference_manifest` builds a manifest as one
+in-memory document and encodes it with the standard library."""
 
 from __future__ import annotations
 
-import json
-
 import itertools
+import json
+import math
 from typing import Iterable, Iterator, Sequence
 
 from spe.minilang.ast import (
@@ -24,12 +25,14 @@ from spe.minilang.ast import (
     Binary,
     Call,
     CallStmt,
+    Expr,
     Function,
     If,
     Num,
     Printf,
     Program,
     Return,
+    Stmt,
     Unary,
     Var,
     VarDecl,
@@ -74,6 +77,15 @@ def set_partitions(n: int, k: int | None = None) -> list[tuple[int, ...]]:
 
 def stirling_by_enumeration(n: int, k: int) -> int:
     return len(set_partitions(n, k))
+
+
+def naive_space(skel) -> Iterator[tuple[str, ...]]:
+    """Every filling of the skeleton: the product of each hole's
+    variable set, in lexicographic order of hole position and
+    declaration order. Refuses a space too large to walk in a test."""
+    size = math.prod(len(h.names) for h in skel.holes)
+    assert size <= 200_000, f"naive space has {size} fillings"
+    return itertools.product(*(h.names for h in skel.holes))
 
 
 def pools_of_program(program) -> list[tuple[str, ...]]:
@@ -153,6 +165,81 @@ def realize_source(skel, assignment) -> str:
 
     names = {h.node: name for h, name in zip(skel.holes, assignment.values)}
     return render(skel.program, names)
+
+
+# Structural comparison. Scope ids are allocated in source order by the
+# parser, so two programs parsed from equivalent sources carry identical
+# ids and the ids can take part in the comparison directly.
+
+
+def _decl_key(d: VarDecl) -> tuple:
+    return (d.name, d.type, d.scope_id, d.init, d.is_param)
+
+
+def _expr_key(e: Expr) -> tuple:
+    if isinstance(e, Num):
+        return ("num", e.type, e.value)
+    if isinstance(e, Var):
+        return ("var", _decl_key(e.decl))
+    if isinstance(e, Unary):
+        return ("unary", e.op, e.type, _expr_key(e.operand))
+    if isinstance(e, Binary):
+        return ("binary", e.op, e.type, _expr_key(e.left), _expr_key(e.right))
+    if isinstance(e, Call):
+        return ("call", e.name, e.type, tuple(_expr_key(a) for a in e.args))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _stmt_key(s: Stmt) -> tuple:
+    if isinstance(s, Assign):
+        return ("assign", _expr_key(s.target), _expr_key(s.value))
+    if isinstance(s, If):
+        return (
+            "if",
+            _expr_key(s.cond),
+            _block_key(s.then),
+            _block_key(s.orelse) if s.orelse is not None else None,
+        )
+    if isinstance(s, While):
+        return ("while", _expr_key(s.cond), _block_key(s.body))
+    if isinstance(s, Return):
+        return ("return", _expr_key(s.value))
+    if isinstance(s, Printf):
+        return ("printf", s.newline, _expr_key(s.arg))
+    if isinstance(s, CallStmt):
+        return ("callstmt", _expr_key(s.call))
+    if isinstance(s, Block):
+        return _block_key(s)
+    raise TypeError(f"not a statement: {s!r}")
+
+
+def _block_key(b: Block) -> tuple:
+    return (
+        "block",
+        b.scope_id,
+        tuple(_decl_key(d) for d in b.decls),
+        tuple(_stmt_key(s) for s in b.stmts),
+    )
+
+
+def program_key(p: Program) -> tuple:
+    """A hashable value that identifies p up to structural equality."""
+    return (
+        tuple(_decl_key(d) for d in p.globals),
+        tuple(
+            (
+                f.name,
+                f.ret_type,
+                tuple(_decl_key(d) for d in f.params),
+                _block_key(f.body),
+            )
+            for f in p.functions
+        ),
+    )
+
+
+def structurally_equal(p: Program, q: Program) -> bool:
+    return program_key(p) == program_key(q)
 
 
 def reference_manifest(
@@ -389,7 +476,7 @@ class _Walker:
 
 
 def reference_interpret(program, step_budget: int = DEFAULT_STEP_BUDGET) -> ExecResult:
-    """The tree-walking interpreter that `spe.minilang.interpret`
+    """The tree-walking interpreter that `spe.minilang.interp.interpret`
     replaced: one Python method per construct, dispatched by isinstance
     on every node it evaluates. The compiled interpreter must return an
     equal ExecResult, steps_used included, on every program."""

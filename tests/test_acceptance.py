@@ -22,7 +22,7 @@ from conftest import (
     random_skeleton,
     write_stub,
 )
-from oracles import burnside_count, orbits, pools_of_program, renaming_group
+from oracles import burnside_count, naive_space, orbits, pools_of_program, renaming_group
 from spe.cli import main as cli_main
 from spe.combinat import Mode, ScopeNestingError, stirling2
 from spe.enumerator import (
@@ -30,7 +30,6 @@ from spe.enumerator import (
     InvalidRealization,
     canonical_signature,
     enumerate_assignments,
-    naive_enumerate,
     realize,
 )
 from spe.harness import (
@@ -40,7 +39,8 @@ from spe.harness import (
     read_log,
     run_campaign,
 )
-from spe.minilang import interpret, parse
+from spe.minilang import parse
+from spe.minilang.interp import interpret
 from spe.skeleton import Granularity, extract, naive_count
 
 STRAIGHT_SRC = """\
@@ -84,7 +84,7 @@ def assert_orbit_bijection(skel):
     """The complete whole-program stream picks exactly one vector per
     orbit of the true renaming group."""
     group = renaming_group(pools_of_program(skel.program))
-    naive = [a.values for a in naive_enumerate(skel, cap=200_000)]
+    naive = list(naive_space(skel))
     orbit_map = orbits(naive, group)
     stream = vectors(skel, Mode.COMPLETE, Granularity.INTER)
     assert len(set(stream)) == len(stream)
@@ -118,7 +118,7 @@ def test_criterion_2_branch_complete_matches_oracles():
         stream = vectors(skel, Mode.COMPLETE, Granularity.INTRA)
         assert len(stream) == len(set(stream)) == 40
         group = renaming_group(pools_of_program(skel.program))
-        naive = [a.values for a in naive_enumerate(skel)]
+        naive = list(naive_space(skel))
         assert len(orbits(naive, group)) == 40
         assert burnside_count([h.names for h in skel.holes], group) == 40
         # identity fixes all 128 fillings, the double swap fixes 32, the
@@ -152,7 +152,7 @@ def test_criterion_4_scoped_decl_holes_cover_naive():
         stream = list(enumerate_assignments(skel, Mode.COMPLETE, Granularity.INTER))
         stream_sigs = signatures(skel, stream)
         assert len(stream) == len(stream_sigs) == 8448
-        naive_sigs = signatures(skel, naive_enumerate(skel))
+        naive_sigs = signatures(skel, naive_space(skel))
         assert naive_sigs == stream_sigs
 
 
@@ -176,9 +176,9 @@ def test_criterion_6_random_skeletons_sound_and_complete():
             sigs = [canonical_signature(skel, a, Granularity.INTER) for a in complete]
             assert len(set(sigs)) == len(sigs), f"seed {seed}: duplicate class"
             sig_set = set(sigs)
-            for a in naive_enumerate(skel):
+            for a in naive_space(skel):
                 assert canonical_signature(skel, a, Granularity.INTER) in sig_set, (
-                    f"seed {seed}: missed filling {a.values}"
+                    f"seed {seed}: missed filling {a}"
                 )
             comp_intra = set(vectors(skel, Mode.COMPLETE, Granularity.INTRA))
             try:

@@ -459,6 +459,30 @@ class TestTestCommand:
             for r in rows
         )
 
+    def test_rerun_removes_stale_variants(self, runner, corpus, tmp_path):
+        # the seq width follows --cap, so the second run names its files anew
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        args = ["test", str(corpus["loop"]), "--config", str(cfg), "--out", str(out)]
+        assert runner.invoke(main, [*args, "--cap", "30"]).exit_code == EXIT_OK
+        assert runner.invoke(main, [*args, "--cap", "5"]).exit_code == EXIT_OK
+        vdir = out / "variants" / "loop"
+        assert sorted(p.name for p in vdir.iterdir()) == [f"loop__v{i}.c" for i in range(1, 6)]
+
+    def test_rerun_removes_stale_files_at_invalid_seqs(self, runner, corpus, tmp_path):
+        # --decl-holes emits 32 entries of which 16 are invalid and get no file
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        vdir = out / "variants" / "straight"
+        vdir.mkdir(parents=True)
+        for name in [f"straight__v{i:02d}.c" for i in range(0, 34)] + ["straight__v7.c"]:
+            (vdir / name).write_text("stale\n")
+        args = ["test", "--decl-holes", str(corpus["straight"]), "--config", str(cfg), "--out", str(out)]
+        # findings: the stub's binaries exit 0 where the variants return 3
+        assert runner.invoke(main, args).exit_code == EXIT_FINDINGS
+        files = list(vdir.iterdir())
+        assert len(files) == 16 and all(p.read_text() != "stale\n" for p in files)
+
     def test_bad_config_exits_config(self, runner, corpus, tmp_path):
         cfg = tmp_path / "toolchain.json"
         cfg.write_text(

@@ -11,19 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spe.minilang import (
-    DEFAULT_STEP_BUDGET,
-    INT_MAX,
-    INT_MIN,
-    UINT_MAX,
-    ParseError,
-    Status,
-    UBKind,
-    interpret,
-    parse,
-    render,
-    structurally_equal,
-)
+from spe.minilang import ParseError, parse, render
+from spe.minilang.ast import INT_MAX, INT_MIN, UINT_MAX
+from spe.minilang.interp import CYCLE_SAMPLE_STEPS, DEFAULT_STEP_BUDGET, Status, UBKind, interpret
 from spe.minilang.parser import (
     E_BAD_PRINTF,
     E_DECL_AFTER_STMT,
@@ -37,12 +27,10 @@ from spe.minilang.parser import (
     E_TYPE,
     E_UNDECLARED,
 )
-from spe.minilang.ast import program_key
-from spe.minilang.interp import CYCLE_SAMPLE_STEPS
 from spe.skeleton import extract
 
 from conftest import LOOP_SRC, SCOPED_SRC, BRANCH_SRC, random_source
-from oracles import reference_interpret
+from oracles import program_key, reference_interpret, structurally_equal
 
 
 def wrap(body: str) -> str:

@@ -108,8 +108,8 @@ def _parse_corpus(paths: tuple[str, ...]) -> tuple[list[tuple[Path, object]], bo
     for p in paths:
         path = Path(p)
         try:
-            parsed.append((path, parse(path.read_text())))
-        except (OSError, ParseError) as e:
+            parsed.append((path, parse(path.read_text(encoding="utf-8"))))
+        except (OSError, UnicodeDecodeError, ParseError) as e:
             click.echo(f"{path}: {e}", err=True)
             bad = True
     return parsed, bad

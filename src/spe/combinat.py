@@ -97,8 +97,8 @@ def count_at_most(n: int, k: int) -> int:
 
 
 def rgs_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All RGS of length n with fewer than k distinct digits allowed... at
-    most k blocks, lexicographic.  n == 0 yields the single empty string."""
+    """All RGS of length n with at most k distinct digits (at most k
+    blocks), lexicographic.  n == 0 yields the single empty string."""
     if n == 0:
         yield ()
         return
@@ -259,7 +259,7 @@ def family_stream(
             "paper mode handles one level of local pools under the root; "
             "this family nests pools"
         )
-    for config in lazy_product([lambda el=el: iter(el) for el in family.eligible]):
+    for config in itertools.product(*family.eligible):
         if mode is Mode.PAPER and not _paper_config_ok(family, config):
             continue
         per_pool = _pool_positions(family, config)

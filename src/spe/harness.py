@@ -600,8 +600,8 @@ def run_campaign(
             stem = path.stem
             entry: dict = {"path": str(path), "stem": stem}
             try:
-                program = parse(path.read_text())
-            except (OSError, ParseError) as e:
+                program = parse(path.read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError, ParseError) as e:
                 entry.update(status="unparseable", error=str(e))
                 files.append(entry)
                 continue

@@ -7,6 +7,7 @@ overrides).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -43,6 +44,18 @@ def c_div(a: int, b: int) -> int:
 def c_mod(a: int, b: int) -> int:
     """C remainder, satisfying a == c_div(a, b) * b + c_mod(a, b)."""
     return a - c_div(a, b) * b
+
+
+#: What each binary operator but `&&` and `||` computes on exact ints: a
+#: comparison its truth, arithmetic its mathematical value before any
+#: wrap or range check. The interpreter and the parser's constant folder
+#: both compute every operator from this table.
+BINARY_OPS = {
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": c_div, "%": c_mod,
+}
 
 
 @dataclass(eq=False)

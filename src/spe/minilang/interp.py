@@ -26,6 +26,10 @@ node. Everything the tree decides is settled while compiling: which
 kind of node a closure evaluates, which operator at which type, which
 frame slot holds each variable and how deep each call may recurse.
 Running does only the arithmetic, the checks above and the step count.
+What each binary operator computes comes from `ast.BINARY_OPS`, the
+table the parser's constant folder also reads; a closure adds only what
+C adds at its type: the wrap of unsigned arithmetic, the range check of
+signed arithmetic, and the checks before a division.
 
 A while loop that never ends is fast-forwarded to its budget. Its
 closures are a deterministic function of the running frame and the
@@ -46,11 +50,11 @@ gives, steps_used and output included.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ast import (
+    BINARY_OPS,
     GLOBAL_SCOPE,
     INT_MAX,
     INT_MIN,
@@ -72,8 +76,6 @@ from .ast import (
     Var,
     VarDecl,
     While,
-    c_div,
-    c_mod,
 )
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -161,10 +163,6 @@ def _frames(node, at: int, sites: dict) -> int:
     for kid in kids:  # a loop, not a generator, to stack one frame per level
         deepest = max(deepest, _frames(kid, at, sites))
     return deepest
-
-
-# Division and remainder, signed and unsigned, by operator.
-_DIVIDE = {"/": (c_div, operator.floordiv), "%": (c_mod, operator.mod)}
 
 
 def _compile(program: Program) -> Callable[[int], ExecResult]:
@@ -293,125 +291,8 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
                 return 1 if left(f) or right(f) else 0
 
             return or_
-        if op == "==":
-            def eq(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                return 1 if left(f) == right(f) else 0
-
-            return eq
-        if op == "!=":
-            def ne(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                return 1 if left(f) != right(f) else 0
-
-            return ne
-        if op == "<":
-            def lt(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                return 1 if left(f) < right(f) else 0
-
-            return lt
-        if op == "<=":
-            def le(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                return 1 if left(f) <= right(f) else 0
-
-            return le
-        if op == ">":
-            def gt(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                return 1 if left(f) > right(f) else 0
-
-            return gt
-        if op == ">=":
-            def ge(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                return 1 if left(f) >= right(f) else 0
-
-            return ge
-        if op == "+" and type_ == UINT:
-            def add_wrapping(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                return (left(f) + right(f)) & _UINT_MASK
-
-            return add_wrapping
-        if op == "+":
-            def add(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                v = left(f) + right(f)
-                if INT_MIN <= v <= INT_MAX:
-                    return v
-                raise _UB(UBKind.SIGNED_OVERFLOW)
-
-            return add
-        if op == "-" and type_ == UINT:
-            def sub_wrapping(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                return (left(f) - right(f)) & _UINT_MASK
-
-            return sub_wrapping
-        if op == "-":
-            def sub(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                v = left(f) - right(f)
-                if INT_MIN <= v <= INT_MAX:
-                    return v
-                raise _UB(UBKind.SIGNED_OVERFLOW)
-
-            return sub
-        if op == "*" and type_ == UINT:
-            def mul_wrapping(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                return (left(f) * right(f)) & _UINT_MASK
-
-            return mul_wrapping
-        if op == "*":
-            def mul(f):
-                nonlocal steps
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
-                v = left(f) * right(f)
-                if INT_MIN <= v <= INT_MAX:
-                    return v
-                raise _UB(UBKind.SIGNED_OVERFLOW)
-
-            return mul
-        if op in _DIVIDE:
-            signed_op, unsigned_op = _DIVIDE[op]
+        compute = BINARY_OPS[op]
+        if op in ("/", "%"):
             if type_ == UINT:
                 def divide_unsigned(f):
                     nonlocal steps
@@ -422,7 +303,7 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
                     r = right(f)
                     if r == 0:
                         raise _UB(UBKind.DIV_BY_ZERO)
-                    return unsigned_op(l, r)
+                    return compute(l, r)
 
                 return divide_unsigned
 
@@ -437,10 +318,39 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
                     raise _UB(UBKind.DIV_BY_ZERO)
                 if l == INT_MIN and r == -1:
                     raise _UB(UBKind.SIGNED_DIV_OVERFLOW)
-                return signed_op(l, r)
+                return compute(l, r)
 
             return divide
-        raise ValueError(f"unknown operator {op!r}")
+        if op not in ("+", "-", "*"):
+            def compare(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return 1 if compute(left(f), right(f)) else 0
+
+            return compare
+        if type_ == UINT:
+            def wrapping(f):
+                nonlocal steps
+                steps += 1
+                if steps > budget:
+                    raise _OutOfSteps
+                return compute(left(f), right(f)) & _UINT_MASK
+
+            return wrapping
+
+        def checked(f):
+            nonlocal steps
+            steps += 1
+            if steps > budget:
+                raise _OutOfSteps
+            v = compute(left(f), right(f))
+            if INT_MIN <= v <= INT_MAX:
+                return v
+            raise _UB(UBKind.SIGNED_OVERFLOW)
+
+        return checked
 
     def call(e: Call, args: list) -> Callable[[list], int]:
         site = sites[e]
@@ -491,28 +401,19 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
         if isinstance(s, If):
             cond = expr(s.cond, slots)
             then = block(s.then, slots)
-            if s.orelse is None:
-                def if_(f):
-                    nonlocal steps
-                    steps += 1
-                    if steps > budget:
-                        raise _OutOfSteps
-                    if cond(f):
-                        return then(f)
+            orelse = None if s.orelse is None else block(s.orelse, slots)
 
-                return if_
-            orelse = block(s.orelse, slots)
-
-            def if_else(f):
+            def if_(f):
                 nonlocal steps
                 steps += 1
                 if steps > budget:
                     raise _OutOfSteps
                 if cond(f):
                     return then(f)
-                return orelse(f)
+                if orelse is not None:
+                    return orelse(f)
 
-            return if_else
+            return if_
         if isinstance(s, While):
             cond = expr(s.cond, slots)
             body = block(s.body, slots)

@@ -22,11 +22,11 @@ and checked for consistency but not stored in the AST.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ast import (
+    BINARY_OPS,
     BINARY_PREC,
     GLOBAL_SCOPE,
     INT,
@@ -51,8 +51,6 @@ from .ast import (
     Var,
     VarDecl,
     While,
-    c_div,
-    c_mod,
 )
 
 # Stable error kinds, part of the public contract.
@@ -108,7 +106,6 @@ _PUNCT1 = set("(){};,=+-*/%<>!")
 # The loosest arithmetic row of BINARY_PREC: arithmetic operators keep
 # their operands' type, and constant initializers use only these rows.
 _ARITH = BINARY_PREC["+"]
-_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": c_div, "%": c_mod}
 
 
 @dataclass
@@ -384,7 +381,7 @@ class _Parser:
     def _fold(self, op: _Token, left: int, right: int) -> int:
         if right == 0 and op.text in ("/", "%"):
             self.fail(E_RANGE, "division by zero in constant initializer", op)
-        return _FOLD[op.text](left, right)
+        return BINARY_OPS[op.text](left, right)
 
     def _const_unary(self) -> int:
         if self.at_punct("-"):

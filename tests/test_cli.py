@@ -65,6 +65,9 @@ DEEP_SRC = (
     + ";\n    return x;\n}\n"
 )
 
+# A Latin-1 byte (0xff) that is not UTF-8
+NON_UTF8_SRC = b"int main(void) {\n    return 0;\n}\n\xff\n"
+
 
 @pytest.fixture
 def runner():
@@ -170,6 +173,19 @@ class TestCount:
     def test_missing_file_exits_config(self, runner, tmp_path):
         res = runner.invoke(main, ["count", str(tmp_path / "nope.c")])
         assert res.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["count", "skeleton", "enumerate"])
+    def test_non_utf8_file_exits_config(self, runner, corpus, tmp_path, command):
+        bad = tmp_path / "latin.c"
+        bad.write_bytes(NON_UTF8_SRC)
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "enumerate" else []
+        res = runner.invoke(main, [command, str(corpus["loop"]), str(bad), *extra])
+        assert res.exit_code == EXIT_CONFIG
+        assert isinstance(res.exception, SystemExit)
+        (line,) = res.output.splitlines()
+        assert line.startswith(f"{bad}: ") and "utf-8" in line
+        assert not out.exists()
 
     def test_shadowing_file_exits_config(self, runner, corpus):
         res = runner.invoke(main, ["count", str(corpus["loop"]), str(corpus["shadow"])])
@@ -518,6 +534,23 @@ class TestTestCommand:
             ("deep", "unparseable"),
             ("loop", "tested"),
         ]
+
+    def test_non_utf8_file_is_unparseable(self, runner, corpus, tmp_path):
+        bad = tmp_path / "latin.c"
+        bad.write_bytes(NON_UTF8_SRC)
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        res = runner.invoke(
+            main,
+            ["test", str(bad), str(corpus["loop"]), "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == EXIT_OK, res.output
+        assert "tested: 1" in res.output and "unparseable: 1" in res.output
+        summary = json.loads((out / "summary.json").read_text())
+        first, second = summary["files"]
+        assert (first["stem"], first["status"]) == ("latin", "unparseable")
+        assert "utf-8" in first["error"]
+        assert (second["stem"], second["status"]) == ("loop", "tested")
 
     @pytest.mark.parametrize(
         "key,value",

@@ -1,18 +1,21 @@
 """Parser, interpreter, and renderer behavior, including cross-checks
 against system C compilers when present."""
 
+import math
 import shutil
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spe.minilang import ParseError, parse, render
-from spe.minilang.ast import INT_MAX, INT_MIN, UINT_MAX
+from spe.minilang.ast import BINARY_PREC, INT_MAX, INT_MIN, UINT_MAX
 from spe.minilang.interp import CYCLE_SAMPLE_STEPS, DEFAULT_STEP_BUDGET, Status, UBKind, interpret
 from spe.minilang.parser import (
     E_BAD_PRINTF,
@@ -346,6 +349,117 @@ int main(void) {
         res = self.run_main('    int x;\n    printf("%d", 1);\n    x = x + 1;')
         assert res.status is Status.UNDEFINED_BEHAVIOR
         assert res.stdout == "1"
+
+
+# Boundary operands per type, and how an initializer spells each.
+MATRIX_OPERANDS = {
+    "int": [INT_MIN, -1, 0, 1, 2, INT_MAX],
+    "unsigned": [0, 1, 2, 2 ** 31, UINT_MAX - 1, UINT_MAX],
+}
+_UINT_MOD = 2 ** 32
+_ARITHMETIC = ("+", "-", "*", "/", "%")
+
+
+def _literal(type_: str, v: int) -> str:
+    if type_ == "unsigned":
+        return f"{v}u"
+    return f"(-{INT_MAX} - 1)" if v == INT_MIN else f"({v})"
+
+
+def _exact(op: str, a: int, b: int) -> Optional[int]:
+    """The mathematical value of arithmetic `a op b`, None for a zero
+    divisor. C99 6.5.5: the quotient truncates toward zero."""
+    if op in ("/", "%"):
+        if b == 0:
+            return None
+        q = math.trunc(Fraction(a, b))
+        return q if op == "/" else a - b * q
+    return {"+": a + b, "-": a - b, "*": a * b}[op]
+
+
+def c_result(op: str, type_: str, a: int, b: Optional[int] = None):
+    """(UB kind or None, value) of `a op b`, or of `op a` when b is None,
+    in C at type_ ("int" or "unsigned"), computed here from the C
+    standard rather than by the interpreter's code."""
+    if b is None:
+        if op == "!":
+            return None, int(a == 0)
+        exact = -a
+    elif op in ("&&", "||"):
+        return None, int(bool(a) and bool(b)) if op == "&&" else int(bool(a) or bool(b))
+    elif op in ("==", "!=", "<", "<=", ">", ">="):
+        compare = {"==": a == b, "!=": a != b, "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}
+        return None, int(compare[op])
+    elif op in ("/", "%") and b == 0:
+        return UBKind.DIV_BY_ZERO, None
+    elif op in ("/", "%") and type_ == "int" and (a, b) == (INT_MIN, -1):
+        # a % b is undefined whenever a / b is not representable
+        return UBKind.SIGNED_DIV_OVERFLOW, None
+    else:
+        exact = _exact(op, a, b)
+    if type_ == "unsigned":
+        return None, exact % _UINT_MOD
+    if not INT_MIN <= exact <= INT_MAX:
+        return UBKind.SIGNED_OVERFLOW, None
+    return None, exact
+
+
+def _check_matrix_cell(op: str, type_: str, a: int, b: Optional[int], expr: str):
+    """Run `printf("%d\\n", expr)` with a and b declared at type_; an
+    unsigned result is printed as its comparison with the expected value."""
+    kind, value = c_result(op, type_, a, b)
+    unsigned_result = type_ == "unsigned" and op in _ARITHMETIC
+    if unsigned_result:
+        expr = f"({expr}) == {value or 0}u"
+    decls = f"    {type_} a = {_literal(type_, a)};\n"
+    if b is not None:
+        decls += f"    {type_} b = {_literal(type_, b)};\n"
+    p = parse(wrap(decls + f'    printf("%d\\n", {expr});'))
+    res = interpret(p)
+    cell = f"{op} at {type_} on {(a, b)}"
+    assert res == reference_interpret(p), cell
+    if kind is not None:
+        assert (res.status, res.ub_kind, res.stdout) == (Status.UNDEFINED_BEHAVIOR, kind, ""), cell
+    else:
+        shown = 1 if unsigned_result else value
+        assert (res.status, res.stdout, res.exit_code) == (Status.OK, f"{shown}\n", 0), cell
+
+
+class TestOperatorMatrix:
+    """Every operator at both types on boundary operands: the compiled
+    interpreter agrees with the reference and with C."""
+
+    @pytest.mark.parametrize("type_", sorted(MATRIX_OPERANDS))
+    @pytest.mark.parametrize("op", sorted(BINARY_PREC))
+    def test_binary(self, op, type_):
+        operands = MATRIX_OPERANDS[type_]
+        for a in operands:
+            for b in operands:
+                _check_matrix_cell(op, type_, a, b, f"a {op} b")
+
+    @pytest.mark.parametrize("type_", sorted(MATRIX_OPERANDS))
+    @pytest.mark.parametrize("op", ["-", "!"])
+    def test_unary(self, op, type_):
+        for a in MATRIX_OPERANDS[type_]:
+            _check_matrix_cell(op, type_, a, None, f"{op}a")
+
+    @pytest.mark.parametrize("type_", sorted(MATRIX_OPERANDS))
+    @pytest.mark.parametrize("op", _ARITHMETIC)
+    def test_constant_folder(self, op, type_):
+        # initializers fold on exact integers, and only the folded value
+        # is range-checked against the declared type
+        lo, hi = (INT_MIN, INT_MAX) if type_ == "int" else (0, UINT_MAX)
+        operands = MATRIX_OPERANDS[type_]
+        for a in operands:
+            for b in operands:
+                source = f"{type_} g = {_literal(type_, a)} {op} {_literal(type_, b)};\n" + wrap("")
+                exact = _exact(op, a, b)
+                if exact is None or not lo <= exact <= hi:
+                    with pytest.raises(ParseError) as e:
+                        parse(source)
+                    assert e.value.kind == E_RANGE, (op, a, b)
+                else:
+                    assert parse(source).globals[0].init == exact, (op, a, b)
 
 
 # Hand-written programs for the compiled-against-reference check: each

@@ -49,6 +49,7 @@ __all__ = [
     "family_count",
     "lazy_product",
     "CountReport",
+    "naive_count",
     "count_plan",
 ]
 
@@ -190,7 +191,6 @@ class Pool:
     always index 0 and is the only pool allowed to be empty.
     """
 
-    scope: int
     vars: tuple
     parent: int | None
 
@@ -199,13 +199,14 @@ class Pool:
 class Family:
     """The partition problem for one (unit, type) hole family.
 
-    ``holes`` are hole indices in normal-form order: root-pool holes first,
+    ``holes`` are hole indices in stream order: root-pool holes first,
     then each local pool's holes, source order within a pool.  ``eligible``
     gives, per hole position, the ascending pool indices the hole may draw
     from (the non-empty pools on its scope path; the root appears iff the
     root pool is non-empty).
     """
 
+    unit: str
     type: str
     pools: tuple[Pool, ...]
     holes: tuple[int, ...]
@@ -384,18 +385,22 @@ class CountReport:
     complete_mode_count: int
 
 
-def count_plan(skel, granularity=None, forms=None) -> CountReport:
+def naive_count(holes: Iterable) -> int:
+    """Size of the naive space over these holes: the product of their
+    variable-set sizes."""
+    return math.prod(len(h.var_set) for h in holes)
+
+
+def count_plan(skel, families: Sequence[Family] | None = None) -> CountReport:
     """Count a skeleton's naive and deduplicated enumeration sizes.
 
     Big-integer exact; cost is polynomial in the skeleton size, never in
-    the counts themselves. `forms` are the skeleton's normal forms at
-    that granularity when the caller already holds them.
+    the counts themselves. `families` are the skeleton's families at the
+    chosen granularity. A caller holding only the skeleton, as
+    `perfbench/run.py` is, gets its intra families from `skel.families()`.
     """
-    from .skeleton import Granularity, naive_count, normal_forms
-
-    if forms is None:
-        forms = normal_forms(skel, granularity or Granularity.INTRA)
-    families = [fam for nf in forms for fam in nf.families]
+    if families is None:
+        families = skel.families()
     paper = (
         math.prod(family_count(fam, Mode.PAPER) for fam in families)
         if all(fam.is_flat for fam in families)

@@ -27,17 +27,11 @@ from pathlib import Path
 from typing import Iterator, Literal, Optional, Sequence
 
 from . import combinat
-from .combinat import CountReport, Mode, count_plan, lazy_product
+from .combinat import CountReport, Family, Mode, count_plan, lazy_product
 from .minilang.ast import Program
 from .minilang.parser import ParseError, parse
 from .minilang.render import render
-from .skeleton import (
-    Granularity,
-    NormalForm,
-    Skeleton,
-    characteristic_vector,
-    normal_forms,
-)
+from .skeleton import Granularity, Skeleton, characteristic_vector, normal_forms
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -73,7 +67,7 @@ class CanonicalSignature:
     """Name-free invariant of an assignment under compact renaming.
 
     parts: per family one (unit, type, config, per-pool RGS) tuple, in
-    normal-form order. Equal signatures <=> alpha-equivalent assignments
+    stream order. Equal signatures <=> alpha-equivalent assignments
     at the chosen granularity.
     """
 
@@ -99,28 +93,26 @@ def _classes(
     skel: Skeleton,
     mode: Mode,
     granularity: Granularity,
-    forms: Optional[Sequence[NormalForm]] = None,
+    families: Optional[Sequence[Family]] = None,
 ) -> Iterator[tuple[Assignment, CanonicalSignature]]:
     """The enumeration stream: each class's representative with its
     canonical signature, read off the family partitions that produced it.
     One row-major product over every family of every unit; a row's
     pair per family fills that family's holes, block labels binding to
-    the chosen pool's variables in declaration order. `forms` are the
-    skeleton's normal forms at `granularity`, computed here when not
-    given."""
-    if forms is None:
-        forms = normal_forms(skel, granularity)
-    families = [(nf.unit, fam) for nf in forms for fam in nf.families]
-    factories = [(lambda fam=fam: combinat.family_stream(fam, mode)) for _, fam in families]
+    the chosen pool's variables in declaration order. `families` are the
+    skeleton's families at `granularity`, computed here when not given."""
+    if families is None:
+        families = normal_forms(skel, granularity)
+    factories = [(lambda fam=fam: combinat.family_stream(fam, mode)) for fam in families]
     for row in lazy_product(factories):
         values = [""] * skel.n
         parts = []
-        for (unit, fam), (config, rgs) in zip(families, row):
+        for fam, (config, rgs) in zip(families, row):
             used = [0] * len(rgs)
             for index, pool_i in zip(fam.holes, config):
                 values[index - 1] = fam.pools[pool_i].vars[rgs[pool_i][used[pool_i]]]
                 used[pool_i] += 1
-            parts.append((unit, fam.type, config, rgs))
+            parts.append((fam.unit, fam.type, config, rgs))
         yield (
             Assignment(tuple(values)),
             CanonicalSignature(granularity=granularity.value, parts=tuple(parts)),
@@ -188,24 +180,21 @@ def canonical_signature(
     variable belongs to and the RGS of each pool's value sequence."""
     values = characteristic_vector(skel, assignment)
     parts = []
-    for nf in normal_forms(skel, granularity):
-        for fam in nf.families:
-            config = []
-            per_pool: dict[int, list[str]] = {i: [] for i in range(len(fam.pools))}
-            for pos, index in enumerate(fam.holes):
-                name = values[index - 1]
-                owner = None
-                for pool_i in fam.eligible[pos]:
-                    if name in fam.pools[pool_i].vars:
-                        owner = pool_i
-                        break
-                assert owner is not None, "assigned name outside every pool"
-                config.append(owner)
-                per_pool[owner].append(name)
-            rgs = tuple(
-                combinat.rgs_of_vector(per_pool[i]) for i in range(len(fam.pools))
-            )
-            parts.append((nf.unit, fam.type, tuple(config), rgs))
+    for fam in normal_forms(skel, granularity):
+        config = []
+        per_pool: dict[int, list[str]] = {i: [] for i in range(len(fam.pools))}
+        for pos, index in enumerate(fam.holes):
+            name = values[index - 1]
+            owner = None
+            for pool_i in fam.eligible[pos]:
+                if name in fam.pools[pool_i].vars:
+                    owner = pool_i
+                    break
+            assert owner is not None, "assigned name outside every pool"
+            config.append(owner)
+            per_pool[owner].append(name)
+        rgs = tuple(combinat.rgs_of_vector(per_pool[i]) for i in range(len(fam.pools)))
+        parts.append((fam.unit, fam.type, tuple(config), rgs))
     return CanonicalSignature(granularity=granularity.value, parts=tuple(parts))
 
 
@@ -235,17 +224,17 @@ def variants(
     mode: Mode = Mode.COMPLETE,
     granularity: Granularity = Granularity.INTRA,
     limit: Optional[int] = None,
-    forms: Optional[Sequence[NormalForm]] = None,
+    families: Optional[Sequence[Family]] = None,
 ) -> Iterator[Variant]:
     """Realize the enumeration stream by filling the skeleton's template;
     invalid realizations become markers rather than vanishing, so stream
     positions stay auditable. Signatures come with the stream. Without
     declaration holes every filling is valid and nothing is parsed;
     with them, the parser's verdict on the filled template decides each
-    position's validity, as in `realize`. `forms`, when given, are the
-    skeleton's normal forms at `granularity` (see `plan`)."""
+    position's validity, as in `realize`. `families`, when given, are
+    the skeleton's families at `granularity` (see `plan`)."""
     template = _template(skel)
-    for seq, (a, sig) in enumerate(_classes(skel, mode, granularity, forms), start=1):
+    for seq, (a, sig) in enumerate(_classes(skel, mode, granularity, families), start=1):
         if limit is not None and seq > limit:
             return
         source = template.format(*a.values)
@@ -272,7 +261,7 @@ def emit(
     if plan.refusal is not None:
         raise ValueError(f"plan is refused: {plan.refusal}")
     width = plan.name_width
-    for v in variants(skel, plan.mode, plan.granularity, limit=plan.cap, forms=plan.forms):
+    for v in variants(skel, plan.mode, plan.granularity, limit=plan.cap, families=plan.families):
         yield (variant_name(stem, v.seq, width) if v.ok else None), v
 
 
@@ -298,7 +287,7 @@ def remove_stale_variants(vdir: Path, stem: str, width: int, count: int, also: l
 @dataclass(frozen=True)
 class EnumerationPlan:
     """Counting plus the enumerate/skip decision for one skeleton.
-    `forms` are the skeleton's normal forms at `granularity`, computed
+    `families` are the skeleton's families at `granularity`, computed
     once for both the count and the stream `emit` walks."""
 
     report: CountReport
@@ -306,7 +295,7 @@ class EnumerationPlan:
     granularity: Granularity
     threshold: int
     cap: Optional[int]
-    forms: tuple[NormalForm, ...] = field(repr=False, compare=False)
+    families: tuple[Family, ...] = field(repr=False, compare=False)
 
     @property
     def selected_count(self) -> Optional[int]:
@@ -340,12 +329,12 @@ def plan(
     threshold: int = DEFAULT_THRESHOLD,
     cap: Optional[int] = None,
 ) -> EnumerationPlan:
-    forms = tuple(normal_forms(skel, granularity))
+    families = normal_forms(skel, granularity)
     return EnumerationPlan(
-        report=count_plan(skel, granularity, forms),
+        report=count_plan(skel, families),
         mode=mode,
         granularity=granularity,
         threshold=threshold,
         cap=cap,
-        forms=forms,
+        families=families,
     )

@@ -106,6 +106,14 @@ class ToolchainConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not self.flags:
             raise ConfigError("flag matrix is empty")
+        # each cell is logged under its compiler's name and its joined flags
+        for what, keys in (
+            ("compiler name", [spec.name for spec in self.compilers]),
+            ("flag row", [" ".join(flags) for flags in self.flags]),
+        ):
+            repeated = [k for i, k in enumerate(keys) if k in keys[:i]]
+            if repeated:
+                raise ConfigError(f"{what} {repeated[0]!r} is configured twice")
         for spec in self.compilers:
             if spec.cmd.count("{input}") != 1:
                 raise ConfigError(
@@ -388,11 +396,13 @@ def _row_key(row: dict) -> tuple[str, str, str]:
 
 def _parse_row(line: bytes) -> Optional[dict]:
     """The outcome row a log line holds, or None when it holds none: a
-    row has a key and a compile status."""
+    row has a key and a compile status, and a crash has a string
+    signature."""
     try:
         row = json.loads(line)
         _row_key(row)
-        row["compile"]["status"]
+        if row["compile"]["status"] == "crash" and not isinstance(row["compile"]["signature"], str):
+            return None
     except (ValueError, KeyError, TypeError):
         return None
     return row

@@ -394,8 +394,7 @@ class _Parser:
     def _const_primary(self) -> int:
         t = self.cur()
         if t.kind == "num":
-            self.advance()
-            return t.value[0]
+            return self._literal(t)[0]
         if self.take_punct("("):
             v = self.const_expr()
             self.expect_punct(")")
@@ -474,15 +473,7 @@ class _Parser:
             self.expect_punct(")")
             return e
         if t.kind == "num":
-            self.advance()
-            value, unsigned = t.value
-            if unsigned:
-                if value > UINT_MAX:
-                    self.fail(E_RANGE, f"unsigned literal {t.text} out of range", t)
-                return Num(value, UINT)
-            if value > INT_MAX:
-                self.fail(E_RANGE, f"int literal {t.text} out of range", t)
-            return Num(value, INT)
+            return Num(*self._literal(t))
         if t.kind == "ident":
             if t.text == "printf":
                 self.fail(E_BAD_PRINTF, "printf is only allowed as a statement", t)
@@ -494,6 +485,17 @@ class _Parser:
             return Var(self.resolve(t))
         self.fail(E_SYNTAX, f"expected an expression, found {t.text or t.kind!r}")
         raise AssertionError
+
+    def _literal(self, t: _Token) -> tuple[int, str]:
+        """The number token t's value and type, consumed: a plain literal
+        must fit in int and a u-suffixed one in unsigned (rule 5 of
+        docs/minic-grammar.ebnf), in expressions and constant
+        initializers alike."""
+        self.advance()
+        value, unsigned = t.value
+        if value > (UINT_MAX if unsigned else INT_MAX):
+            self.fail(E_RANGE, f"{'unsigned' if unsigned else 'int'} literal {t.text} out of range", t)
+        return value, UINT if unsigned else INT
 
     def _parse_call(self, name_tok: _Token) -> Call:
         sig = self.sigs.get(name_tok.text)

@@ -17,7 +17,8 @@ from typing import Mapping, Optional
 
 from .ast import (
     BINARY_PREC,
-    INT,
+    INT_MAX,
+    INT_MIN,
     UINT,
     Assign,
     Binary,
@@ -53,6 +54,16 @@ def _prec(e: Expr) -> int:
     if isinstance(e, Unary):
         return _UNARY_PREC
     return _PRIMARY_PREC
+
+
+def _init_text(d: VarDecl) -> str:
+    """A folded initializer as a constant expression that reparses to
+    it: no plain literal may exceed INT_MAX (grammar rule 5)."""
+    if d.init == INT_MIN:
+        return f"-{INT_MAX} - 1"
+    if d.type == UINT and d.init > INT_MAX:
+        return f"{d.init}u"
+    return str(d.init)
 
 
 class _Renderer:
@@ -99,7 +110,7 @@ class _Renderer:
     def decl_line(self, d: VarDecl, indent: int) -> str:
         head = f"{_INDENT * indent}{_type_name(d.type)} {self.name_of(d)}"
         if d.init is not None:
-            return f"{head} = {d.init};"
+            return f"{head} = {_init_text(d)};"
         return f"{head};"
 
     def block_body(self, b: Block, indent: int) -> None:

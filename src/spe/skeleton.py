@@ -1,4 +1,4 @@
-"""Hole extraction and normal forms for MiniC programs.
+"""Hole extraction and the hole families that enumeration partitions.
 
 A skeleton is a program with every variable occurrence replaced by a
 hole. Each hole carries its scope path, its type, and its variable set:
@@ -7,27 +7,27 @@ MiniC puts declarations before statements, so visibility is uniform
 across a block). Declaration-name positions become holes too when
 `decl_holes` is set.
 
-`normalize` turns one unit's holes into the pool-structured families the
-partition machinery consumes: per type, the root pool first (for a
-function that is the merged program-globals + parameters + top-level
-locals set), then one pool per variable-declaring block in source order,
-with a permutation recording how normal-form positions map back to hole
-indices. `normalize_program` builds the same thing once for the whole
-program with the true scope hierarchy (functions as pools under the
-global root) for inter-procedural enumeration.
+`normal_forms` turns a skeleton into one flat tuple of the
+pool-structured (unit, type) families the partition machinery consumes.
+One builder serves every unit: given the unit's holes and its root
+scopes, it makes per type a root pool of those scopes' declarations,
+then one pool per other variable-declaring scope in source order. At
+intra granularity the units are `<globals>` (rooted at the global
+scope) and each function (rooted at the global scope and its own, so
+globals, parameters and top-level locals merge); at inter granularity
+the whole program is one unit rooted at the global scope.
 
 Shadowing is the one thing the uniform-visibility model cannot absorb:
 if an inner declaration hides a same-type outer variable from some hole,
 that hole's variable set is a strict subset of its pools and the
-partition model would miscount, so normalization refuses such units.
+partition model would miscount, so `normal_forms` refuses such units.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .combinat import Family, Pool
 from .minilang.ast import (
@@ -51,7 +51,7 @@ from .minilang.ast import (
 
 #: Pseudo-unit owning global declaration-name holes under --decl-holes.
 GLOBALS_UNIT = "<globals>"
-#: Unit name of the whole-program normal form (inter granularity).
+#: Unit name of the whole-program families (inter granularity).
 PROGRAM_UNIT = "<program>"
 
 
@@ -87,14 +87,6 @@ class Hole:
 
 
 @dataclass(eq=False)
-class NormalForm:
-    unit: str
-    families: tuple[Family, ...]  # one per hole-bearing type, type-name order
-    # Hole indices in normal-form order (families concatenated).
-    permutation: tuple[int, ...]
-
-
-@dataclass(eq=False)
 class Skeleton:
     program: Program
     holes: list[Hole]
@@ -111,14 +103,10 @@ class Skeleton:
     def units(self) -> list[str]:
         return list(self.per_function_ranges)
 
-    def unit_holes(self, unit: str) -> list[Hole]:
-        return [h for h in self.holes if h.unit == unit]
-
-
-def naive_count(holes: Iterable[Hole]) -> int:
-    """Size of the naive space over these holes: the product of their
-    variable-set sizes."""
-    return math.prod(len(h.var_set) for h in holes)
+    def families(self, granularity: Granularity = Granularity.INTRA) -> tuple[Family, ...]:
+        """normal_forms(self, granularity); what count_plan counts when
+        a caller gives it only the skeleton."""
+        return normal_forms(self, granularity)
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +261,27 @@ def characteristic_vector(skel: Skeleton, assignment) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Normal forms
+# Families
 
 
-def _build_normal_form(
-    unit: str,
-    holes: Sequence[Hole],
-    program: Program,
-    root_scope: int,
-    root_scope_ids: frozenset[int],
-    root_vars_of,
-) -> NormalForm:
+def _scope_vars(program: Program, sid: int, type_: str) -> tuple[str, ...]:
+    return tuple(d.name for d in program.scopes.node(sid).decls if d.type == type_)
+
+
+def _unit_families(
+    program: Program, unit: str, holes: Sequence[Hole], root_scopes: tuple[int, ...]
+) -> Iterator[Family]:
+    """One unit's families, one per hole type in type-name order. The
+    root pool holds the type's declarations of root_scopes, in order;
+    every other scope on a hole's path that declares the type is a local
+    pool under its nearest enclosing pool, in source order. Holes are
+    grouped by their deepest eligible pool."""
     bad = [h.index for h in holes if h.hidden_conflict]
     if bad:
         raise ShadowingError(
             f"unit {unit!r}: shadowing hides a same-type variable from "
             f"hole(s) {bad}; such programs cannot be pooled uniformly"
         )
-
-    families = []
-    perm: list[int] = []
     for t in sorted({h.type for h in holes}):
         t_holes = [h for h in holes if h.type == t]
         local_sids = sorted(
@@ -300,118 +289,54 @@ def _build_normal_form(
                 sid
                 for h in t_holes
                 for sid in h.scope_path
-                if sid not in root_scope_ids
-                and any(d.type == t for d in program.scopes.node(sid).decls)
+                if sid not in root_scopes and _scope_vars(program, sid, t)
             }
         )
-        root_vars = tuple(root_vars_of(t))
+        root_vars = tuple(name for sid in root_scopes for name in _scope_vars(program, sid, t))
         assert len(set(root_vars)) == len(root_vars), "root pool names collide"
-        pools = [Pool(scope=root_scope, vars=root_vars, parent=None)]
-        pool_idx = {sid: i + 1 for i, sid in enumerate(local_sids)}
+        pool_idx = {sid: i for i, sid in enumerate(local_sids, start=1)}
+        pools = [Pool(vars=root_vars, parent=None)]
         for sid in local_sids:
-            parent = 0
-            for anc in reversed(program.scopes.chain(sid)[:-1]):
-                if anc in pool_idx:
-                    parent = pool_idx[anc]
-                    break
-                if anc in root_scope_ids:
-                    break
-            pools.append(
-                Pool(
-                    scope=sid,
-                    vars=tuple(
-                        d.name
-                        for d in program.scopes.node(sid).decls
-                        if d.type == t
-                    ),
-                    parent=parent,
-                )
-            )
+            enclosing = reversed(program.scopes.chain(sid)[:-1])
+            parent = next((pool_idx[a] for a in enclosing if a in pool_idx), 0)
+            pools.append(Pool(vars=_scope_vars(program, sid, t), parent=parent))
 
-        groups: list[list[Hole]] = [[] for _ in pools]
-        elig: dict[int, tuple[int, ...]] = {}
+        groups: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in pools]
         for h in t_holes:
-            on_path = [0] if root_vars else []
-            on_path += [pool_idx[sid] for sid in h.scope_path if sid in pool_idx]
-            assert on_path, "non-empty var_set implies an eligible pool"
-            elig[h.index] = tuple(on_path)
-            groups[on_path[-1]].append(h)
-
-        ordered = [h for grp in groups for h in grp]
-        families.append(
-            Family(
-                type=t,
-                pools=tuple(pools),
-                holes=tuple(h.index for h in ordered),
-                eligible=tuple(elig[h.index] for h in ordered),
+            elig = ((0,) if root_vars else ()) + tuple(
+                pool_idx[sid] for sid in h.scope_path if sid in pool_idx
             )
+            groups[elig[-1]].append((h.index, elig))
+        ordered = [pair for grp in groups for pair in grp]
+        yield Family(
+            unit=unit,
+            type=t,
+            pools=tuple(pools),
+            holes=tuple(index for index, _ in ordered),
+            eligible=tuple(elig for _, elig in ordered),
         )
-        perm.extend(h.index for h in ordered)
-
-    return NormalForm(unit=unit, families=tuple(families), permutation=tuple(perm))
 
 
-def normalize(skel: Skeleton, f: Union[str, Function]) -> NormalForm:
-    """Normal form of one unit at intra granularity: program globals,
-    parameters, and function top-level locals merge into the root pool;
-    variable-declaring blocks become local pools in source order."""
-    unit = f if isinstance(f, str) else f.name
-    if unit not in skel.per_function_ranges:
-        raise LookupError(f"skeleton has no unit {unit!r}")
-    holes = skel.unit_holes(unit)
+def normal_forms(skel: Skeleton, granularity: Granularity) -> tuple[Family, ...]:
+    """Every family the enumeration multiplies together, in stream order.
+    At INTRA granularity each unit in per_function_ranges order is
+    rooted at the global scope, plus its own scope for a function, so
+    globals, parameters and top-level locals share the root pool. At
+    INTER the whole program is one unit rooted at the global scope, and
+    every variable-declaring function or block scope is a local pool."""
     program = skel.program
-
-    if unit == GLOBALS_UNIT:
-        root_scope = GLOBAL_SCOPE
-        root_scope_ids = frozenset({GLOBAL_SCOPE})
-
-        def root_vars_of(t: str):
-            return [d.name for d in program.globals if d.type == t]
-
-    else:
-        fn = program.function(unit)
-        root_scope = fn.scope_id
-        root_scope_ids = frozenset({GLOBAL_SCOPE, fn.scope_id})
-
-        def root_vars_of(t: str):
-            merged = [d.name for d in program.globals if d.type == t]
-            merged += [
-                d.name
-                for d in program.scopes.node(fn.scope_id).decls
-                if d.type == t
-            ]
-            return merged
-
-    return _build_normal_form(
-        unit, holes, program, root_scope, root_scope_ids, root_vars_of
-    )
-
-
-def normalize_program(skel: Skeleton) -> NormalForm:
-    """Whole-program normal form (inter granularity): the global scope is
-    the root pool and every variable-declaring function or block scope
-    becomes a local pool under its true parent."""
-    program = skel.program
-
-    def root_vars_of(t: str):
-        return [d.name for d in program.globals if d.type == t]
-
-    return _build_normal_form(
-        PROGRAM_UNIT,
-        skel.holes,
-        program,
-        GLOBAL_SCOPE,
-        frozenset({GLOBAL_SCOPE}),
-        root_vars_of,
-    )
-
-
-def normal_forms(skel: Skeleton, granularity: Granularity) -> list[NormalForm]:
-    """The normal forms enumeration multiplies together: one per unit at
-    INTRA granularity, a single program-wide form at INTER."""
     if granularity is Granularity.INTER:
-        return [normalize_program(skel)]
-    return [normalize(skel, unit) for unit in skel.units()]
+        units = [(PROGRAM_UNIT, skel.holes, (GLOBAL_SCOPE,))]
+    else:
+        units = []
+        for unit, rng in skel.per_function_ranges.items():
+            roots = (GLOBAL_SCOPE,)
+            if unit != GLOBALS_UNIT:
+                roots += (program.function(unit).scope_id,)
+            units.append((unit, skel.holes[rng[0] - 1 : rng[1]] if rng else [], roots))
+    return tuple(
+        fam for unit, holes, roots in units for fam in _unit_families(program, unit, holes, roots)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from spe.combinat import naive_count
 from spe.minilang import parse
-from spe.skeleton import extract, naive_count
+from spe.skeleton import extract
 
 LOOP_SRC = """\
 int main(void) {

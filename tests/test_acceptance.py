@@ -24,7 +24,7 @@ from conftest import (
 )
 from oracles import burnside_count, naive_space, orbits, pools_of_program, renaming_group
 from spe.cli import main as cli_main
-from spe.combinat import Mode, ScopeNestingError, stirling2
+from spe.combinat import Mode, ScopeNestingError, naive_count, stirling2
 from spe.enumerator import (
     Assignment,
     InvalidRealization,
@@ -41,7 +41,7 @@ from spe.harness import (
 )
 from spe.minilang import parse
 from spe.minilang.interp import interpret
-from spe.skeleton import Granularity, extract, naive_count
+from spe.skeleton import Granularity, extract
 
 STRAIGHT_SRC = """\
 int main(void) {

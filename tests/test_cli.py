@@ -518,6 +518,32 @@ class TestTestCommand:
         assert res.exit_code == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "names,flags",
+        [(("cc", "cc"), [["-O0"]]), (("cc", "cc2"), [["-O0"], ["-O0"]])],
+        ids=["compiler", "flags"],
+    )
+    def test_duplicate_cells_exit_config(self, runner, corpus, tmp_path, names, flags):
+        # two cells with one (variant, compiler, flags) key would share log rows
+        stub = write_stub(tmp_path, "okcc", OK_STUB)
+        cfg = tmp_path / "toolchain.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "compilers": [
+                        {"name": n, "cmd": f"{stub} {{flags}} -o {{output}} {{input}}"} for n in names
+                    ],
+                    "flags": flags,
+                }
+            )
+        )
+        out = tmp_path / "campaign"
+        res = runner.invoke(main, ["test", str(corpus["loop"]), "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == EXIT_CONFIG
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("configuration error: ") and "is configured twice" in res.output
+        assert not out.exists()
+
     def test_too_deep_file_is_unparseable(self, runner, corpus, tmp_path):
         deep = tmp_path / "deep.c"
         deep.write_text(DEEP_SRC)
@@ -807,6 +833,24 @@ class TestTornLog:
             assert res.exit_code == EXIT_CONFIG
             assert isinstance(res.exception, SystemExit)
             assert f"{log}:17: not an outcome row" in res.output
+
+    def test_crash_row_without_signature_exits_config(self, runner, corpus, tmp_path):
+        # stats and a campaign's crash reports both read the signature
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        assert self.campaign(runner, cfg, corpus["straight"], out).exit_code == EXIT_FINDINGS
+        log = out / "outcomes.jsonl"
+        whole = log.read_bytes()
+        for compile_ in ('{"status":"crash"}', '{"status":"crash","signature":7}'):
+            row = b'{"variant":"v","compiler":"c","flags":[],"compile":%s}\n' % compile_.encode()
+            log.write_bytes(whole + row)
+            for res in (
+                runner.invoke(main, ["stats", str(log)]),
+                self.campaign(runner, cfg, corpus["straight"], out),
+            ):
+                assert res.exit_code == EXIT_CONFIG
+                assert isinstance(res.exception, SystemExit)
+                assert f"{log}:17: not an outcome row" in res.output
 
 
 # nine holes over four variables of one pool: 11,051 classes

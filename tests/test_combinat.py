@@ -129,17 +129,19 @@ class TestLazyProduct:
 def flat_family(n_root: int, n_local: int, root_holes: int, local_holes: int) -> Family:
     """Two-pool family: root pool + one child pool; root-only holes
     first, then nested holes eligible for both."""
-    root = Pool(scope=0, vars=tuple(f"g{i}" for i in range(n_root)), parent=None)
-    local = Pool(scope=1, vars=tuple(f"l{i}" for i in range(n_local)), parent=0)
+    root = Pool(vars=tuple(f"g{i}" for i in range(n_root)), parent=None)
+    local = Pool(vars=tuple(f"l{i}" for i in range(n_local)), parent=0)
     holes = tuple(range(1, root_holes + local_holes + 1))
     eligible = tuple([(0,)] * root_holes + [(0, 1)] * local_holes)
-    return Family(type="int", pools=(root, local), holes=holes, eligible=eligible)
+    return Family(unit="main", type="int", pools=(root, local), holes=holes, eligible=eligible)
 
 
 class TestFamilyCounts:
     def test_single_pool_is_at_most(self):
-        root = Pool(scope=0, vars=("a", "b"), parent=None)
-        fam = Family(type="int", pools=(root,), holes=(1, 2, 3, 4, 5, 6), eligible=((0,),) * 6)
+        root = Pool(vars=("a", "b"), parent=None)
+        fam = Family(
+            unit="main", type="int", pools=(root,), holes=(1, 2, 3, 4, 5, 6), eligible=((0,),) * 6
+        )
         assert family_count(fam, Mode.PAPER) == 32
         assert family_count(fam, Mode.COMPLETE) == 32
         assert len(list(family_stream(fam, Mode.COMPLETE))) == 32
@@ -167,10 +169,11 @@ class TestFamilyCounts:
 
 class TestNestedPools:
     def make_nested(self):
-        root = Pool(scope=0, vars=("g",), parent=None)
-        mid = Pool(scope=1, vars=("m",), parent=0)
-        deep = Pool(scope=2, vars=("d",), parent=1)
+        root = Pool(vars=("g",), parent=None)
+        mid = Pool(vars=("m",), parent=0)
+        deep = Pool(vars=("d",), parent=1)
         return Family(
+            unit="main",
             type="int",
             pools=(root, mid, deep),
             holes=(1, 2),

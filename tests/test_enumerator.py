@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spe.combinat import Mode
+from spe.combinat import Mode, naive_count
 from spe.enumerator import (
     Assignment,
     InvalidRealization,
@@ -25,7 +25,7 @@ from spe.enumerator import (
 from spe.minilang import ParseError, parse, render
 from spe.minilang.ast import Program
 from spe.minilang.interp import interpret
-from spe.skeleton import Granularity, extract, naive_count
+from spe.skeleton import Granularity, extract
 
 from conftest import BRANCH_SRC, LOOP_SRC, SCOPED_SRC, SHADOW_SRC, random_skeleton
 from oracles import (

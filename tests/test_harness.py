@@ -177,6 +177,24 @@ class TestToolchainConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "names,flags,message",
+        [
+            (("sh", "sh"), (("-O0",),), "compiler name 'sh' is configured twice"),
+            (("sh",), (("-O0",), ("-O2",), ("-O0",)), "flag row '-O0' is configured twice"),
+            # rows are logged by their joined text, so these two collide
+            (("sh",), (("-O0", "-g"), ("-O0 -g",)), "flag row '-O0 -g' is configured twice"),
+        ],
+    )
+    def test_duplicate_cells_rejected(self, names, flags, message):
+        cfg = ToolchainConfig(
+            compilers=tuple(CompilerSpec(n, "/bin/sh {flags} -o {output} {input}") for n in names),
+            flags=flags,
+        )
+        with pytest.raises(ConfigError) as e:
+            cfg.validate()
+        assert str(e.value) == message
+
     def test_argv_substitution(self):
         spec = CompilerSpec("cc", "cc {flags} -o {output} {input}")
         argv = spec.argv("in.c", "out.bin", ("-O3", "-w"))

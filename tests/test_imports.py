@@ -1,6 +1,7 @@
 """The package's import graph and public names: enumerating loads
-neither the interpreter nor the campaign side, and every name a module
-lists in `__all__` exists."""
+neither the interpreter nor the campaign side, counting does not load
+the skeleton builder, and every name a module lists in `__all__`
+exists."""
 
 import importlib
 import importlib.util
@@ -42,6 +43,27 @@ def test_enumerator_does_not_load_the_interpreter_or_the_campaign():
 def test_skeleton_does_not_load_the_enumerator():
     loaded = _loaded_by("spe.skeleton")
     assert "spe.skeleton" in loaded and "spe.enumerator" not in loaded
+
+
+def test_count_plan_does_not_load_the_skeleton():
+    # counting reads the families and the holes' variable sets; only
+    # building the families needs spe.skeleton
+    code = """
+import sys
+from types import SimpleNamespace
+from spe.combinat import Family, Pool, count_plan
+fam = Family(unit="main", type="int", pools=(Pool(vars=("a", "b"), parent=None),),
+             holes=(1, 2, 3), eligible=((0,), (0,), (0,)))
+hole = SimpleNamespace(var_set=(("a", 1), ("b", 1)))
+report = count_plan(SimpleNamespace(holes=[hole] * 3), (fam,))
+print(report.naive_count, report.paper_mode_count, report.complete_mode_count, *sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_spe_env(), check=True
+    )
+    naive, paper, complete, *loaded = proc.stdout.split()
+    assert (naive, paper, complete) == ("8", "4", "4")
+    assert "spe.combinat" in loaded and "spe.skeleton" not in loaded
 
 
 @pytest.mark.parametrize("name", PUBLIC_MODULES)

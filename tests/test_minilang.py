@@ -2,6 +2,7 @@
 against system C compilers when present."""
 
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -89,6 +90,41 @@ int helper(int x) {
     def test_int_min_initializer_folds(self):
         p = parse(f"int g = -{INT_MAX} - 1;\n" + wrap("    g = g;"))
         assert p.globals[0].init == INT_MIN
+
+    @pytest.mark.parametrize(
+        "init,col",
+        [
+            ("99999999999 - 99999999998", 9),
+            (f"-{INT_MAX + 1}", 10),
+            (f"1 + ({INT_MAX + 1} - 1)", 14),
+            (f"{UINT_MAX + 1}u - 1u", 9),
+        ],
+    )
+    def test_initializer_literals_are_range_checked(self, init, col):
+        # grammar rule 5 holds inside constant expressions too, even when
+        # the folded value would fit
+        with pytest.raises(ParseError) as e:
+            parse(f"int g = {init};\n" + wrap(""))
+        assert (e.value.kind, e.value.line, e.value.col) == (E_RANGE, 1, col)
+
+    @pytest.mark.parametrize(
+        "decl,value",
+        [
+            (f"int g = -{INT_MAX} - 1;", INT_MIN),
+            (f"int g = {INT_MAX};", INT_MAX),
+            (f"unsigned g = {UINT_MAX}u;", UINT_MAX),
+            (f"unsigned g = {INT_MAX}u + 1u;", INT_MAX + 1),
+        ],
+    )
+    def test_extreme_initializers_round_trip(self, decl, value):
+        p = parse(decl + "\n" + wrap("    g = g;"))
+        assert p.globals[0].init == value
+        out = render(p)
+        # plain literals (no u suffix) stay within int, as rule 5 demands
+        assert all(int(n) <= INT_MAX for n in re.findall(r"\b\d+\b", out))
+        again = parse(out)
+        assert again.globals[0].init == value
+        assert structurally_equal(p, again) and render(again) == out
 
     @pytest.mark.parametrize(
         "source,kind",

@@ -1,9 +1,10 @@
-"""Hole extraction, variable-set computation, and normal forms."""
+"""Hole extraction, variable-set computation, and the families built from them."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spe.combinat import Family, Pool
 from spe.enumerator import Assignment
 from spe.minilang import parse
 from spe.skeleton import (
@@ -14,8 +15,6 @@ from spe.skeleton import (
     characteristic_vector,
     extract,
     normal_forms,
-    normalize,
-    normalize_program,
     to_json,
 )
 
@@ -110,30 +109,112 @@ class TestCharacteristicVector:
             characteristic_vector(loop_skel, ("a", "b", "a", "a", "a", "z"))
 
 
+TWO_FUNCTIONS_SRC = """
+int g = 0;
+unsigned h = 1u;
+
+int f(unsigned p) {
+    int x = 1;
+    h = p;
+    return x + g;
+}
+
+int main(void) {
+    int y = 2;
+    return y + f(h);
+}
+"""
+
+
+def family_of(skel, unit, granularity=Granularity.INTRA, type_="int"):
+    [fam] = [f for f in normal_forms(skel, granularity) if (f.unit, f.type) == (unit, type_)]
+    return fam
+
+
+def assert_families_cover_holes(skel, granularity):
+    """Each hole sits in exactly one family, of its own unit (or of the
+    program at inter granularity) and type, and its variable set is the
+    concatenated variables of its eligible pools."""
+    families = normal_forms(skel, granularity)
+    assert sorted(i for fam in families for i in fam.holes) == list(range(1, skel.n + 1))
+    for fam in families:
+        assert len(fam.holes) == len(fam.eligible)
+        for index, elig in zip(fam.holes, fam.eligible):
+            h = skel.holes[index - 1]
+            assert fam.unit == (PROGRAM_UNIT if granularity is Granularity.INTER else h.unit)
+            assert fam.type == h.type
+            assert list(elig) == sorted(elig)
+            assert all(0 <= e < len(fam.pools) for e in elig)
+            assert h.names == tuple(name for e in elig for name in fam.pools[e].vars)
+
+
 class TestNormalForms:
-    def test_branch_permutation_groups_root_holes_first(self, branch_skel):
-        nf = normalize(branch_skel, "main")
-        assert nf.permutation == (1, 2, 5, 3, 4)
-        fam = nf.families[0]
+    def test_branch_groups_root_holes_first(self, branch_skel):
+        [fam] = normal_forms(branch_skel, Granularity.INTRA)
+        assert fam.holes == (1, 2, 5, 3, 4)
         assert fam.pools[0].vars == ("a", "b")
         assert fam.pools[1].vars == ("c", "d")
         assert fam.eligible == ((0,), (0,), (0,), (0, 1), (0, 1))
 
     def test_loop_single_pool(self, loop_skel):
-        nf = normalize(loop_skel, "main")
-        assert len(nf.families) == 1
-        fam = nf.families[0]
+        [fam] = normal_forms(loop_skel, Granularity.INTRA)
         assert len(fam.pools) == 1
         assert fam.pools[0].vars == ("a", "b")
 
+    def test_returns_a_flat_tuple(self, scoped_skel):
+        families = normal_forms(scoped_skel, Granularity.INTRA)
+        assert isinstance(families, tuple)
+        assert all(isinstance(fam, Family) for fam in families)
+        assert scoped_skel.families() == families
+
     def test_intra_units(self, scoped_skel):
-        nfs = normal_forms(scoped_skel, Granularity.INTRA)
-        assert [nf.unit for nf in nfs] == [GLOBALS_UNIT, "main"]
+        intra = normal_forms(scoped_skel, Granularity.INTRA)
+        assert [(f.unit, f.type) for f in intra] == [(GLOBALS_UNIT, "int"), ("main", "int")]
 
     def test_inter_is_one_unit(self, scoped_skel):
-        nfs = normal_forms(scoped_skel, Granularity.INTER)
-        assert [nf.unit for nf in nfs] == [PROGRAM_UNIT]
-        assert sorted(nfs[0].permutation) == list(range(1, 11))
+        inter = normal_forms(scoped_skel, Granularity.INTER)
+        assert [(f.unit, f.type) for f in inter] == [(PROGRAM_UNIT, "int")]
+        assert sorted(inter[0].holes) == list(range(1, 11))
+
+    @pytest.mark.parametrize(
+        "decl_holes,granularity,expected",
+        [
+            (
+                False,
+                Granularity.INTRA,
+                [("f", "int"), ("f", "uint"), ("main", "int"), ("main", "uint")],
+            ),
+            (False, Granularity.INTER, [(PROGRAM_UNIT, "int"), (PROGRAM_UNIT, "uint")]),
+            (
+                True,
+                Granularity.INTRA,
+                [
+                    (GLOBALS_UNIT, "int"),
+                    (GLOBALS_UNIT, "uint"),
+                    ("f", "int"),
+                    ("f", "uint"),
+                    ("main", "int"),
+                    ("main", "uint"),
+                ],
+            ),
+            (True, Granularity.INTER, [(PROGRAM_UNIT, "int"), (PROGRAM_UNIT, "uint")]),
+        ],
+    )
+    def test_two_function_units(self, decl_holes, granularity, expected):
+        s = extract(parse(TWO_FUNCTIONS_SRC), decl_holes)
+        assert [(f.unit, f.type) for f in normal_forms(s, granularity)] == expected
+        assert_families_cover_holes(s, granularity)
+
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    @pytest.mark.parametrize("decl_holes", [False, True])
+    @pytest.mark.parametrize("src", [LOOP_SRC, BRANCH_SRC, SCOPED_SRC], ids=["loop", "branch", "scoped"])
+    def test_fixture_families_cover_holes(self, src, decl_holes, granularity):
+        assert_families_cover_holes(extract(parse(src), decl_holes), granularity)
+
+    def test_hole_less_unit_has_no_family(self):
+        s = extract(parse("int f(void) { return 1; }\nint main(void) { int a = 0; return a; }"))
+        assert s.units() == ["f", "main"]
+        assert [f.unit for f in normal_forms(s, Granularity.INTRA)] == ["main"]
 
     def test_two_type_families_sorted(self):
         src = """
@@ -146,8 +227,7 @@ int main(void) {
 }
 """
         s = extract(parse(src))
-        nf = normalize(s, "main")
-        assert [fam.type for fam in nf.families] == ["int", "uint"]
+        assert [fam.type for fam in normal_forms(s, Granularity.INTRA)] == ["int", "uint"]
 
     def test_params_join_function_root_pool(self):
         src = """
@@ -164,14 +244,19 @@ int main(void) {
 }
 """
         s = extract(parse(src))
-        nf = normalize(s, "f")
-        assert nf.families[0].pools[0].vars == ("p", "x")
+        assert family_of(s, "f").pools[0].vars == ("p", "x")
+
+    def test_function_root_pool_follows_globals(self):
+        s = extract(parse(TWO_FUNCTIONS_SRC))
+        assert family_of(s, "f").pools == (Pool(vars=("g", "x"), parent=None),)
+        assert family_of(s, "f", type_="uint").pools == (Pool(vars=("h", "p"), parent=None),)
 
     def test_shadowing_rejected_with_hole_indices(self):
         s = extract(parse(SHADOW_SRC))
-        with pytest.raises(ShadowingError) as e:
-            normalize(s, "main")
-        assert any(str(h.index) in str(e.value) for h in s.holes if h.hidden_conflict)
+        for granularity in Granularity:
+            with pytest.raises(ShadowingError) as e:
+                normal_forms(s, granularity)
+            assert any(str(h.index) in str(e.value) for h in s.holes if h.hidden_conflict)
 
     def test_inter_keeps_function_scopes_separate(self):
         src = """
@@ -188,13 +273,32 @@ int main(void) {
 }
 """
         s = extract(parse(src))
-        nf = normalize_program(s)
-        fam = nf.families[0]
+        fam = family_of(s, PROGRAM_UNIT, Granularity.INTER)
         assert fam.pools[0].vars == ("g",)
         locals_ = {p.vars for p in fam.pools[1:]}
         assert locals_ == {("x",), ("y",)}
         # both function pools hang off the global root
         assert all(p.parent == 0 for p in fam.pools[1:])
+
+    def test_inter_nests_block_pools_under_their_function(self):
+        src = """
+int main(void) {
+    int x = 1;
+    if (x) {
+        int y = 2;
+        x = y;
+    }
+    return x;
+}
+"""
+        s = extract(parse(src))
+        fam = family_of(s, PROGRAM_UNIT, Granularity.INTER)
+        assert fam.pools == (
+            Pool(vars=(), parent=None),
+            Pool(vars=("x",), parent=0),
+            Pool(vars=("y",), parent=1),
+        )
+        assert not fam.is_flat
 
 
 class TestJson:
@@ -216,14 +320,7 @@ class TestRandomSkeletons:
         for h in s.holes:
             assert h.names
             assert h.node.name in h.names
-        for nf in normal_forms(s, Granularity.INTRA):
-            seen = sorted(nf.permutation)
-            expected = sorted(
-                h.index for h in s.holes if h.unit == nf.unit
-            )
-            assert seen == expected
-            for fam in nf.families:
-                assert len(fam.holes) == len(fam.eligible)
-                for pos, elig in enumerate(fam.eligible):
-                    assert list(elig) == sorted(elig)
-                    assert all(0 <= e < len(fam.pools) for e in elig)
+        for decl_holes in (False, True):
+            skel = extract(s.program, decl_holes)
+            for granularity in Granularity:
+                assert_families_cover_holes(skel, granularity)

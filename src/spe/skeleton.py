@@ -103,10 +103,10 @@ class Skeleton:
     def units(self) -> list[str]:
         return list(self.per_function_ranges)
 
-    def families(self, granularity: Granularity = Granularity.INTRA) -> tuple[Family, ...]:
-        """normal_forms(self, granularity); what count_plan counts when
-        a caller gives it only the skeleton."""
-        return normal_forms(self, granularity)
+    def families(self) -> tuple[Family, ...]:
+        """The intra families, which count_plan counts when a caller
+        gives it only the skeleton."""
+        return normal_forms(self, Granularity.INTRA)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from spe.skeleton import (
     to_json,
 )
 
-from conftest import LOOP_SRC, SCOPED_SRC, BRANCH_SRC, SHADOW_SRC, random_skeleton
+from conftest import SHADOW_SRC, random_skeleton
 
 
 class TestExtraction:
@@ -204,12 +204,6 @@ class TestNormalForms:
         s = extract(parse(TWO_FUNCTIONS_SRC), decl_holes)
         assert [(f.unit, f.type) for f in normal_forms(s, granularity)] == expected
         assert_families_cover_holes(s, granularity)
-
-    @pytest.mark.parametrize("granularity", list(Granularity))
-    @pytest.mark.parametrize("decl_holes", [False, True])
-    @pytest.mark.parametrize("src", [LOOP_SRC, BRANCH_SRC, SCOPED_SRC], ids=["loop", "branch", "scoped"])
-    def test_fixture_families_cover_holes(self, src, decl_holes, granularity):
-        assert_families_cover_holes(extract(parse(src), decl_holes), granularity)
 
     def test_hole_less_unit_has_no_family(self):
         s = extract(parse("int f(void) { return 1; }\nint main(void) { int a = 0; return a; }"))

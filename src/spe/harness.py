@@ -51,6 +51,9 @@ __all__ = [
 SCHEMA_VERSION = 2
 DEFAULT_FLAG_MATRIX: tuple[tuple[str, ...], ...] = (("-O0",), ("-O3",))
 DEFAULT_TIMEOUT_S = 30
+# the longest timeout subprocess can wait for: poll() takes milliseconds
+# in a C int
+MAX_TIMEOUT_S = 2_147_483
 DEFAULT_WORKERS = 4
 
 # compile output that marks a crash even when the process exits normally
@@ -100,8 +103,8 @@ class ToolchainConfig:
         problem so a bad setup never reaches enumeration."""
         if not self.compilers:
             raise ConfigError("no compilers configured")
-        if self.timeout_s < 1:
-            raise ConfigError(f"timeout_s must be >= 1, got {self.timeout_s}")
+        if not 1 <= self.timeout_s <= MAX_TIMEOUT_S:
+            raise ConfigError(f"timeout_s must be in 1..{MAX_TIMEOUT_S}, got {self.timeout_s}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not self.flags:

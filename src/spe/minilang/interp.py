@@ -43,22 +43,45 @@ sampling its state at the first head past every CYCLE_SAMPLE_STEPS
 steps, so a loop that ends, or that never repeats, pays nothing per
 iteration beyond the budget check it already made. A slot that cannot
 affect the future (a block local that is reset on entry) can only hide
-a repeat, never fake one. The result is the one the step-by-step run
-gives, steps_used and output included.
+a repeat, never fake one.
+
+A loop that moves its state by the same step on every iteration never
+repeats it, so it is jumped ahead instead, by translation. It qualifies,
+when compiled, if its body declares nothing and holds only assignments
+and printfs, with no if, loop or call anywhere in the loop; each
+variable it assigns is assigned once, as `v = v + e`, `v = v - e` or
+`v = e + v`, where e, like every printf argument, reads no assigned
+variable; and its condition is a truth test or one comparison of sums
+and differences of variables and constants. Every iteration of such a
+loop then takes the same steps, prints the same text and adds the same
+delta to each variable, so at a sample it measures one iteration from
+that head to the next and jumps the most iterations the budget leaves
+room for, but only if, at the sampled head and at the head it would land
+on, every moved variable and every sum in the condition lies within its
+type's range, and the condition's left side minus its right has the
+same strict sign or has not moved. All of these are affine in the
+iteration, so what holds at both ends holds at every head between: no
+arithmetic overflows or wraps, and the condition stays true. These
+loops do not run Brent's check, which the jump subsumes. In both cases
+the result is the one the step-by-step run gives, steps_used and output
+included.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ast import (
     BINARY_OPS,
     GLOBAL_SCOPE,
+    INT,
     INT_MAX,
     INT_MIN,
     UINT,
+    UINT_MAX,
     Assign,
     Binary,
     Block,
@@ -96,6 +119,9 @@ MAX_FRAMES = 600
 CYCLE_SAMPLE_STEPS = 2048
 
 _UINT_MASK = 0xFFFFFFFF
+_RANGE = {INT: (INT_MIN, INT_MAX), UINT: (0, UINT_MAX)}
+_SUMS = (operator.add, operator.sub)
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 class Status(enum.Enum):
@@ -163,6 +189,76 @@ def _frames(node, at: int, sites: dict) -> int:
     for kid in kids:  # a loop, not a generator, to stack one frame per level
         deepest = max(deepest, _frames(kid, at, sites))
     return deepest
+
+
+def _reads(e: Expr):
+    """Yield the declaration of every variable e reads, and every call in e."""
+    if isinstance(e, Var):
+        yield e.decl
+    elif isinstance(e, Call):
+        yield e
+    elif isinstance(e, Unary):
+        yield from _reads(e.operand)
+    elif isinstance(e, Binary):
+        yield from _reads(e.left)
+        yield from _reads(e.right)
+
+
+def _is_sum(e: Expr) -> bool:
+    """Whether e is a sum or difference of variables and constants."""
+    if isinstance(e, Binary):
+        return BINARY_OPS.get(e.op) in _SUMS and _is_sum(e.left) and _is_sum(e.right)
+    return isinstance(e, (Num, Var))
+
+
+def _exact(e: Expr, values: dict) -> Optional[int]:
+    """The sum e at the given variable values, or None when e or one of
+    its terms leaves the range of its type."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return values[e.decl]
+    l, r = _exact(e.left, values), _exact(e.right, values)
+    if l is None or r is None:
+        return None
+    v = BINARY_OPS[e.op](l, r)
+    lo, hi = _RANGE[e.type]
+    return v if lo <= v <= hi else None
+
+
+def _translation(s: While) -> Optional[tuple[list[VarDecl], tuple[Expr, Expr]]]:
+    """For a loop that moves its variables by constant steps (see the
+    module docstring), the variables its body assigns and the two sums
+    its condition compares, a truth test comparing with 0; None for any
+    other loop."""
+    c = s.cond
+    if isinstance(c, Binary) and c.op in _COMPARISONS:
+        sides = (c.left, c.right)
+    else:
+        sides = (c, Num(0, c.type))
+    if s.body.decls or not all(map(_is_sum, sides)):
+        return None
+    moved: list[VarDecl] = []
+    steady: list[Expr] = []  # what must read no moved variable and call nothing
+    for t in s.body.stmts:
+        if isinstance(t, Printf):
+            steady.append(t.arg)
+            continue
+        if not isinstance(t, Assign) or t.target.decl in moved:
+            return None
+        d, v = t.target.decl, t.value
+        if not (isinstance(v, Binary) and BINARY_OPS.get(v.op) in _SUMS):
+            return None
+        if isinstance(v.left, Var) and v.left.decl is d:
+            steady.append(v.right)
+        elif BINARY_OPS[v.op] is operator.add and isinstance(v.right, Var) and v.right.decl is d:
+            steady.append(v.left)
+        else:
+            return None
+        moved.append(d)
+    if any(x in moved or isinstance(x, Call) for e in steady for x in _reads(e)):
+        return None
+    return moved, sides
 
 
 def _compile(program: Program) -> Callable[[int], ExecResult]:
@@ -417,6 +513,7 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
         if isinstance(s, While):
             cond = expr(s.cond, slots)
             body = block(s.body, slots)
+            leap = translation(s, slots)
 
             def while_(f):
                 nonlocal steps
@@ -444,6 +541,12 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
                             seen = (f[:], gvals[:], steps, len(out))
                             power = 2
                             lam = 1
+                            if leap is not None:
+                                mark = steps  # sample again one iteration on
+                        elif leap is not None:
+                            if leap(f, seen):
+                                mark = budget
+                            seen = None
                         elif seen[0] == f and seen[1] == gvals:
                             # the state repeats, so the rest does too: skip
                             # every whole period the budget leaves room for
@@ -509,6 +612,49 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
 
             return nested
         raise TypeError(f"not a statement: {s!r}")
+
+    def translation(s: While, slots: dict[VarDecl, int]) -> Optional[Callable[[list, tuple], bool]]:
+        """For a loop that moves its variables by constant steps, a
+        function that, given the running frame and the sample `seen` taken
+        one iteration back, jumps as many iterations as the budget leaves
+        room for and says whether it did; None for any other loop."""
+        form = _translation(s)
+        if form is None:
+            return None
+        moved, (left, right) = form
+        where = {
+            d: (gslot[d], True) if d.scope_id == GLOBAL_SCOPE else (slots[d], False)
+            for d in [*moved, *_reads(left), *_reads(right)]
+        }
+
+        def values(frame, globals_):
+            return {d: (globals_ if g else frame)[i] for d, (i, g) in where.items()}
+
+        def gap(vs):  # the condition's left side minus its right
+            l, r = _exact(left, vs), _exact(right, vs)
+            return None if l is None or r is None else l - r
+
+        def leap(f, seen):
+            nonlocal steps
+            was, now = values(seen[0], seen[1]), values(f, gvals)
+            per = steps - seen[2]
+            k = (budget - steps) // per
+            end = {d: v + k * (v - was[d]) for d, v in now.items()}
+            # every value is affine in the iteration, so what holds at `was`
+            # and at `end` holds at every head between
+            if not all(_RANGE[d.type][0] <= v <= _RANGE[d.type][1] for d, v in end.items()):
+                return False
+            g0, g1 = gap(was), gap(end)
+            if g0 is None or g1 is None or not (g0 == g1 or g0 * g1 > 0):
+                return False
+            steps += k * per
+            for d, (i, g) in where.items():
+                (gvals if g else f)[i] = end[d]
+            if k and len(out) > seen[3]:
+                out.append("".join(out[seen[3]:]) * k)
+            return True
+
+        return leap
 
     def block(b: Block, slots: dict[VarDecl, int]) -> Callable[[list], Optional[int]]:
         inits = []

@@ -544,6 +544,21 @@ class TestTestCommand:
         assert res.output.startswith("configuration error: ") and "is configured twice" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("timeout,shown", [(2_147_484, "2147484"), (1e9, "1000000000")])
+    def test_oversized_timeout_exits_config(self, runner, corpus, tmp_path, timeout, shown):
+        # poll() waits at most 2**31 - 1 ms, so a longer timeout would
+        # raise OverflowError inside the first cell
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        doc = json.loads(cfg.read_text())
+        doc["timeout_s"] = timeout
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "campaign"
+        res = runner.invoke(main, ["test", str(corpus["loop"]), "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == EXIT_CONFIG
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"configuration error: timeout_s must be in 1..2147483, got {shown}\n"
+        assert not out.exists()
+
     def test_too_deep_file_is_unparseable(self, runner, corpus, tmp_path):
         deep = tmp_path / "deep.c"
         deep.write_text(DEEP_SRC)

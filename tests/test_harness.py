@@ -12,6 +12,7 @@ import pytest
 from spe.harness import (
     CompilerSpec,
     ConfigError,
+    MAX_TIMEOUT_S,
     ToolchainConfig,
     differential_verdict,
     normalize_signature,
@@ -176,6 +177,13 @@ class TestToolchainConfig:
         )
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_timeout_limit(self):
+        # poll() waits at most 2**31 - 1 ms
+        compilers = (CompilerSpec("sh", "/bin/sh {flags} -o {output} {input}"),)
+        ToolchainConfig(compilers=compilers, timeout_s=MAX_TIMEOUT_S).validate()
+        with pytest.raises(ConfigError, match="timeout_s must be in 1..2147483, got 2147484"):
+            ToolchainConfig(compilers=compilers, timeout_s=MAX_TIMEOUT_S + 1).validate()
 
     @pytest.mark.parametrize(
         "names,flags,message",

@@ -785,6 +785,135 @@ int main(void) {
     return 0;
 }
 """,
+    # the loops below move every variable they assign by a constant step,
+    # so the interpreter jumps them ahead where nothing in between can end
+    # them, overflow or wrap
+    "count_up": """
+int main(void) {
+    int i = 0;
+    int step = 3;
+    while (i < 2000000000) {
+        i = step + i;
+    }
+    return i;
+}
+""",
+    "count_down": """
+int main(void) {
+    int n = 0;
+    int low = -2000000000;
+    while (n - 5 > low) {
+        n = n - 5;
+    }
+    return n;
+}
+""",
+    # reaches 0 after 2000 iterations, past the first sample
+    "count_truth_reaches_zero": """
+int main(void) {
+    int v = 2000;
+    while (v) {
+        v = v - 1;
+    }
+    return 7;
+}
+""",
+    # 1, then -2: the loop never ends
+    "count_truth_skips_zero": """
+int main(void) {
+    int v = 1501;
+    while (v) {
+        v = v - 3;
+    }
+    return 0;
+}
+""",
+    # u wraps past 0 on iteration 1501, and the loop ends 1295 later
+    "count_unsigned_wrap": """
+int main(void) {
+    unsigned u = 1500u;
+    while (u != 4294966000u) {
+        u = u - 1u;
+    }
+    return 5;
+}
+""",
+    "count_signed_overflow": """
+int main(void) {
+    int a = 2146608647;
+    while (a > 0) {
+        a = a + 700;
+    }
+    return 0;
+}
+""",
+    # the guard turns false inside the first jump's range
+    "count_guard_ends": """
+int main(void) {
+    int i = 0;
+    while (i < 1500) {
+        i = i + 1;
+    }
+    return i;
+}
+""",
+    # a + b overflows long before a does
+    "count_condition_sum_overflows": """
+int main(void) {
+    int a = 0;
+    int b = 2147482647;
+    while (a + b > 0) {
+        a = a + 1;
+    }
+    return 0;
+}
+""",
+    # u + 5u wraps to 0 when u is 4294967291u
+    "count_condition_sum_wraps": """
+int main(void) {
+    unsigned u = 4294966095u;
+    while (u + 5u > 3u) {
+        u = u + 1u;
+    }
+    return 3;
+}
+""",
+    "count_printf_constant": """
+int main(void) {
+    int a = 0;
+    int k = 4;
+    while (a >= 0) {
+        printf("%d", k);
+        a = a + 1;
+        printf("%d\\n", k - 1);
+    }
+    return 0;
+}
+""",
+    "count_global": """
+int g = -1;
+
+int main(void) {
+    int s = 2;
+    int t = 9;
+    while (g != 0) {
+        g = g + s;
+        t = t - s;
+    }
+    return g;
+}
+""",
+    # printing a moving variable prints something new each time: no jump
+    "count_printf_moving": """
+int main(void) {
+    int i = 0;
+    while (i < 2000000000) {
+        printf("%d\\n", i);
+        i = i + 1;
+    }
+    return 0;
+}
+""",
     "runaway_recursion": """
 int spin(int n) {
     return spin(n + 1);
@@ -880,8 +1009,9 @@ int main(void) {
 def loop_programs(draw) -> str:
     """A main that runs one while loop over two or three int locals, with
     an optional global, helper call, printf, if and block local. Many of
-    these loops never end, and many of those repeat their state, which
-    random_source's straight-line programs never do."""
+    these loops never end, and many of those repeat their state or count
+    by a constant step, which random_source's straight-line programs
+    never do."""
     small = st.integers(0, 2)
     names = ["a", "b", "c"][: draw(st.integers(2, 3))]
     lines = []
@@ -913,9 +1043,14 @@ def loop_programs(draw) -> str:
         return f"h({operand(visible)})"
 
     def stmt(visible, pad, nested):
-        kind = draw(st.sampled_from(["assign", "assign", "printf"] + ["call"] * use_call + ["if"] * nested))
+        kind = draw(
+            st.sampled_from(["assign", "assign", "count", "count", "printf"] + ["call"] * use_call + ["if"] * nested)
+        )
         if kind == "assign":
             return [f"{pad}{draw(st.sampled_from(visible))} = {value(visible)};"]
+        if kind == "count":  # the shape the interpreter jumps ahead
+            v = draw(st.sampled_from(visible))
+            return [f"{pad}{v} = {v} {draw(st.sampled_from('+-'))} {operand(visible)};"]
         if kind == "printf":
             end = draw(st.sampled_from(["", "\\n"]))
             return [f'{pad}printf("%d{end}", {operand(visible)});']
@@ -958,6 +1093,23 @@ def check_against_reference(p, budget: int = DEFAULT_STEP_BUDGET):
     return want
 
 
+def interpret_counting_calls(p):
+    """interpret(p) at the default budget, and the number of Python calls
+    it made."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        res = interpret(p)
+    finally:
+        sys.setprofile(None)
+    return res, calls
+
+
 class TestAgainstReference:
     """The compiled interpreter returns the same ExecResult as the
     tree-walking reference, steps_used and UB kind included."""
@@ -991,10 +1143,13 @@ class TestAgainstReference:
         assert interpret(p) == reference_interpret(p)
         assert interpret(p, budget) == reference_interpret(p, budget)
 
-    @pytest.mark.parametrize("name", sorted(n for n in REFERENCE_PROGRAMS if "cycle" in n))
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in REFERENCE_PROGRAMS if "cycle" in n or n.startswith("count_"))
+    )
     def test_fast_forward_at_consecutive_budgets(self, name):
-        # past where the cycle is found, and at enough consecutive budgets
-        # for the run to end at every offset into each loop's period
+        # past where the cycle is found or the first jump is tried, and at
+        # enough consecutive budgets for the run to end at every offset
+        # into each loop's period or iteration
         p = parse(REFERENCE_PROGRAMS[name])
         start = 8 * CYCLE_SAMPLE_STEPS
         for budget in range(start, start + 80):
@@ -1003,19 +1158,16 @@ class TestAgainstReference:
     def test_fast_forward_skips_the_work(self):
         # counted in Python calls, not timed: stepping to the budget
         # makes about 800,000 of them
-        p = parse(REFERENCE_PROGRAMS["endless_loop"])
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        sys.setprofile(count)
-        try:
-            res = interpret(p, 10**6)
-        finally:
-            sys.setprofile(None)
+        res, calls = interpret_counting_calls(parse(REFERENCE_PROGRAMS["endless_loop"]))
         assert res.status is Status.STEP_BUDGET_EXHAUSTED and res.steps_used == 10**6 + 1
+        assert calls < 10_000
+
+    # the three loop.c variants that never repeat their state
+    @pytest.mark.parametrize("cond,body", [("a", "b = b - a"), ("b", "a = a - b"), ("b", "b = b - a")])
+    def test_translation_skips_the_work(self, cond, body):
+        p = parse(wrap(f"    int a = 10;\n    int b = 1;\n    while ({cond}) {{\n        {body};\n    }}"))
+        res, calls = interpret_counting_calls(p)
+        assert res.status is Status.STEP_BUDGET_EXHAUSTED and res.steps_used == DEFAULT_STEP_BUDGET + 1
         assert calls < 10_000
 
     @given(loop_programs(), st.integers(1, 20_000))

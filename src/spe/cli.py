@@ -23,14 +23,7 @@ import click
 
 from . import __version__
 from .combinat import Mode
-from .enumerator import DEFAULT_THRESHOLD, emit, plan, remove_stale_variants, variant_name
-from .harness import (
-    ConfigError,
-    ToolchainConfig,
-    check_unique_stems,
-    read_log,
-    run_campaign,
-)
+from .enumerator import DEFAULT_THRESHOLD, ConfigError, check_unique_stems, plan, variant_files
 from .minilang.parser import ParseError, parse
 from .skeleton import Granularity, ShadowingError, extract, to_json
 
@@ -251,12 +244,12 @@ def _family_doc(part) -> str:
     )
 
 
-def _manifest_entry(fname: Optional[str], v) -> str:
+def _manifest_entry(path: Optional[Path], v) -> str:
     """One variant's entry in the manifest's "variants" list."""
     return _block(
         [
             '"assignment": ' + _block([json.dumps(x) for x in v.assignment.values], " " * 6),
-            ('"file": ' + json.dumps(fname)) if v.ok else ('"error": ' + json.dumps(v.error)),
+            ('"file": ' + json.dumps(path.name)) if v.ok else ('"error": ' + json.dumps(v.error)),
             '"seq": ' + str(v.seq),
             '"signature": ' + _block([_family_doc(p) for p in v.signature.parts], " " * 6),
             '"valid": ' + ("true" if v.ok else "false"),
@@ -343,19 +336,16 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
     for path, skel, pl in planned:
         stem = path.stem
         vdir = out_dir / stem
-        vdir.mkdir(parents=True, exist_ok=True)
         emitted = written = 0
-        stale = []  # earlier files at the names of this run's invalid entries
         # entries are spooled because "invalid", which sorts before
-        # "variants", is known only when the stream ends
-        with tempfile.TemporaryFile("w+", dir=vdir) as spool:
-            for fname, v in emit(skel, pl, stem):
-                if v.ok:
-                    (vdir / fname).write_text(v.source)
-                    written += 1
-                elif (vdir / (name := variant_name(stem, v.seq, pl.name_width))).is_file():
-                    stale.append(name)
-                spool.write(("\n    " if emitted == 0 else ",\n    ") + _manifest_entry(fname, v))
+        # "variants", is known only when the stream ends; the manifest is
+        # in place before variant_files removes the stale files
+        with variant_files(vdir, skel, pl, stem) as stream, tempfile.TemporaryFile(
+            "w+", dir=vdir
+        ) as spool:
+            for vpath, v in stream:
+                written += v.ok
+                spool.write(("\n    " if emitted == 0 else ",\n    ") + _manifest_entry(vpath, v))
                 emitted += 1
             fields = {
                 "schema": 1,
@@ -370,7 +360,6 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
                 "invalid": emitted - written,
             }
             _write_manifest(vdir / "manifest.json", fields, spool)
-        remove_stale_variants(vdir, stem, pl.name_width, emitted, stale)
         click.echo(f"{path}: wrote {written} variants to {vdir}")
 
 
@@ -389,6 +378,8 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
               help="Campaign output directory (variants, reports, outcome log).")
 def cmd_test(paths, mode, granularity, decl_holes, threshold, cap, config, out) -> None:
     """Run a differential-testing campaign over the corpus."""
+    from .harness import ToolchainConfig, run_campaign
+
     threshold, cap = _resolve_budget(threshold, cap)
     try:
         cfg = ToolchainConfig.from_file(config) if config else ToolchainConfig.detect()
@@ -446,6 +437,8 @@ def cmd_stats(log) -> None:
     compile-status totals, per-compiler run totals (ran ok, timed out,
     not run because the interpreter found UB or ran out of budget, or
     no binary) and the distinct crash signatures."""
+    from .harness import read_log
+
     try:
         rows = list(read_log(log).values())
     except ConfigError as e:

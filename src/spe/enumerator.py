@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Literal, Optional, Sequence
@@ -45,14 +46,18 @@ __all__ = [
     "realize_source",
     "canonical_signature",
     "variants",
-    "variant_name",
-    "emit",
-    "remove_stale_variants",
+    "variant_files",
+    "ConfigError",
+    "check_unique_stems",
     "plan",
 ]
 
 #: The largest variant count a file is enumerated at without --cap.
 DEFAULT_THRESHOLD = 10_000
+
+
+class ConfigError(Exception):
+    """A run's configuration is unusable; raised before any work."""
 
 
 @dataclass(frozen=True)
@@ -247,37 +252,57 @@ def variants(
         yield Variant(seq, a, sig, source)
 
 
-def variant_name(stem: str, seq: int, width: int) -> str:
-    return f"{stem}__v{seq:0{width}d}.c"
-
-
-def emit(
-    skel: Skeleton, plan: EnumerationPlan, stem: str
-) -> Iterator[tuple[Optional[str], Variant]]:
-    """The plan's variant stream, the first `cap` entries when capped,
-    each paired with its file name `<stem>__v<seq>.c`; invalid markers
-    pair with None. Seqs are zero-padded to the width of the number of
-    entries emitted, so names sort in stream order."""
+@contextmanager
+def variant_files(
+    vdir: Path, skel: Skeleton, plan: EnumerationPlan, stem: str
+) -> Iterator[Iterator[tuple[Optional[Path], Variant]]]:
+    """The plan's variant stream, the first `cap` entries when capped, as
+    (path, Variant) pairs: each valid variant is written to
+    `vdir/<stem>__v<seq>.c`, its seq zero-padded to the digits of the
+    number of entries emitted so names sort in stream order, and each
+    invalid marker pairs with None. When the `with` block ends cleanly,
+    every `<stem>__v<digits>.c` in `vdir` this run did not write is
+    removed, an earlier file at an invalid entry's name included; after
+    an exception nothing is."""
     if plan.refusal is not None:
         raise ValueError(f"plan is refused: {plan.refusal}")
-    width = plan.name_width
-    for v in variants(skel, plan.mode, plan.granularity, limit=plan.cap, families=plan.families):
-        yield (variant_name(stem, v.seq, width) if v.ok else None), v
+    vdir.mkdir(parents=True, exist_ok=True)
+    count = plan.selected_count if plan.cap is None else min(plan.selected_count, plan.cap)
+    width = len(str(max(count, 1)))
+    emitted = 0
+    stale = []  # earlier files at the names of this run's invalid entries
 
+    def stream() -> Iterator[tuple[Optional[Path], Variant]]:
+        nonlocal emitted
+        for v in variants(skel, plan.mode, plan.granularity, limit=plan.cap, families=plan.families):
+            emitted = v.seq
+            path = vdir / f"{stem}__v{v.seq:0{width}d}.c"
+            if v.ok:
+                path.write_text(v.source)
+            elif path.is_file():
+                stale.append(path)
+            yield (path if v.ok else None), v
 
-def remove_stale_variants(vdir: Path, stem: str, width: int, count: int, also: list[str]) -> None:
-    """Remove the variant files an earlier run left in vdir: every
-    <stem>__v<digits>.c except this run's, which are named by seqs 1 to
-    `count` at `width` digits, and the names in `also`, which this run's
-    invalid entries would have taken."""
+    yield stream()
     name = re.compile(re.escape(stem) + r"__v([0-9]+)\.c")
     with os.scandir(vdir) as entries:
         for e in entries:
             m = name.fullmatch(e.name)
-            if m and e.is_file() and (len(m[1]) != width or not 1 <= int(m[1]) <= count):
+            if m and e.is_file() and (len(m[1]) != width or not 1 <= int(m[1]) <= emitted):
                 os.unlink(e.path)
-    for n in also:
-        (vdir / n).unlink(missing_ok=True)
+    for path in stale:
+        path.unlink(missing_ok=True)
+
+
+def check_unique_stems(corpus: Sequence[str | Path]) -> None:
+    """Variant files and ids are named after their corpus file's stem, so
+    two files sharing one would overwrite each other's variants and
+    outcome rows; ConfigError names the first such pair."""
+    seen: dict[str, Path] = {}
+    for path in map(Path, corpus):
+        first = seen.setdefault(path.stem, path)
+        if first is not path:
+            raise ConfigError(f"{first} and {path} share the stem {path.stem!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +313,7 @@ def remove_stale_variants(vdir: Path, stem: str, width: int, count: int, also: l
 class EnumerationPlan:
     """Counting plus the enumerate/skip decision for one skeleton.
     `families` are the skeleton's families at `granularity`, computed
-    once for both the count and the stream `emit` walks."""
+    once for both the count and the stream `variant_files` walks."""
 
     report: CountReport
     mode: Mode
@@ -302,13 +327,6 @@ class EnumerationPlan:
         if self.mode is Mode.PAPER:
             return self.report.paper_mode_count
         return self.report.complete_mode_count
-
-    @property
-    def name_width(self) -> int:
-        """The digits of each seq in a variant file name: those of the
-        number of entries `emit` yields, the count or the cap if smaller."""
-        count = self.selected_count if self.cap is None else min(self.selected_count, self.cap)
-        return len(str(max(count, 1)))
 
     @property
     def refusal(self) -> Optional[Literal["unsupported", "threshold"]]:

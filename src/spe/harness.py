@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .combinat import Mode
-from .enumerator import DEFAULT_THRESHOLD, emit, plan, remove_stale_variants, variant_name
+from .enumerator import DEFAULT_THRESHOLD, ConfigError, check_unique_stems, plan, variant_files
 from .minilang.interp import Status, interpret
 from .minilang.parser import ParseError, parse
 from .skeleton import Granularity, ShadowingError, extract
@@ -43,7 +43,6 @@ __all__ = [
     "ToolchainConfig",
     "normalize_signature",
     "differential_verdict",
-    "check_unique_stems",
     "run_campaign",
     "read_log",
 ]
@@ -64,10 +63,6 @@ _ICE_MARKERS = (
     "UNREACHABLE executed",
     "PLEASE submit a bug report",
 )
-
-
-class ConfigError(Exception):
-    """Toolchain configuration is unusable; raised before any work."""
 
 
 @dataclass(frozen=True)
@@ -155,6 +150,12 @@ class ToolchainConfig:
             except (ValueError, TypeError) as e:
                 raise ConfigError(f"malformed {key}: {e}") from e
 
+        def whole(x):
+            # int() would truncate 1.9 and accept true and "30"
+            if type(x) is not int and not (type(x) is float and x.is_integer()):
+                raise TypeError(f"expected a whole number, got {x!r}")
+            return int(x)
+
         def flag_matrix(m):
             # a string row would be split into one-character flags
             if any(isinstance(r, str) for r in m):
@@ -164,8 +165,8 @@ class ToolchainConfig:
         return cls(
             compilers=compilers,
             flags=value("flags", DEFAULT_FLAG_MATRIX, flag_matrix),
-            timeout_s=value("timeout_s", DEFAULT_TIMEOUT_S, int),
-            workers=value("workers", DEFAULT_WORKERS, int),
+            timeout_s=value("timeout_s", DEFAULT_TIMEOUT_S, whole),
+            workers=value("workers", DEFAULT_WORKERS, whole),
         )
 
     @classmethod
@@ -399,16 +400,23 @@ def _row_key(row: dict) -> tuple[str, str, str]:
 
 def _parse_row(line: bytes) -> Optional[dict]:
     """The outcome row a log line holds, or None when it holds none: a
-    row has a key and a compile status, and a crash has a string
-    signature."""
+    row has a string variant and compiler, a list of string flags, a
+    string compile status, a run that is null or an object, and a crash
+    has a string signature."""
     try:
         row = json.loads(line)
-        _row_key(row)
-        if row["compile"]["status"] == "crash" and not isinstance(row["compile"]["signature"], str):
-            return None
+        compile_ = row["compile"]
+        usable = (
+            all(isinstance(row[k], str) for k in ("variant", "compiler"))
+            and isinstance(row["flags"], list)
+            and all(isinstance(f, str) for f in row["flags"])
+            and isinstance(compile_["status"], str)
+            and (compile_["status"] != "crash" or isinstance(compile_["signature"], str))
+            and isinstance(row.get("run"), (dict, type(None)))
+        )
     except (ValueError, KeyError, TypeError):
         return None
-    return row
+    return row if usable else None
 
 
 def read_log(path: str | Path) -> dict[tuple[str, str, str], dict]:
@@ -554,17 +562,6 @@ def _wrong_code_report(
 # ---------------------------------------------------------------------------
 # Campaign driver
 
-def check_unique_stems(corpus: Sequence[str | Path]) -> None:
-    """Variant files and ids are named after their corpus file's stem, so
-    two files sharing one would overwrite each other's variants and
-    outcome rows; ConfigError names the first such pair."""
-    seen: dict[str, Path] = {}
-    for path in map(Path, corpus):
-        first = seen.setdefault(path.stem, path)
-        if first is not path:
-            raise ConfigError(f"{first} and {path} share the stem {path.stem!r}")
-
-
 def run_campaign(
     corpus: Sequence[str | Path],
     cfg: ToolchainConfig,
@@ -639,19 +636,14 @@ def run_campaign(
                 files.append(entry)
                 continue
 
-            vdir = variants_dir / stem
-            vdir.mkdir(parents=True, exist_ok=True)
-
             ok_variants: list[tuple[str, Path, str]] = []
-            invalid: list[str] = []  # the names this run's invalid entries would take
-            for fname, v in emit(skel, pl, stem):
-                if not v.ok:
-                    invalid.append(variant_name(stem, v.seq, pl.name_width))
-                    continue
-                vpath = vdir / fname
-                vpath.write_text(v.source)
-                ok_variants.append((vpath.stem, vpath, v.source))
-            remove_stale_variants(vdir, stem, pl.name_width, len(ok_variants) + len(invalid), invalid)
+            invalid = 0
+            with variant_files(variants_dir / stem, skel, pl, stem) as stream:
+                for vpath, v in stream:
+                    if v.ok:
+                        ok_variants.append((vpath.stem, vpath, v.source))
+                    else:
+                        invalid += 1
 
             futures = {}
             rows_by_variant: dict[str, list[dict]] = {vid: [] for vid, *_ in ok_variants}
@@ -699,7 +691,7 @@ def run_campaign(
             entry.update(
                 status="tested",
                 enumerated=len(ok_variants),
-                invalid=len(invalid),
+                invalid=invalid,
                 crash_cells=file_crashes,
                 wrong_code_variants=file_wrong,
             )

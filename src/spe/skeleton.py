@@ -74,7 +74,6 @@ class Hole:
     var_set: tuple[tuple[str, int], ...]
     unit: str  # owning function name, or GLOBALS_UNIT
     node: object = field(repr=False)  # Var occurrence or VarDecl site
-    is_decl: bool = False
     # True when some same-type declaration on the scope path is hidden
     # from this hole by an inner redeclaration.
     hidden_conflict: bool = field(default=False, repr=False)
@@ -99,9 +98,6 @@ class Skeleton:
     @property
     def n(self) -> int:
         return len(self.holes)
-
-    def units(self) -> list[str]:
-        return list(self.per_function_ranges)
 
     def families(self) -> tuple[Family, ...]:
         """The intra families, which count_plan counts when a caller
@@ -145,7 +141,7 @@ class _Extractor:
         self.decl_holes = decl_holes
         self.holes: list[Hole] = []
 
-    def add(self, node, type_: str, scope_id: int, unit: str, is_decl: bool) -> None:
+    def add(self, node, type_: str, scope_id: int, unit: str) -> None:
         path = tuple(self.program.scopes.chain(scope_id))
         decls, hidden = _visible_vars(self.program, path, type_)
         assert decls, "a hole always sees at least its own variable"
@@ -157,7 +153,6 @@ class _Extractor:
                 var_set=tuple((d.name, d.scope_id) for d in decls),
                 unit=unit,
                 node=node,
-                is_decl=is_decl,
                 hidden_conflict=hidden,
             )
         )
@@ -165,13 +160,13 @@ class _Extractor:
     def walk_function(self, f: Function) -> None:
         if self.decl_holes:
             for p in f.params:
-                self.add(p, p.type, p.scope_id, f.name, True)
+                self.add(p, p.type, p.scope_id, f.name)
         self.walk_block(f.body, f.name)
 
     def walk_block(self, b: Block, unit: str) -> None:
         if self.decl_holes:
             for d in b.decls:
-                self.add(d, d.type, b.scope_id, unit, True)
+                self.add(d, d.type, b.scope_id, unit)
         for s in b.stmts:
             self.walk_stmt(s, b.scope_id, unit)
 
@@ -202,7 +197,7 @@ class _Extractor:
         if isinstance(e, Num):
             return
         if isinstance(e, Var):
-            self.add(e, e.type, scope_id, unit, False)
+            self.add(e, e.type, scope_id, unit)
         elif isinstance(e, Unary):
             self.walk_expr(e.operand, scope_id, unit)
         elif isinstance(e, Binary):
@@ -221,7 +216,7 @@ def extract(program: Program, decl_holes: bool = False) -> Skeleton:
     ex = _Extractor(program, decl_holes)
     if decl_holes:
         for d in program.globals:
-            ex.add(d, d.type, GLOBAL_SCOPE, GLOBALS_UNIT, True)
+            ex.add(d, d.type, GLOBAL_SCOPE, GLOBALS_UNIT)
     for f in program.functions:
         ex.walk_function(f)
 

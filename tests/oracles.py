@@ -249,14 +249,15 @@ def reference_manifest(
     granularity: str,
     decl_holes: bool,
     count: int,
-    rows: Sequence[tuple],
+    rows: Sequence,
 ) -> str:
     """The text of a file's manifest.json, built as one document and
     encoded by `json.dumps(indent=2, sort_keys=True)`. `rows` are the
-    (file name, Variant) pairs `spe enumerate` emitted for the file,
-    None for an invalid variant's name."""
+    Variants `spe enumerate` emitted for the file; a valid one's file is
+    `<stem>__v<seq>.c`, its seq zero-padded to the digits of len(rows)."""
+    width = len(str(max(len(rows), 1)))
     entries = []
-    for fname, v in rows:
+    for v in rows:
         entry = {
             "seq": v.seq,
             "valid": v.ok,
@@ -267,11 +268,11 @@ def reference_manifest(
             ],
         }
         if v.ok:
-            entry["file"] = fname
+            entry["file"] = f"{stem}__v{v.seq:0{width}d}.c"
         else:
             entry["error"] = v.error
         entries.append(entry)
-    written = sum(1 for _, v in rows if v.ok)
+    written = sum(1 for v in rows if v.ok)
     manifest = {
         "schema": 1,
         "stem": stem,

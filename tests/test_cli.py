@@ -27,7 +27,7 @@ from conftest import (
 from oracles import reference_manifest
 from spe.cli import EXIT_CONFIG, EXIT_FINDINGS, EXIT_OK, EXIT_THRESHOLD, main
 from spe.combinat import Mode
-from spe.enumerator import emit, plan
+from spe.enumerator import plan, variants
 from spe.harness import read_log
 from spe.minilang import ParseError, parse, render
 from spe.skeleton import Granularity, extract
@@ -88,6 +88,22 @@ def corpus(tmp_path):
         path.write_text(src)
         files[stem] = path
     return files
+
+
+def fail_variants_at(monkeypatch, k, exc):
+    """Make the variant stream, which both commands write their variant
+    files from, raise `exc` at entry k."""
+    import spe.enumerator
+
+    real = spe.enumerator.variants
+
+    def failing(*args, **kwargs):
+        for i, v in enumerate(real(*args, **kwargs)):
+            if i == k:
+                raise exc
+            yield v
+
+    monkeypatch.setattr(spe.enumerator, "variants", failing)
 
 
 def stub_config_file(tmp_path, *stubs, workers=2):
@@ -408,22 +424,12 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fail_at", [0, 3])
     def test_failed_rerun_removes_nothing(self, runner, corpus, tmp_path, monkeypatch, fail_at):
-        import spe.cli
-
         out = tmp_path / "out"
         vdir = out / "loop"
         args = ["enumerate", str(corpus["loop"]), "--out", str(out)]
         assert runner.invoke(main, [*args, "--cap", "30"]).exit_code == EXIT_OK
         before = {p.name: p.read_bytes() for p in vdir.iterdir()}
-        real_emit = spe.cli.emit
-
-        def failing_emit(*args):
-            for i, row in enumerate(real_emit(*args)):
-                if i == fail_at:
-                    raise RuntimeError("injected")
-                yield row
-
-        monkeypatch.setattr(spe.cli, "emit", failing_emit)
+        fail_variants_at(monkeypatch, fail_at, RuntimeError("injected"))
         res = runner.invoke(main, [*args, "--cap", "5"])
         assert isinstance(res.exception, RuntimeError)
         # this run's first variants may be written; nothing earlier changes
@@ -484,6 +490,20 @@ class TestTestCommand:
         assert runner.invoke(main, [*args, "--cap", "5"]).exit_code == EXIT_OK
         vdir = out / "variants" / "loop"
         assert sorted(p.name for p in vdir.iterdir()) == [f"loop__v{i}.c" for i in range(1, 6)]
+
+    @pytest.mark.parametrize("fail_at", [0, 3])
+    def test_failed_rerun_removes_nothing(self, runner, corpus, tmp_path, monkeypatch, fail_at):
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        vdir = out / "variants" / "loop"
+        args = ["test", str(corpus["loop"]), "--config", str(cfg), "--out", str(out)]
+        assert runner.invoke(main, [*args, "--cap", "30"]).exit_code == EXIT_OK
+        before = {p.name: p.read_bytes() for p in vdir.iterdir()}
+        fail_variants_at(monkeypatch, fail_at, RuntimeError("injected"))
+        res = runner.invoke(main, [*args, "--cap", "5"])
+        assert isinstance(res.exception, RuntimeError)
+        # this run's first variants may be written; nothing earlier changes
+        assert {n: (vdir / n).read_bytes() for n in before} == before
 
     def test_rerun_removes_stale_files_at_invalid_seqs(self, runner, corpus, tmp_path):
         # --decl-holes emits 32 entries of which 16 are invalid and get no file
@@ -598,6 +618,12 @@ class TestTestCommand:
         [
             ("timeout_s", "abc"),
             ("workers", "two"),
+            # int() would truncate these or accept them
+            ("timeout_s", 1.9),
+            ("timeout_s", 0.5),
+            ("timeout_s", True),
+            ("timeout_s", "30"),
+            ("workers", 2.5),
             ("flags", 5),
             ("flags", ["-O0", "-O2"]),
             ("flags", "-O2"),
@@ -849,6 +875,36 @@ class TestTornLog:
             assert isinstance(res.exception, SystemExit)
             assert f"{log}:17: not an outcome row" in res.output
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '{"variant":"v","compiler":["gcc"],"flags":[],"compile":{"status":"ok"}}',
+            '{"variant":7,"compiler":"c","flags":[],"compile":{"status":"ok"}}',
+            '{"variant":"v","compiler":"c","flags":"-O0","compile":{"status":"ok"}}',
+            '{"variant":"v","compiler":"c","flags":[0],"compile":{"status":"ok"}}',
+            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":["ok"]}}',
+            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":"ok"},"run":5}',
+            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":"ok"},"run":[]}',
+            '["v","c",[],{"status":"ok"}]',
+        ],
+        ids=["compiler-list", "variant-int", "flags-string", "flag-int", "status-list",
+             "run-int", "run-list", "not-an-object"],
+    )
+    def test_unusable_row_exits_config(self, runner, corpus, tmp_path, row):
+        # stats and a campaign key, count and tally every row they read
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        assert self.campaign(runner, cfg, corpus["straight"], out).exit_code == EXIT_FINDINGS
+        log = out / "outcomes.jsonl"
+        log.write_bytes(log.read_bytes() + row.encode() + b"\n")
+        for res in (
+            runner.invoke(main, ["stats", str(log)]),
+            self.campaign(runner, cfg, corpus["straight"], out),
+        ):
+            assert res.exit_code == EXIT_CONFIG
+            assert isinstance(res.exception, SystemExit)
+            assert f"{log}:17: not an outcome row" in res.output
+
     def test_crash_row_without_signature_exits_config(self, runner, corpus, tmp_path):
         # stats and a campaign's crash reports both read the signature
         cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
@@ -897,7 +953,7 @@ def _enumerate_matches_reference(runner, path, out, mode="complete", granularity
     pl = plan(skel, Mode(mode), Granularity(granularity), cap=cap)
     expected = reference_manifest(
         path.stem, str(path), mode, granularity, decl_holes, pl.selected_count,
-        list(emit(skel, pl, path.stem)),
+        list(variants(skel, pl.mode, pl.granularity, limit=cap)),
     )
     written = (out / path.stem / "manifest.json").read_text()
     if written != expected:
@@ -961,8 +1017,6 @@ class TestManifest:
     ):
         import shutil
 
-        import spe.cli
-
         out = tmp_path / "out"
         args = ["enumerate", "--decl-holes", str(corpus["straight"]), "--out", str(out)]
         vdir = out / "straight"
@@ -980,16 +1034,7 @@ class TestManifest:
 
             monkeypatch.setattr(shutil, "copyfileobj", copy)
         else:
-            k = int(fail_at.split(":")[1])
-            real_emit = spe.cli.emit
-
-            def failing_emit(*args):
-                for i, row in enumerate(real_emit(*args)):
-                    if i == k:
-                        raise Injected
-                    yield row
-
-            monkeypatch.setattr(spe.cli, "emit", failing_emit)
+            fail_variants_at(monkeypatch, int(fail_at.split(":")[1]), Injected)
         res = runner.invoke(main, args)
         assert isinstance(res.exception, Injected)
         if earlier:

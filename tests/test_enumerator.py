@@ -14,12 +14,11 @@ from spe.enumerator import (
     Assignment,
     InvalidRealization,
     canonical_signature,
-    emit,
     enumerate_assignments,
     plan,
     realize,
     realize_source,
-    variant_name,
+    variant_files,
     variants,
 )
 from spe.minilang import ParseError, parse, render
@@ -338,22 +337,29 @@ class TestStreamOracle:
 
 
 class TestVariantStream:
-    def test_names_and_sequence(self, loop_skel):
+    def test_names_and_sequence(self, loop_skel, tmp_path):
         rows = list(variants(loop_skel))
         assert len(rows) == 32
         assert [v.seq for v in rows] == list(range(1, 33))
         assert all(v.ok for v in rows)
-        assert variant_name("loop", 3, 2) == "loop__v03.c"
-        assert variant_name("loop", 3, 4) == "loop__v0003.c"
+        # seqs are padded to the digits of the number of entries emitted
+        for cap, name in ((None, "loop__v03.c"), (9, "loop__v3.c")):
+            with variant_files(tmp_path / str(cap), loop_skel, plan(loop_skel, cap=cap), "loop") as stream:
+                assert [p.name for p, _ in stream][2] == name
 
-    def test_emit_names_the_stream(self, loop_skel):
-        rows = list(emit(loop_skel, plan(loop_skel), "loop"))
-        assert [name for name, _ in rows] == [f"loop__v{i:02d}.c" for i in range(1, 33)]
+    def test_variant_files_writes_the_stream(self, loop_skel, tmp_path):
+        with variant_files(tmp_path / "loop", loop_skel, plan(loop_skel), "loop") as stream:
+            rows = list(stream)
+        assert [p.name for p, _ in rows] == [f"loop__v{i:02d}.c" for i in range(1, 33)]
         assert [v.source for _, v in rows] == [v.source for v in variants(loop_skel)]
+        assert [p.read_text() for p, _ in rows] == [v.source for _, v in rows]
+        assert sorted(p.name for p in (tmp_path / "loop").iterdir()) == [p.name for p, _ in rows]
 
-    def test_emit_rejects_a_refused_plan(self, loop_skel):
+    def test_variant_files_rejects_a_refused_plan(self, loop_skel, tmp_path):
         with pytest.raises(ValueError):
-            next(emit(loop_skel, plan(loop_skel, threshold=10), "loop"))
+            with variant_files(tmp_path / "loop", loop_skel, plan(loop_skel, threshold=10), "loop"):
+                pass
+        assert not (tmp_path / "loop").exists()
 
     def test_limit_is_stream_prefix(self, loop_skel):
         head = [v.assignment.values for v in variants(loop_skel, limit=5)]
@@ -367,16 +373,15 @@ class TestVariantStream:
 
 
 class TestPlan:
-    def test_threshold_decisions(self, loop_skel):
+    def test_threshold_decisions(self, loop_skel, tmp_path):
         p = plan(loop_skel, threshold=10)
         assert p.selected_count == 32 and p.refusal == "threshold"
         p = plan(loop_skel, threshold=32)
         assert p.refusal is None
         p = plan(loop_skel, threshold=10, cap=5)
         assert p.refusal is None
-        assert [name for name, _ in emit(loop_skel, p, "loop")] == [
-            f"loop__v{i}.c" for i in range(1, 6)
-        ]
+        with variant_files(tmp_path, loop_skel, p, "loop") as stream:
+            assert [path.name for path, _ in stream] == [f"loop__v{i}.c" for i in range(1, 6)]
 
     def test_paper_mode_unsupported_reports_none(self):
         src = """

@@ -185,6 +185,16 @@ class TestToolchainConfig:
         with pytest.raises(ConfigError, match="timeout_s must be in 1..2147483, got 2147484"):
             ToolchainConfig(compilers=compilers, timeout_s=MAX_TIMEOUT_S + 1).validate()
 
+    @pytest.mark.parametrize("key", ["timeout_s", "workers"])
+    def test_values_must_be_whole_numbers(self, key):
+        compilers = [{"name": "sh", "cmd": "/bin/sh {flags} -o {output} {input}"}]
+        # 1e9 is a JSON number with an integral value; validate() bounds it
+        assert getattr(ToolchainConfig.from_dict({"compilers": compilers, key: 1e9}), key) == 10**9
+        for value, shown in ((1.9, "1.9"), (0.5, "0.5"), (True, "True"), ("30", "'30'")):
+            with pytest.raises(ConfigError) as e:
+                ToolchainConfig.from_dict({"compilers": compilers, key: value})
+            assert str(e.value) == f"malformed {key}: expected a whole number, got {shown}"
+
     @pytest.mark.parametrize(
         "names,flags,message",
         [

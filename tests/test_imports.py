@@ -1,5 +1,6 @@
-"""The package's import graph and public names: enumerating loads
-neither the interpreter nor the campaign side, counting does not load
+"""The package's import graph and public names: enumerating, and the
+command line until a campaign or its log is needed, load neither the
+interpreter nor the campaign side, counting does not load
 the skeleton builder, and every name a module lists in `__all__`
 exists."""
 
@@ -38,6 +39,14 @@ def test_enumerator_does_not_load_the_interpreter_or_the_campaign():
     loaded = _loaded_by("spe.skeleton, spe.enumerator")
     assert "spe.enumerator" in loaded
     assert not loaded & {"spe.minilang.interp", "spe.harness", "spe.cli"}
+
+
+def test_cli_does_not_load_the_interpreter_or_the_campaign():
+    # count, skeleton and enumerate need neither; test and stats import
+    # the harness when they run
+    loaded = _loaded_by("spe.cli")
+    assert "spe.cli" in loaded
+    assert not loaded & {"spe.minilang.interp", "spe.harness"}
 
 
 def test_skeleton_does_not_load_the_enumerator():

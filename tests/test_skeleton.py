@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from spe.combinat import Family, Pool
 from spe.enumerator import Assignment
 from spe.minilang import parse
+from spe.minilang.ast import VarDecl
 from spe.skeleton import (
     GLOBALS_UNIT,
     PROGRAM_UNIT,
@@ -28,7 +29,7 @@ class TestExtraction:
         assert s.origin_vector == ("a", "b", "a", "a", "a", "b")
         assert all(h.names == ("a", "b") for h in s.holes)
         assert [h.index for h in s.holes] == [1, 2, 3, 4, 5, 6]
-        assert s.units() == ["main"]
+        assert list(s.per_function_ranges) == ["main"]
         assert not s.decl_holes
 
     def test_branch_var_sets(self, branch_skel):
@@ -44,15 +45,15 @@ class TestExtraction:
         assert s.n == 10
         assert [len(h.var_set) for h in s.holes] == [2, 2, 2, 4, 4, 4, 4, 4, 2, 2]
         assert s.origin_vector == ("a", "b", "a", "c", "d", "b", "c", "d", "a", "b")
-        decl_flags = [h.is_decl for h in s.holes]
+        decl_flags = [isinstance(h.node, VarDecl) for h in s.holes]
         assert decl_flags == [True, True, False, True, True, False, False, False, False, False]
-        assert s.units() == [GLOBALS_UNIT, "main"]
+        assert list(s.per_function_ranges) == [GLOBALS_UNIT, "main"]
 
     def test_scoped_without_decl_holes(self, scoped):
         s = extract(scoped)
         assert s.n == 6
-        assert not any(h.is_decl for h in s.holes)
-        assert s.units() == ["main"]
+        assert not any(isinstance(h.node, VarDecl) for h in s.holes)
+        assert list(s.per_function_ranges) == ["main"]
 
     def test_condition_sees_enclosing_scope_only(self, scoped_skel):
         cond = scoped_skel.holes[2]  # the `if (a)` test
@@ -65,7 +66,7 @@ class TestExtraction:
 
     def test_decl_hole_sees_itself(self, scoped_skel):
         first_global = scoped_skel.holes[0]
-        assert first_global.is_decl and "a" in first_global.names
+        assert isinstance(first_global.node, VarDecl) and "a" in first_global.names
 
     def test_multiple_functions_have_disjoint_units(self):
         src = """
@@ -207,7 +208,7 @@ class TestNormalForms:
 
     def test_hole_less_unit_has_no_family(self):
         s = extract(parse("int f(void) { return 1; }\nint main(void) { int a = 0; return a; }"))
-        assert s.units() == ["f", "main"]
+        assert list(s.per_function_ranges) == ["f", "main"]
         assert [f.unit for f in normal_forms(s, Granularity.INTRA)] == ["main"]
 
     def test_two_type_families_sorted(self):

@@ -345,26 +345,16 @@ def _paper_count(family: Family) -> int:
         # no local pools: the procedure degenerates to the at-most solution
         return total
     # every local family keeps m_i in [1, u_i]; promoted holes join the root,
-    # which is then partitioned into exactly v_root blocks
+    # which is then partitioned into exactly v_root blocks (no way at all
+    # when the root has no variables and a hole was promoted)
     for kept in itertools.product(*[range(1, u + 1) for _, u in locals_]):
         ways = 1
         promoted = 0
         for (p, u), m in zip(locals_, kept):
-            if 0 not in family.eligible[_first_of(family, p)] and m != u:
-                ways = 0
-                break
             ways *= math.comb(u, m) * count_at_most(m, len(family.pools[p].vars))
             promoted += u - m
-        if ways:
-            total += ways * stirling2(g + promoted, v_root)
+        total += ways * stirling2(g + promoted, v_root)
     return total
-
-
-def _first_of(family: Family, pool: int) -> int:
-    for pos in range(len(family.holes)):
-        if family.deepest(pos) == pool:
-            return pos
-    raise ValueError(f"no hole with deepest pool {pool}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ import shutil
 import stat
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -54,6 +55,10 @@ DEFAULT_TIMEOUT_S = 30
 # in a C int
 MAX_TIMEOUT_S = 2_147_483
 DEFAULT_WORKERS = 4
+# variants a campaign keeps in flight per worker: enough to keep the
+# pool busy while the main thread interprets, few enough that memory
+# does not grow with the number of variants
+_WINDOW = 4
 
 # compile output that marks a crash even when the process exits normally
 _ICE_MARKERS = (
@@ -249,8 +254,8 @@ def differential_verdict(rows: Sequence[dict]) -> dict:
     """
     if not rows:
         return {"status": "ok"}
-    interp = rows[0].get("interp") or {}
-    if interp.get("verdict") != "ok":
+    interp = rows[0]["interp"]
+    if interp["verdict"] != "ok":
         return {"status": "ok"}
     ran = _ran(rows)
     if len(ran) < 2:
@@ -398,21 +403,29 @@ def _row_key(row: dict) -> tuple[str, str, str]:
     return (row["variant"], row["compiler"], " ".join(row["flags"]))
 
 
+def _is_result(rec) -> bool:
+    """An interpreter or run record with an int exit and a stdout digest."""
+    return isinstance(rec["exit"], int) and isinstance(rec["stdout_sha256"], str)
+
+
 def _parse_row(line: bytes) -> Optional[dict]:
     """The outcome row a log line holds, or None when it holds none: a
     row has a string variant and compiler, a list of string flags, a
-    string compile status, a run that is null or an object, and a crash
-    has a string signature."""
+    string compile status, and a crash has a string signature; its
+    interp has a string verdict, and an exit and a stdout digest when
+    the verdict is "ok"; its run is null, a timeout or a result."""
     try:
         row = json.loads(line)
-        compile_ = row["compile"]
+        compile_, interp, run = row["compile"], row["interp"], row.get("run")
         usable = (
             all(isinstance(row[k], str) for k in ("variant", "compiler"))
             and isinstance(row["flags"], list)
             and all(isinstance(f, str) for f in row["flags"])
             and isinstance(compile_["status"], str)
             and (compile_["status"] != "crash" or isinstance(compile_["signature"], str))
-            and isinstance(row.get("run"), (dict, type(None)))
+            and isinstance(interp["verdict"], str)
+            and (interp["verdict"] != "ok" or _is_result(interp))
+            and (run is None or run == {"timeout": True} or _is_result(run))
         )
     except (ValueError, KeyError, TypeError):
         return None
@@ -527,7 +540,7 @@ def _wrong_code_report(
     variant_id: str,
     verdict: dict,
     rows: list[dict],
-    cfg: ToolchainConfig,
+    by_name: dict[str, CompilerSpec],
     witness_source: str,
 ) -> bool:
     blob = variant_id + "|" + ",".join(verdict["cells"])
@@ -547,7 +560,6 @@ def _wrong_code_report(
         ],
         "first_seen": _now(),
     }
-    by_name = {c.name: c for c in cfg.compilers}
     lines = ['cd "$(dirname "$0")"']
     for cell in verdict["cells"]:
         comp, _, flagstr = cell.partition(":")
@@ -577,9 +589,11 @@ def run_campaign(
     Per file: parse (unparseable entries recorded and skipped), count
     (unsupported entries, including shadowing ones, recorded and
     skipped), and either skip (selected-mode count above threshold,
-    recorded) or evaluate every variant under every toolchain cell.
-    Variant files an earlier run left in the file's variants directory
-    are removed once this run's are written. Returns the summary, which is also written to <out>/summary.json.
+    recorded) or evaluate every variant under every toolchain cell, with
+    at most _WINDOW x workers variants in flight. Variant files an
+    earlier run left in the file's variants directory are removed once
+    this run's are written. Returns the summary, which is also written
+    to <out>/summary.json.
     """
     if threshold < 1:
         raise ConfigError(f"threshold must be >= 1, got {threshold}")
@@ -597,23 +611,41 @@ def run_campaign(
     log = read_log(log_path)
     _append_rows(log_path, [])  # create the log and mend a torn tail up front
 
+    by_name = {c.name: c for c in cfg.compilers}
     files: list[dict] = []
     appended = 0
     crash_new = 0
     wrong_new = 0
-    total_naive = 0
-    total_enumerated = 0
+
+    def finish(entry: dict, vid: str, source: str, cells: list) -> None:
+        """Append a variant's new rows, write its reports and count them
+        into its file's entry. A cell is a logged row or a future."""
+        nonlocal appended, crash_new, wrong_new
+        new = [c.result() for c in cells if isinstance(c, Future)]
+        _append_rows(log_path, new)
+        appended += len(new)
+        rows = sorted([c for c in cells if isinstance(c, dict)] + new, key=_row_key)
+        for row in rows:
+            if row["compile"]["status"] == "crash":
+                if _crash_report(reports_dir, row, by_name[row["compiler"]], source):
+                    crash_new += 1
+                entry["crash_cells"] += 1
+        verdict = differential_verdict(rows)
+        if verdict["status"] == "wrong-code":
+            if _wrong_code_report(reports_dir, vid, verdict, rows, by_name, source):
+                wrong_new += 1
+            entry["wrong_code_variants"] += 1
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         for path in corpus:
             path = Path(path)
             stem = path.stem
             entry: dict = {"path": str(path), "stem": stem}
+            files.append(entry)
             try:
                 program = parse(path.read_text(encoding="utf-8"))
             except (OSError, UnicodeDecodeError, ParseError) as e:
                 entry.update(status="unparseable", error=str(e))
-                files.append(entry)
                 continue
 
             skel = extract(program, decl_holes=decl_holes)
@@ -622,82 +654,51 @@ def run_campaign(
                 pl = plan(skel, mode, granularity, threshold, cap)
             except ShadowingError as e:
                 entry.update(status="unsupported", error=str(e))
-                files.append(entry)
                 continue
             entry["naive"] = pl.report.naive_count
-            total_naive += pl.report.naive_count
             if pl.refusal == "unsupported":
                 entry.update(status="unsupported")
-                files.append(entry)
                 continue
             entry["selected"] = pl.selected_count
             if pl.refusal == "threshold":
                 entry.update(status="skipped", threshold=threshold)
-                files.append(entry)
                 continue
 
-            ok_variants: list[tuple[str, Path, str]] = []
-            invalid = 0
+            entry.update(
+                status="tested", enumerated=0, invalid=0, crash_cells=0, wrong_code_variants=0
+            )
+            # variants in stream order, whose ids sort in that order:
+            # finishing the oldest first appends rows in key order, and an
+            # interrupted campaign keeps every variant it finished
+            window: deque = deque()
             with variant_files(variants_dir / stem, skel, pl, stem) as stream:
                 for vpath, v in stream:
-                    if v.ok:
-                        ok_variants.append((vpath.stem, vpath, v.source))
-                    else:
-                        invalid += 1
-
-            futures = {}
-            rows_by_variant: dict[str, list[dict]] = {vid: [] for vid, *_ in ok_variants}
-            for vid, vpath, source in ok_variants:
-                # logged rows carry the interpreter record; a variant is
-                # parsed and interpreted only when a cell is missing
-                interp_rec = None
-                for spec, flags in cfg.cells():
-                    key = (vid, spec.name, " ".join(flags))
-                    if key in log:
-                        rows_by_variant[vid].append(log[key])
+                    if not v.ok:
+                        entry["invalid"] += 1
                         continue
-                    if interp_rec is None:
-                        interp_rec = _interp_record(parse(source))
-                    fut = pool.submit(
-                        _evaluate_cell, spec, flags, vid, vpath, interp_rec, cfg.timeout_s
-                    )
-                    futures[fut] = vid
-            file_rows = []
-            for fut, vid in futures.items():
-                row = fut.result()
-                rows_by_variant[vid].append(row)
-                file_rows.append(row)
-            # persisted per file, so an interrupted campaign keeps every
-            # file whose cells all finished
-            _append_rows(log_path, file_rows)
-            appended += len(file_rows)
+                    entry["enumerated"] += 1
+                    vid = vpath.stem
+                    # logged rows carry the interpreter record; a variant is
+                    # parsed and interpreted only when a cell is missing
+                    interp_rec = None
+                    cells: list = []
+                    for spec, flags in cfg.cells():
+                        row = log.get((vid, spec.name, " ".join(flags)))
+                        if row is None:
+                            if interp_rec is None:
+                                interp_rec = _interp_record(parse(v.source))
+                            row = pool.submit(
+                                _evaluate_cell, spec, flags, vid, vpath, interp_rec, cfg.timeout_s
+                            )
+                        cells.append(row)
+                    window.append((vid, v.source, cells))
+                    if len(window) == _WINDOW * cfg.workers:
+                        finish(entry, *window.popleft())
+                while window:
+                    finish(entry, *window.popleft())
 
-            by_name = {c.name: c for c in cfg.compilers}
-            file_crashes = 0
-            file_wrong = 0
-            for vid, _, source in ok_variants:
-                rows = sorted(rows_by_variant[vid], key=_row_key)
-                for row in rows:
-                    if row["compile"]["status"] == "crash":
-                        if _crash_report(reports_dir, row, by_name[row["compiler"]], source):
-                            crash_new += 1
-                        file_crashes += 1
-                verdict = differential_verdict(rows)
-                if verdict["status"] == "wrong-code":
-                    if _wrong_code_report(reports_dir, vid, verdict, rows, cfg, source):
-                        wrong_new += 1
-                    file_wrong += 1
-
-            entry.update(
-                status="tested",
-                enumerated=len(ok_variants),
-                invalid=invalid,
-                crash_cells=file_crashes,
-                wrong_code_variants=file_wrong,
-            )
-            total_enumerated += len(ok_variants)
-            files.append(entry)
-
+    naive = sum(f.get("naive", 0) for f in files)
+    enumerated = sum(f.get("enumerated", 0) for f in files)
     report_dirs = sorted(p.name for p in reports_dir.iterdir() if p.is_dir())
     summary = {
         "schema": SCHEMA_VERSION,
@@ -712,9 +713,9 @@ def run_campaign(
             "skipped": sum(1 for f in files if f["status"] == "skipped"),
             "unparseable": sum(1 for f in files if f["status"] == "unparseable"),
             "unsupported": sum(1 for f in files if f["status"] == "unsupported"),
-            "naive": total_naive,
-            "enumerated": total_enumerated,
-            "reduction": (total_naive / total_enumerated) if total_enumerated else None,
+            "naive": naive,
+            "enumerated": enumerated,
+            "reduction": (naive / enumerated) if enumerated else None,
         },
         "log_rows_appended": appended,
         "reports": report_dirs,

@@ -878,13 +878,13 @@ class TestTornLog:
     @pytest.mark.parametrize(
         "row",
         [
-            '{"variant":"v","compiler":["gcc"],"flags":[],"compile":{"status":"ok"}}',
-            '{"variant":7,"compiler":"c","flags":[],"compile":{"status":"ok"}}',
-            '{"variant":"v","compiler":"c","flags":"-O0","compile":{"status":"ok"}}',
-            '{"variant":"v","compiler":"c","flags":[0],"compile":{"status":"ok"}}',
-            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":["ok"]}}',
-            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":"ok"},"run":5}',
-            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":"ok"},"run":[]}',
+            '{"variant":"v","compiler":["gcc"],"flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"}}',
+            '{"variant":7,"compiler":"c","flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"}}',
+            '{"variant":"v","compiler":"c","flags":"-O0","compile":{"status":"ok"},"interp":{"verdict":"ub"}}',
+            '{"variant":"v","compiler":"c","flags":[0],"compile":{"status":"ok"},"interp":{"verdict":"ub"}}',
+            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":["ok"]},"interp":{"verdict":"ub"}}',
+            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"},"run":5}',
+            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"},"run":[]}',
             '["v","c",[],{"status":"ok"}]',
         ],
         ids=["compiler-list", "variant-int", "flags-string", "flag-int", "status-list",
@@ -905,6 +905,35 @@ class TestTornLog:
             assert isinstance(res.exception, SystemExit)
             assert f"{log}:17: not an outcome row" in res.output
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda row: row.update(interp=5),
+            lambda row: row["interp"].pop("stdout_sha256"),
+            lambda row: row["run"].pop("exit"),
+        ],
+        ids=["interp-int", "interp-without-digest", "run-without-exit"],
+    )
+    def test_row_with_unusable_interp_or_run_exits_config(self, runner, corpus, tmp_path, mutate):
+        # a campaign judges a variant by the interp and run of its rows
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        assert self.campaign(runner, cfg, corpus["straight"], out).exit_code == EXIT_FINDINGS
+        log = out / "outcomes.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["run"])
+        row = json.loads(lines[at])
+        mutate(row)
+        lines[at] = json.dumps(row, sort_keys=True).encode() + b"\n"
+        log.write_bytes(b"".join(lines))
+        for res in (
+            runner.invoke(main, ["stats", str(log)]),
+            self.campaign(runner, cfg, corpus["straight"], out),
+        ):
+            assert res.exit_code == EXIT_CONFIG
+            assert isinstance(res.exception, SystemExit)
+            assert f"{log}:{at + 1}: not an outcome row" in res.output
+
     def test_crash_row_without_signature_exits_config(self, runner, corpus, tmp_path):
         # stats and a campaign's crash reports both read the signature
         cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
@@ -913,7 +942,9 @@ class TestTornLog:
         log = out / "outcomes.jsonl"
         whole = log.read_bytes()
         for compile_ in ('{"status":"crash"}', '{"status":"crash","signature":7}'):
-            row = b'{"variant":"v","compiler":"c","flags":[],"compile":%s}\n' % compile_.encode()
+            row = b'{"variant":"v","compiler":"c","flags":[],"compile":%s,"interp":{"verdict":"ub"}}\n' % (
+                compile_.encode()
+            )
             log.write_bytes(whole + row)
             for res in (
                 runner.invoke(main, ["stats", str(log)]),

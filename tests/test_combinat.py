@@ -21,7 +21,14 @@ from spe.combinat import (
     stirling2,
 )
 
+from spe.minilang import parse
+from spe.skeleton import extract
+
 from oracles import set_partitions, stirling_by_enumeration
+
+EMPTY_ROOT_SRC = (
+    "int main() { { int a; int c; a = 1; c = a; a = c; } { int b; b = 2; b = b; } return 0; }"
+)
 
 
 def is_rgs(seq) -> bool:
@@ -160,8 +167,14 @@ class TestFamilyCounts:
         assert paper < comp
 
     def test_counts_match_streams(self):
-        for n_root, n_local, rh, lh in [(1, 1, 1, 1), (2, 1, 2, 2), (2, 3, 1, 3), (3, 2, 0, 3)]:
-            fam = flat_family(n_root, n_local, rh, lh)
+        fams = [
+            flat_family(n_root, n_local, rh, lh)
+            for n_root, n_local, rh, lh in [(1, 1, 1, 1), (2, 1, 2, 2), (2, 3, 1, 3), (3, 2, 0, 3)]
+        ]
+        # an empty root pool: no hole can be promoted out of its block
+        (empty_root,) = extract(parse(EMPTY_ROOT_SRC)).families()
+        assert family_count(empty_root, Mode.PAPER) == 16
+        for fam in fams + [empty_root]:
             for mode in Mode:
                 rows = list(family_stream(fam, mode))
                 assert len(rows) == len(set(rows)) == family_count(fam, mode), (fam, mode)

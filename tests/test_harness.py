@@ -373,36 +373,81 @@ class TestCampaign:
         # first-seen metadata survives the re-run
         assert meta_path.read_bytes() == meta_first
 
-    def test_interrupted_campaign_keeps_finished_files(self, tmp_path, corpus, monkeypatch):
+    @pytest.mark.parametrize(
+        "fails_at,finished,workers",
+        [("straight__", 32, 4), ("loop__v20", 19, 1), ("loop__v20", 19, 2)],
+        ids=["second-file", "mid-file-1-worker", "mid-file-2-workers"],
+    )
+    def test_interrupted_campaign_keeps_finished_variants(
+        self, tmp_path, corpus, monkeypatch, fails_at, finished, workers
+    ):
         import spe.harness
 
-        cfg = stub_config(tmp_path, ("okcc", OK_STUB))
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB), workers=workers)
         corpus_paths = [corpus["loop"], corpus["straight"]]
         run_campaign(corpus_paths, cfg, tmp_path / "clean")
         clean = (tmp_path / "clean" / "outcomes.jsonl").read_bytes()
 
         real = spe.harness._evaluate_cell
 
-        def fail_on_second_file(spec, flags, variant_id, *args):
-            if variant_id.startswith("straight__"):
+        def fail(spec, flags, variant_id, *args):
+            if variant_id.startswith(fails_at):
                 raise RuntimeError("cell interrupted")
             return real(spec, flags, variant_id, *args)
 
         out = tmp_path / "out"
-        monkeypatch.setattr(spe.harness, "_evaluate_cell", fail_on_second_file)
+        monkeypatch.setattr(spe.harness, "_evaluate_cell", fail)
         with pytest.raises(RuntimeError, match="cell interrupted"):
             run_campaign(corpus_paths, cfg, out)
         log_path = out / "outcomes.jsonl"
         interrupted = log_path.read_bytes()
         rows = [json.loads(line) for line in interrupted.splitlines()]
-        assert len(rows) == 32 * 2
-        assert all(r["variant"].startswith("loop__") for r in rows)
+        assert len(rows) == finished * 2
+        assert {r["variant"] for r in rows} == {f"loop__v{i:02d}" for i in range(1, finished + 1)}
         assert clean.startswith(interrupted)
+        # the stream is read no further ahead than the window
+        written = list((out / "variants" / "loop").glob("loop__v*.c"))
+        assert len(written) <= finished + 1 + spe.harness._WINDOW * workers
 
         monkeypatch.undo()
         summary = run_campaign(corpus_paths, cfg, out)
-        assert summary["log_rows_appended"] == 8 * 2
+        assert summary["log_rows_appended"] == (32 + 8 - finished) * 2
         assert log_path.read_bytes() == clean
+
+    def test_resume_mixes_logged_rows_and_new_cells(self, tmp_path, corpus):
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB), ("evilcc", EVIL_STUB), workers=1)
+        clean_summary = run_campaign([corpus["loop"]], cfg, tmp_path / "clean")
+        clean = (tmp_path / "clean" / "outcomes.jsonl").read_bytes().splitlines(keepends=True)
+        assert clean_summary["files"][0]["wrong_code_variants"] == 1
+        # drop the evilcc -O3 row, the cell that makes the wrong-code
+        # variant wrong, of that variant and of every third variant
+        wrong = json.loads(
+            (tmp_path / "clean" / "reports" / clean_summary["reports"][0] / "metadata.json")
+            .read_text()
+        )["variant"]
+        dropped = [
+            line
+            for line, r in zip(clean, map(json.loads, clean))
+            if (r["compiler"], r["flags"]) == ("evilcc", ["-O3"])
+            and (r["variant"] == wrong or int(r["variant"][-2:]) % 3 == 0)
+        ]
+        kept = [line for line in clean if line not in dropped]
+        assert 1 < len(dropped) < 32
+
+        logs = []
+        for workers in (1, 2, 8):
+            out = tmp_path / f"out{workers}"
+            out.mkdir()
+            (out / "outcomes.jsonl").write_bytes(b"".join(kept))
+            cfg = stub_config(
+                tmp_path, ("okcc", OK_STUB), ("evilcc", EVIL_STUB), workers=workers
+            )
+            summary = run_campaign([corpus["loop"]], cfg, out)
+            assert summary["log_rows_appended"] == len(dropped)
+            assert summary["files"] == clean_summary["files"]
+            assert summary["reports"] == clean_summary["reports"]
+            logs.append((out / "outcomes.jsonl").read_bytes())
+        assert logs[0] == logs[1] == logs[2] == b"".join(kept + dropped)
 
     def test_worker_count_does_not_change_results(self, tmp_path, corpus):
         results = {}

@@ -244,6 +244,11 @@ def _ran(rows: Sequence[dict]) -> list[dict]:
     ]
 
 
+def _cell(row: dict) -> str:
+    """The label a row's cell goes by in verdicts and reports."""
+    return f"{row['compiler']}:{' '.join(row['flags'])}"
+
+
 def differential_verdict(rows: Sequence[dict]) -> dict:
     """Judge one variant's outcome rows: {"status": "ok"} or a
     wrong-code candidate naming every cell whose (exit, stdout digest)
@@ -262,9 +267,7 @@ def differential_verdict(rows: Sequence[dict]) -> dict:
         return {"status": "ok"}
     expected = (interp["exit"], interp["stdout_sha256"])
     bad = sorted(
-        f"{r['compiler']}:{' '.join(r['flags'])}"
-        for r in ran
-        if (r["run"]["exit"], r["run"]["stdout_sha256"]) != expected
+        _cell(r) for r in ran if (r["run"]["exit"], r["run"]["stdout_sha256"]) != expected
     )
     if not bad:
         return {"status": "ok"}
@@ -280,19 +283,6 @@ def differential_verdict(rows: Sequence[dict]) -> dict:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _run_env() -> dict[str, str]:
-    # reproducible signatures: nothing from the caller's environment
-    # leaks into compiler invocations except the search path
-    return {"PATH": os.environ.get("PATH", "")}
-
-
-def _tmp_root() -> Optional[str]:
-    root = os.environ.get("SPE_TMPDIR")
-    if root:
-        Path(root).mkdir(parents=True, exist_ok=True)
-    return root or None
 
 
 def _interp_record(program) -> dict:
@@ -313,6 +303,27 @@ def _interp_record(program) -> dict:
     return rec
 
 
+def _spawn(
+    argv: list[str], cwd: str, timeout_s: int, **text
+) -> Optional[subprocess.CompletedProcess]:
+    """Run argv in cwd to its end and capture its output, or None when
+    it outlives timeout_s. Only PATH reaches it from the caller's
+    environment, so that signatures are reproducible. Every compile and
+    run goes through this one subprocess.run call, which the
+    benchmark's tracer wraps to time them."""
+    try:
+        return subprocess.run(
+            argv,
+            capture_output=True,
+            timeout=timeout_s,
+            env={"PATH": os.environ.get("PATH", "")},
+            cwd=cwd,
+            **text,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+
+
 def _evaluate_cell(
     spec: CompilerSpec,
     flags: tuple[str, ...],
@@ -320,11 +331,13 @@ def _evaluate_cell(
     source_path: Path,
     interp_rec: dict,
     timeout_s: int,
+    tmp_root: Optional[str],
 ) -> dict:
-    """Compile one variant under one cell, inside a fresh temp dir with
-    a scrubbed environment, and run the binary when the interpreter
-    found the variant ok. A UB or budget variant is compiled, since
-    compiler crashes need no run, but its binary is not run, since
+    """Compile one variant under one cell, and run the binary when the
+    interpreter found the variant ok. Both go through _spawn, inside a
+    cell directory made under tmp_root (the system default when None)
+    and removed when the cell ends. A UB or budget variant is compiled,
+    since compiler crashes need no run, but its binary is not run, since
     differential_verdict ignores its runs; the row says so with
     run_skipped, the interpreter's verdict, and keeps run None."""
     row: dict = {
@@ -335,65 +348,42 @@ def _evaluate_cell(
         "interp": interp_rec,
         "run": None,
     }
-    workdir = tempfile.mkdtemp(prefix="spe-cell-", dir=_tmp_root())
-    try:
+    with tempfile.TemporaryDirectory(
+        prefix="spe-cell-", dir=tmp_root, ignore_cleanup_errors=True
+    ) as workdir:
         output = os.path.join(workdir, "a.out")
-        # the subprocess cwd is the scratch dir, so the input must be absolute
+        # the subprocess cwd is the cell directory, so the input must be absolute
         argv = spec.argv(str(Path(source_path).resolve()), output, flags)
-        try:
-            proc = subprocess.run(
-                argv,
-                capture_output=True,
-                text=True,
-                # a crashing compiler may write any bytes
-                errors="replace",
-                timeout=timeout_s,
-                env=_run_env(),
-                cwd=workdir,
-            )
-        except subprocess.TimeoutExpired:
+        # a crashing compiler may write any bytes
+        proc = _spawn(argv, workdir, timeout_s, text=True, errors="replace")
+        if proc is None:
             row["compile"] = {"status": "timeout"}
-            return row
-        blob = (proc.stderr or "") + (proc.stdout or "")
-        crashed = proc.returncode < 0 or any(m in blob for m in _ICE_MARKERS)
-        if crashed:
+        elif proc.returncode < 0 or any(m in proc.stderr + proc.stdout for m in _ICE_MARKERS):
             row["compile"] = {
                 "status": "crash",
                 "exit": proc.returncode,
-                "signature": normalize_signature(proc.stderr or proc.stdout or "", proc.returncode),
-                "stderr": _mask(proc.stderr or "")[-2000:],
+                "signature": normalize_signature(proc.stderr or proc.stdout, proc.returncode),
+                "stderr": _mask(proc.stderr)[-2000:],
             }
-            return row
-        if proc.returncode != 0 or not os.path.isfile(output):
+        elif proc.returncode != 0 or not os.path.isfile(output):
             row["compile"] = {
                 "status": "reject",
                 "exit": proc.returncode,
-                "stderr": _mask(proc.stderr or "")[-2000:],
+                "stderr": _mask(proc.stderr)[-2000:],
             }
-            return row
-        row["compile"] = {"status": "ok", "exit": 0}
-        if interp_rec["verdict"] != "ok":
-            row["run_skipped"] = interp_rec["verdict"]
-            return row
-        os.chmod(output, os.stat(output).st_mode | stat.S_IXUSR)
-        try:
-            run = subprocess.run(
-                [output],
-                capture_output=True,
-                timeout=timeout_s,
-                env=_run_env(),
-                cwd=workdir,
+        else:
+            row["compile"] = {"status": "ok", "exit": 0}
+            if interp_rec["verdict"] != "ok":
+                row["run_skipped"] = interp_rec["verdict"]
+                return row
+            os.chmod(output, os.stat(output).st_mode | stat.S_IXUSR)
+            run = _spawn([output], workdir, timeout_s)
+            row["run"] = (
+                {"timeout": True}
+                if run is None
+                else {"exit": run.returncode, "stdout_sha256": _sha256(run.stdout)}
             )
-        except subprocess.TimeoutExpired:
-            row["run"] = {"timeout": True}
-            return row
-        row["run"] = {
-            "exit": run.returncode,
-            "stdout_sha256": _sha256(run.stdout or b""),
-        }
-        return row
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +509,7 @@ def _crash_report(
 ) -> bool:
     sig = row["compile"]["signature"]
     slug = hashlib.sha1(sig.encode()).hexdigest()[:12]
-    argv = spec.argv("witness.c", "repro.out", tuple(row["flags"]))
+    argv = spec.argv("witness.c", "repro.out", row["flags"])
     meta = {
         "kind": "crash",
         "signature": sig,
@@ -528,10 +518,7 @@ def _crash_report(
         "flags": row["flags"],
         "first_seen": _now(),
     }
-    lines = [
-        'cd "$(dirname "$0")"',
-        " ".join(shlex.quote(a) for a in argv),
-    ]
+    lines = ['cd "$(dirname "$0")"', shlex.join(argv)]
     return _write_report(reports_dir, f"crash-{slug}", witness_source, meta, lines)
 
 
@@ -545,29 +532,24 @@ def _wrong_code_report(
 ) -> bool:
     blob = variant_id + "|" + ",".join(verdict["cells"])
     slug = hashlib.sha1(blob.encode()).hexdigest()[:12]
+    ran = _ran(rows)
     meta = {
         "kind": "wrong-code",
         "variant": variant_id,
         "cells": verdict["cells"],
         "expected": verdict["expected"],
         "observed": [
-            {
-                "cell": f"{r['compiler']}:{' '.join(r['flags'])}",
-                "exit": r["run"]["exit"],
-                "stdout_sha256": r["run"]["stdout_sha256"],
-            }
-            for r in _ran(rows)
+            {"cell": _cell(r), "exit": r["run"]["exit"], "stdout_sha256": r["run"]["stdout_sha256"]}
+            for r in ran
         ],
         "first_seen": _now(),
     }
+    # replay each disagreeing cell with the compiler and flags it ran
     lines = ['cd "$(dirname "$0")"']
-    for cell in verdict["cells"]:
-        comp, _, flagstr = cell.partition(":")
-        spec = by_name[comp]
-        flags = tuple(flagstr.split()) if flagstr else ()
-        argv = spec.argv("witness.c", "repro.out", flags)
-        lines.append(" ".join(shlex.quote(a) for a in argv))
-        lines.append("./repro.out; echo \"exit: $?\"")
+    for r in sorted(ran, key=_cell):
+        if _cell(r) in verdict["cells"]:
+            argv = by_name[r["compiler"]].argv("witness.c", "repro.out", r["flags"])
+            lines += [shlex.join(argv), './repro.out; echo "exit: $?"']
     return _write_report(reports_dir, f"wrong-code-{slug}", witness_source, meta, lines)
 
 
@@ -611,6 +593,12 @@ def run_campaign(
     log = read_log(log_path)
     _append_rows(log_path, [])  # create the log and mend a torn tail up front
 
+    # cell directories go under SPE_TMPDIR when it is set; a relative one
+    # is made absolute, since each cell runs with its directory as cwd
+    tmp_root = os.environ.get("SPE_TMPDIR") or None
+    if tmp_root:
+        tmp_root = os.path.abspath(tmp_root)
+        os.makedirs(tmp_root, exist_ok=True)
     by_name = {c.name: c for c in cfg.compilers}
     files: list[dict] = []
     appended = 0
@@ -688,7 +676,8 @@ def run_campaign(
                             if interp_rec is None:
                                 interp_rec = _interp_record(parse(v.source))
                             row = pool.submit(
-                                _evaluate_cell, spec, flags, vid, vpath, interp_rec, cfg.timeout_s
+                                _evaluate_cell,
+                                spec, flags, vid, vpath, interp_rec, cfg.timeout_s, tmp_root,
                             )
                         cells.append(row)
                     window.append((vid, v.source, cells))

@@ -1,14 +1,19 @@
 """Campaign driver, crash deduplication, and differential verdicts,
 exercised with stub compilers so no system toolchain is needed."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from spe.cli import main
 from spe.harness import (
     CompilerSpec,
     ConfigError,
@@ -33,6 +38,25 @@ int main(void) {
     return b;
 }
 """
+
+# one variable in both holes: a single variant, which exits with 0
+ZERO_SRC = """\
+int main(void) {
+    int a;
+    a = 0;
+    return a;
+}
+"""
+
+# the same variant exiting with 3, where the stubs' binaries exit with 0
+THREE_SRC = ZERO_SRC.replace("a = 0;", "a = 3;")
+
+# a compiler that never finishes, one whose binaries never finish, and
+# one that rejects every input; exec leaves no grandchild to outlive
+# the kill on timeout
+HANG_STUB = "#!/bin/sh\nexec sleep 5\n"
+HANGING_BINARY_STUB = OK_STUB.replace("exit 0\\n' > ", "exec sleep 5\\n' > ")
+REJECT_STUB = '#!/bin/sh\necho "error: unsupported input" >&2\nexit 1\n'
 
 # recursion deeper than the interpreter's frame budget
 RECURSE_SRC = """\
@@ -534,3 +558,181 @@ class TestCampaign:
         cfg = stub_config(tmp_path, ("okcc", OK_STUB))
         run_campaign([corpus["straight"]], cfg, tmp_path / "out")
         assert scratch.is_dir()
+
+
+# ---------------------------------------------------------------------------
+# One path per cell: every compile and run is one subprocess.run call
+
+
+def record(monkeypatch, owner, attr: str) -> list:
+    """Wrap owner.attr with a recorder that calls through; returns the
+    list of (args, result) pairs it records."""
+    real = getattr(owner, attr)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        result = real(*args, **kwargs)
+        # a row is recorded as it was written, before anything reads it
+        calls.append((args, json.loads(json.dumps(result)) if isinstance(result, dict) else result))
+        return result
+
+    monkeypatch.setattr(owner, attr, recorder)
+    return calls
+
+
+def spawned(calls) -> tuple[list[list[str]], list[list[str]]]:
+    """The argvs of the recorded subprocess.run calls, split into those
+    that compile a variant file and the rest, as the benchmark's tracer
+    tells its compile spans from its run spans."""
+    argvs = [list(map(str, args[0])) for args, _ in calls]
+    compiles = [a for a in argvs if any(re.search(r"__v\d+\.c$", x) for x in a)]
+    return compiles, [a for a in argvs if a not in compiles]
+
+
+def repro_argvs(report: Path) -> list[list[str]]:
+    """The compiler commands of a wrong-code repro.sh: after the shebang,
+    `set -x` and `cd`, a compile line and a run line per cell."""
+    lines = (report / "repro.sh").read_text().splitlines()
+    assert lines[:3] == ["#!/bin/sh", "set -x", 'cd "$(dirname "$0")"']
+    assert set(lines[4::2]) == {'./repro.out; echo "exit: $?"'}
+    return [shlex.split(line) for line in lines[3::2]]
+
+
+class TestCellPath:
+    def test_each_compile_and_run_is_one_subprocess_run_call(self, tmp_path, corpus, monkeypatch):
+        # the benchmark's tracer times compiles and runs by wrapping the
+        # module attribute subprocess.run, which Popen or a `from
+        # subprocess import run` would bypass without a test noticing
+        calls = record(monkeypatch, subprocess, "run")
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB))
+        run_campaign([corpus["loop"]], cfg, tmp_path / "out")
+        rows = read_log(tmp_path / "out" / "outcomes.jsonl").values()
+        compiles, runs = spawned(calls)
+        assert sorted((Path(a[-1]).name, a[1:-3]) for a in compiles) == sorted(
+            (r["variant"] + ".c", r["flags"]) for r in rows
+        )
+        assert len(compiles) == 32 * 2
+        assert len(runs) == sum(r["interp"]["verdict"] == "ok" for r in rows) == 6 * 2
+        assert all(Path(a).name == "a.out" for (a,) in runs)
+
+    def test_repro_replays_each_flag_as_one_argument(self, tmp_path, monkeypatch):
+        # the interpreter's exit is 3, the stub's binaries exit 0: both
+        # cells disagree, one of them through a flag that holds a space
+        src = tmp_path / "three.c"
+        src.write_text(THREE_SRC)
+        cfg = dataclasses.replace(
+            stub_config(tmp_path, ("okcc", OK_STUB)), flags=(("-O0",), ("-O2", "-DMSG=a b"))
+        )
+        calls = record(monkeypatch, subprocess, "run")
+        summary = run_campaign([src], cfg, tmp_path / "out")
+        (report,) = summary["reports"]
+        meta = json.loads((tmp_path / "out" / "reports" / report / "metadata.json").read_text())
+        assert meta["cells"] == ["okcc:-O0", "okcc:-O2 -DMSG=a b"]
+        ran = sorted(spawned(calls)[0])
+        assert [a[1:-3] for a in ran] == [["-O0"], ["-O2", "-DMSG=a b"]]
+        replayed = [[*a[:-3], "-o", "repro.out", "witness.c"] for a in ran]
+        assert repro_argvs(tmp_path / "out" / "reports" / report) == replayed
+
+    def test_compiler_name_may_hold_a_colon(self, tmp_path):
+        src = tmp_path / "three.c"
+        src.write_text(THREE_SRC)
+        stub = write_stub(tmp_path, "okcc", OK_STUB)
+        cfg = ToolchainConfig(
+            compilers=(CompilerSpec("cc:1", f"{stub} {{flags}} -o {{output}} {{input}}"),),
+            timeout_s=5,
+        )
+        summary = run_campaign([src], cfg, tmp_path / "out")
+        (report,) = summary["reports"]
+        meta = json.loads((tmp_path / "out" / "reports" / report / "metadata.json").read_text())
+        assert meta["cells"] == ["cc:1:-O0", "cc:1:-O3"]
+        assert repro_argvs(tmp_path / "out" / "reports" / report) == [
+            [str(stub), flag, "-o", "repro.out", "witness.c"] for flag in ("-O0", "-O3")
+        ]
+
+    def test_relative_tmpdir(self, tmp_path, corpus, monkeypatch):
+        # each cell runs with its directory as cwd, so a relative
+        # SPE_TMPDIR would send the compiler's output elsewhere
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SPE_TMPDIR", "scratch")
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB))
+        run_campaign([corpus["straight"]], cfg, tmp_path / "out")
+        rows = read_log(tmp_path / "out" / "outcomes.jsonl").values()
+        assert len(rows) == 16
+        assert {r["compile"]["status"] for r in rows} == {"ok"}
+        # every cell directory is removed with its cell
+        assert (tmp_path / "scratch").is_dir() and not any((tmp_path / "scratch").iterdir())
+
+
+class TestTimeouts:
+    """A campaign over one variant with an ok compiler, one whose
+    compile and one whose binary outlive a 1 s timeout, at two flag rows."""
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("timeouts")
+        src = tmp / "zero.c"
+        src.write_text(ZERO_SRC)
+        cfg = stub_config(
+            tmp, ("okcc", OK_STUB), ("hangcc", HANG_STUB), ("loopcc", HANGING_BINARY_STUB)
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            import spe.harness
+
+            calls = record(mp, spe.harness, "_evaluate_cell")
+            summary = run_campaign([src], dataclasses.replace(cfg, timeout_s=1), tmp / "out")
+        return summary, tmp / "out", [row for _, row in calls]
+
+    def test_timeouts_are_logged(self, campaign):
+        summary, out, _ = campaign
+        rows = {(r["compiler"], r["flags"][0]): r for r in read_log(out / "outcomes.jsonl").values()}
+        for flags in ("-O0", "-O3"):
+            assert rows["hangcc", flags]["compile"] == {"status": "timeout"}
+            assert rows["hangcc", flags]["run"] is None
+            assert rows["loopcc", flags]["compile"]["status"] == "ok"
+            assert rows["loopcc", flags]["run"] == {"timeout": True}
+            assert rows["okcc", flags]["run"]["exit"] == 0
+        # the two ok runs agree with the interpreter; a timeout is no run
+        assert summary["reports"] == []
+
+    def test_stats_count_timeouts(self, campaign):
+        _, out, _ = campaign
+        res = CliRunner().invoke(main, ["stats", str(out / "outcomes.jsonl")])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["compilers"]["hangcc"] == {"timeout": 2}
+        assert doc["runs"]["hangcc"]["none"] == 2
+        assert doc["runs"]["loopcc"]["timeout"] == 2
+
+
+    def test_log_reads_back_every_row_written(self, campaign, tmp_path, corpus, monkeypatch):
+        # every kind of row: compile ok, crash, reject and timeout; run
+        # skipped, timed out and finished
+        import spe.harness
+
+        calls = record(monkeypatch, spe.harness, "_evaluate_cell")
+        cfg = stub_config(
+            tmp_path,
+            ("okcc", OK_STUB),
+            ("crashcc", CRASH_STUB),
+            ("evilcc", EVIL_STUB),
+            ("rejectcc", REJECT_STUB),
+        )
+        out = tmp_path / "out"
+        run_campaign([corpus["loop"], corpus["straight"]], cfg, out)
+        for log, written in ((campaign[1], campaign[2]), (out, [row for _, row in calls])):
+            rows = read_log(log / "outcomes.jsonl")
+            assert rows == {(r["variant"], r["compiler"], " ".join(r["flags"])): r for r in written}
+            assert len(rows) == len(written)
+        kinds = {
+            (r["compile"]["status"], r.get("run_skipped"), r["run"] and tuple(sorted(r["run"])))
+            for r in campaign[2] + [row for _, row in calls]
+        }
+        assert kinds == {
+            ("ok", None, ("exit", "stdout_sha256")),
+            ("ok", None, ("timeout",)),
+            ("ok", "ub", None),
+            ("ok", "budget", None),
+            ("crash", None, None),
+            ("reject", None, None),
+            ("timeout", None, None),
+        }

@@ -124,7 +124,10 @@ class ToolchainConfig:
                 )
             if "{output}" not in spec.cmd:
                 raise ConfigError(f"compiler {spec.name!r}: template lacks {{output}}")
-            binary = spec.binary()
+            try:
+                binary = spec.binary()
+            except ValueError as e:  # shlex: an unbalanced quote or a trailing escape
+                raise ConfigError(f"compiler {spec.name!r}: template does not split: {e}") from e
             if "{" in binary:
                 raise ConfigError(f"compiler {spec.name!r}: first token may not be a placeholder")
             if os.sep in binary:

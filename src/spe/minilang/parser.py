@@ -22,6 +22,7 @@ and checked for consistency but not stored in the AST.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -100,8 +101,25 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_PUNCT2 = ("==", "!=", "<=", ">=", "&&", "||")
-_PUNCT1 = set("(){};,=+-*/%<>!")
+# One alternative per token kind. Only comments may hold characters
+# outside ASCII, as in C89: elsewhere such a character ends the token
+# before it, and a directive or string literal takes it in as its last
+# character, to be reported. The junk group is a character that may
+# not follow a number.
+_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>[=!<>]=|&&|\|\||[(){};,=+\-*%<>!]|/(?![/*]))
+    | (?P<num>[0-9]+[uU]?(?P<junk>[\w.])?)
+    | (?P<comment>//[^\n]*|/\*.*?\*/)
+    | (?P<directive>\#[^\n\x80-\U0010ffff]*[^\n]?)
+    | (?P<str>"(?P<body>(?:[^"\\\n\x80-\U0010ffff]|\\n)*)(?P<close>.?))
+    | (?P<open_comment>/\*)
+    | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 # The loosest arithmetic row of BINARY_PREC: arithmetic operators keep
 # their operands' type, and constant initializers use only these rows.
@@ -119,106 +137,43 @@ class _Token:
 
 def _lex(src: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
+    line, line_start = 1, 0  # line_start: offset of the current line
 
-    def err(msg: str) -> None:
+    def err(msg: str, col: int) -> None:
         raise ParseError(E_SYNTAX, msg, line, col)
 
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            j = src.find("\n", i)
-            if j == -1:
-                j = n
-            directive = "".join(src[i:j].split())
-            if directive != "#include<stdio.h>":
-                err(f"unsupported preprocessor directive: {src[i:j].strip()!r}")
-            col += j - i
-            i = j
-            continue
-        if src.startswith("//", i):
-            j = src.find("\n", i)
-            i = j if j != -1 else n
-            continue
-        if src.startswith("/*", i):
-            j = src.find("*/", i + 2)
-            if j == -1:
-                err("unterminated comment")
-            seg = src[i : j + 2]
-            if "\n" in seg:
-                line += seg.count("\n")
-                col = len(seg) - seg.rfind("\n")
-            else:
-                col += len(seg)
-            i = j + 2
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            text = src[i:j]
-            toks.append(_Token("ident", text, text, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            value = int(src[i:j])
-            unsigned = j < n and src[j] in "uU"
-            if unsigned:
-                j += 1
-            if j < n and (src[j].isalnum() or src[j] == "_" or src[j] == "."):
-                err("malformed number literal")
-            toks.append(_Token("num", src[i:j], (value, unsigned), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and src[j] != '"':
-                if src[j] == "\\":
-                    if j + 1 < n and src[j + 1] == "n":
-                        buf.append("\n")
-                        j += 2
-                    else:
-                        err("unsupported escape in string literal")
-                elif src[j] == "\n":
-                    err("unterminated string literal")
-                else:
-                    buf.append(src[j])
-                    j += 1
-            if j >= n:
-                err("unterminated string literal")
-            toks.append(_Token("str", src[i : j + 1], "".join(buf), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        two = src[i : i + 2]
-        if two in _PUNCT2:
-            toks.append(_Token("punct", two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT1:
-            toks.append(_Token("punct", ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        err(f"unexpected character {ch!r}")
-    toks.append(_Token("eof", "", None, line, col))
+    for m in _TOKEN.finditer(src):
+        kind, text, start = m.lastgroup, m.group(), m.start()
+        col = start - line_start + 1
+        if kind == "space" or kind == "comment":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rfind("\n") + 1
+        elif kind == "ident" or kind == "punct":
+            toks.append(_Token(kind, text, text, line, col))
+        elif kind == "num":
+            if m.group("junk"):
+                err("malformed number literal", col)
+            digits = text.rstrip("uU").lstrip("0") or "0"
+            # past 640 digits, the least limit int() may be set to, a
+            # literal is far out of range anyway
+            value = int(digits) if len(digits) <= 640 else UINT_MAX + 1
+            toks.append(_Token("num", text, (value, text[-1] in "uU"), line, col))
+        elif kind == "other" or not text.isascii():
+            # a stray character, or the one that cut a directive or string short
+            err(f"unexpected character {text[-1]!r}", col + len(text) - 1)
+        elif kind == "directive":
+            if "".join(text.split()) != "#include<stdio.h>":
+                err(f"unsupported preprocessor directive: {text.strip()!r}", col)
+        elif kind == "open_comment":
+            err("unterminated comment", col)
+        elif m.group("close") == '"':
+            toks.append(_Token("str", text, m.group("body").replace("\\n", "\n"), line, col))
+        elif m.group("close") == "\\":
+            err("unsupported escape in string literal", col)
+        else:
+            err("unterminated string literal", col)
+    toks.append(_Token("eof", "", None, line, len(src) - line_start + 1))
     return toks
 
 

@@ -68,6 +68,18 @@ DEEP_SRC = (
 # A Latin-1 byte (0xff) that is not UTF-8
 NON_UTF8_SRC = b"int main(void) {\n    return 0;\n}\n\xff\n"
 
+# Valid UTF-8 that C89 refuses outside comments: a superscript two after
+# a digit, and a letter and an Arabic-Indic one, which str.isalpha and
+# str.isdigit accept
+SUPERSCRIPT_SRC = "int main(void) {\n    int a;\n    a = 2\u00b2;\n    return a;\n}\n"
+ACCENT_SRC = "int main(void) {\n    int \u00e9;\n    \u00e9 = \u0661;\n    return 0;\n}\n"
+# ... which a comment may hold
+COMMENTED_LOOP_SRC = "/* \u00e9 */\n" + LOOP_SRC + "// \u0661\n"
+NON_ASCII_ERRORS = {
+    "superscript": (SUPERSCRIPT_SRC, "3:9: malformed number literal"),
+    "accent": (ACCENT_SRC, "2:9: unexpected character '\u00e9'"),
+}
+
 
 @pytest.fixture
 def runner():
@@ -201,6 +213,21 @@ class TestCount:
         assert isinstance(res.exception, SystemExit)
         (line,) = res.output.splitlines()
         assert line.startswith(f"{bad}: ") and "utf-8" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    @pytest.mark.parametrize("stem", NON_ASCII_ERRORS)
+    def test_non_ascii_file_exits_config(self, runner, tmp_path, command, stem):
+        src, error = NON_ASCII_ERRORS[stem]
+        ok, bad = tmp_path / "commented.c", tmp_path / f"{stem}.c"
+        ok.write_text(COMMENTED_LOOP_SRC, encoding="utf-8")
+        bad.write_text(src, encoding="utf-8")
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "enumerate" else []
+        res = runner.invoke(main, [command, str(ok), str(bad), *extra])
+        assert res.exit_code == EXIT_CONFIG
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"{bad}: {error}\n"
         assert not out.exists()
 
     def test_shadowing_file_exits_config(self, runner, corpus):
@@ -613,6 +640,23 @@ class TestTestCommand:
         assert "utf-8" in first["error"]
         assert (second["stem"], second["status"]) == ("loop", "tested")
 
+    def test_non_ascii_files_are_unparseable(self, runner, tmp_path):
+        sources = {stem: src for stem, (src, _) in NON_ASCII_ERRORS.items()}
+        paths = []
+        for stem, src in {**sources, "loop": COMMENTED_LOOP_SRC}.items():
+            paths.append(tmp_path / f"{stem}.c")
+            paths[-1].write_text(src, encoding="utf-8")
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        res = runner.invoke(main, ["test", *map(str, paths), "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == EXIT_OK, res.output
+        assert "tested: 1" in res.output and "unparseable: 2" in res.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(f["stem"], f["status"], f.get("error")) for f in summary["files"]] == [
+            *((stem, "unparseable", error) for stem, (_, error) in NON_ASCII_ERRORS.items()),
+            ("loop", "tested", None),
+        ]
+
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -627,6 +671,8 @@ class TestTestCommand:
             ("flags", 5),
             ("flags", ["-O0", "-O2"]),
             ("flags", "-O2"),
+            # shlex cannot split a template with an unbalanced quote
+            ("compilers", [{"name": "okcc", "cmd": 'sh "oops {input} -o {output}'}]),
         ],
     )
     def test_malformed_toolchain_value_exits_config(self, runner, corpus, tmp_path, key, value):
@@ -640,7 +686,8 @@ class TestTestCommand:
         )
         assert res.exit_code == EXIT_CONFIG
         assert isinstance(res.exception, SystemExit)
-        assert res.output.startswith(f"configuration error: malformed {key}: ")
+        error = "compiler 'okcc': " if key == "compilers" else f"malformed {key}: "
+        assert res.output.startswith(f"configuration error: {error}")
         assert not out.exists()
 
     def test_shadowing_file_is_unsupported(self, runner, corpus, tmp_path):

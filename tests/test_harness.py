@@ -1,9 +1,11 @@
 """Campaign driver, crash deduplication, and differential verdicts,
 exercised with stub compilers so no system toolchain is needed."""
 
+import copy
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spe.cli import main
 from spe.harness import (
@@ -156,6 +160,46 @@ class TestDifferentialVerdict:
         assert v["cells"] == ["cc1:-O0", "cc2:-O0"]
 
 
+# Toolchain documents shaped like the benchmark's, and the junk that
+# mutations put in place of their keys' values
+TOOLCHAIN_DOCS = (
+    {
+        "compilers": [{"name": "cc", "cmd": "env TMPDIR=/tmp sh {flags} -o {output} {input}"}],
+        "flags": [["-O0"], ["-O2"]],
+        "timeout_s": 1,
+        "workers": 2,
+    },
+    {
+        "compilers": [{"name": "stub", "cmd": "sh stub_cc.sh {flags} -o {output} {input}"}],
+        "flags": [["-O0"], ["-O3"]],
+        "timeout_s": 30,
+        "workers": 2,
+    },
+)
+UNBALANCED_CMD = 'sh "oops {input} -o {output}'
+CONFIG_JUNK = (None, True, 1.5, math.nan, [], {}, "-O2", "sh -o {output}", UNBALANCED_CMD)
+
+
+@st.composite
+def mutated_toolchain_docs(draw):
+    """A toolchain document with one to three keys deleted or given junk,
+    at any depth."""
+    doc = copy.deepcopy(draw(st.sampled_from(TOOLCHAIN_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+            elif draw(st.booleans()):
+                del node[key]
+                break
+            else:
+                node[key] = copy.deepcopy(draw(st.sampled_from(CONFIG_JUNK)))
+                break
+    return doc
+
+
 class TestToolchainConfig:
     def test_from_file(self, tmp_path):
         cfg_path = tmp_path / "tc.json"
@@ -185,6 +229,11 @@ class TestToolchainConfig:
     def test_bad_templates_rejected(self, cmd):
         cfg = ToolchainConfig(compilers=(CompilerSpec("bad", cmd),))
         with pytest.raises(ConfigError):
+            cfg.validate()
+
+    def test_unsplittable_template_names_the_compiler(self):
+        cfg = ToolchainConfig(compilers=(CompilerSpec("gcc", 'gcc "oops {input} -o {output}'),))
+        with pytest.raises(ConfigError, match="^compiler 'gcc': template does not split: No closing"):
             cfg.validate()
 
     def test_missing_binary_rejected(self):
@@ -236,6 +285,15 @@ class TestToolchainConfig:
         with pytest.raises(ConfigError) as e:
             cfg.validate()
         assert str(e.value) == message
+
+    @given(st.one_of(mutated_toolchain_docs(), st.sampled_from(CONFIG_JUNK)))
+    @example({"compilers": [{"name": "cc", "cmd": UNBALANCED_CMD}]})
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_mutated_documents_validate_or_raise_config_error(self, doc):
+        try:
+            ToolchainConfig.from_dict(doc).validate()
+        except ConfigError:
+            pass
 
     def test_argv_substitution(self):
         spec = CompilerSpec("cc", "cc {flags} -o {output} {input}")

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spe.minilang import ParseError, parse, render
@@ -41,6 +41,26 @@ def wrap(body: str) -> str:
     return "int main(void) {\n" + body + "\n    return 0;\n}\n"
 
 
+# The fixtures' own characters, and non-ASCII letters, digits, spaces
+# and symbols: C89 refuses all of these outside comments
+NON_ASCII = "\u00e9\u00df\u00b2\u0661\u00bd\u00a0\u0085\u2028\u3000\u20ac\U0001f600"
+CORPUS_ALPHABET = sorted(set(LOOP_SRC + SCOPED_SRC + BRANCH_SRC + NON_ASCII + '/"#\\'))
+COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture with one to three characters inserted, replaced or
+    deleted; new characters come from the alphabet above or anywhere."""
+    src = draw(st.sampled_from((LOOP_SRC, SCOPED_SRC, BRANCH_SRC)))
+    chars = st.one_of(st.sampled_from(CORPUS_ALPHABET), st.characters())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(src)))
+        cut = draw(st.integers(0, 1))
+        src = src[:i] + draw(st.one_of(st.just(""), chars)) + src[i + cut :]
+    return src
+
+
 class TestParser:
     def test_fixture_round_trips(self):
         for src in (LOOP_SRC, SCOPED_SRC, BRANCH_SRC):
@@ -54,6 +74,20 @@ class TestParser:
     def test_random_round_trips(self, seed):
         p = parse(random_source(seed))
         assert render(parse(render(p))) == render(p)
+
+    @given(st.one_of(st.text(st.sampled_from(CORPUS_ALPHABET)), mutated_fixtures()))
+    @example("a = 2\u00b2;")
+    @example(wrap("    return \u0661;"))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_any_text_parses_or_raises_parse_error(self, src):
+        try:
+            p = parse(src)
+        except ParseError:
+            return
+        # only comments may hold characters outside ASCII
+        assert COMMENT.sub("", src).isascii()
+        out = render(p)
+        assert render(parse(out)) == out
 
     def test_shadowing_parses(self):
         from conftest import SHADOW_SRC
@@ -86,6 +120,13 @@ int helper(int x) {
         with pytest.raises(ParseError) as e:
             parse(wrap(f"    unsigned u;\n    u = {UINT_MAX + 1}u;"))
         assert e.value.kind == E_RANGE
+
+    def test_literals_of_any_length(self):
+        # int() refuses to read thousands of digits
+        with pytest.raises(ParseError) as e:
+            parse(wrap("    int x;\n    x = " + "9" * 5000 + ";"))
+        assert (e.value.kind, e.value.line, e.value.col) == (E_RANGE, 3, 9)
+        assert interpret(parse(wrap("    return " + "0" * 5000 + "7u == 7u;"))).exit_code == 1
 
     def test_int_min_initializer_folds(self):
         p = parse(f"int g = -{INT_MAX} - 1;\n" + wrap("    g = g;"))
@@ -170,6 +211,39 @@ int helper(int x) {
         with pytest.raises(ParseError) as e:
             parse(source)
         assert (e.value.kind, e.value.line, e.value.col) == (kind, line, col)
+
+    @pytest.mark.parametrize(
+        "source,message,line,col",
+        [
+            (wrap("    /* open"), "unterminated comment", 2, 5),
+            (wrap('    printf("%d\n'), "unterminated string literal", 2, 12),
+            (wrap('    printf("%d'), "unterminated string literal", 2, 12),
+            (wrap('    printf("%d\\t", 1);'), "unsupported escape in string literal", 2, 12),
+            (wrap("    int x = 12x;"), "malformed number literal", 2, 13),
+            (wrap("    int x = 1uu;"), "malformed number literal", 2, 13),
+            (wrap("    int x = 1.5;"), "malformed number literal", 2, 13),
+            ("#include <stdlib.h>\n" + wrap(""), "unsupported preprocessor directive: '#include <stdlib.h>'", 1, 1),
+            (wrap("    int x;\n    x = 1 @ 2;"), "unexpected character '@'", 3, 11),
+            (wrap("    int x;\n    x = 1 & 2;"), "unexpected character '&'", 3, 11),
+            # outside comments, characters beyond ASCII are refused where they stand
+            (wrap("    int x = 1\u00e9;"), "malformed number literal", 2, 13),
+            (wrap("    int \u00e9;"), "unexpected character '\u00e9'", 2, 9),
+            (wrap("    return \u0661;"), "unexpected character '\u0661'", 2, 12),
+            (wrap('    printf("%d\u00e9", 1);'), "unexpected character '\u00e9'", 2, 15),
+            ("#include\u00a0<stdio.h>\n" + wrap(""), "unexpected character '\\xa0'", 1, 9),
+            ("#include <stdio.h> \u00e9\n" + wrap(""), "unexpected character '\u00e9'", 1, 20),
+        ],
+    )
+    def test_lexical_errors(self, source, message, line, col):
+        with pytest.raises(ParseError) as e:
+            parse(source)
+        assert (e.value.kind, e.value.message, e.value.line, e.value.col) == (E_SYNTAX, message, line, col)
+
+    def test_end_of_input_is_where_the_text_ends(self):
+        # also after a final // comment, whose start was reported before
+        with pytest.raises(ParseError) as e:
+            parse("int main(void) { return 0; // end")
+        assert (e.value.line, e.value.col) == (1, 34)
 
     @pytest.mark.parametrize("expr", ["x && u", "u || x", "(u < u) + x"])
     def test_logical_and_comparison_results_mix(self, expr):

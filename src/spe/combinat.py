@@ -12,24 +12,25 @@ family's scoped partitions and ``family_count`` gives their number in
 closed form.  A skeleton's class stream is the ``lazy_product`` of its
 families' streams, and ``count_plan`` multiplies their counts.
 
-Two enumeration modes exist for scoped families:
+Both enumeration modes run one procedure: every hole independently picks
+one pool on its scope path (its configuration), then each pool's holes
+are partitioned into between ``lo`` and ``len(pool.vars)`` blocks.
 
-* COMPLETE: every hole independently picks one pool on its scope path
-  (its configuration), then each pool's holes are partitioned into at most
-  as many blocks as the pool has variables.  Sound and complete for
+* COMPLETE takes ``lo = 0`` everywhere.  It is sound and complete for
   within-pool renaming equivalence, and it handles nested pools.
-* PAPER: the historical procedure this tool reproduces.  It requires a
-  flat pool tree (every local pool directly under the root), partitions
-  the root pool into *exactly* ``len(root.vars)`` blocks for any mixed
-  configuration, and never promotes all holes of one local scope unless it
-  promotes every hole of every scope.  Its stream is a strict subset of
-  COMPLETE's on some shapes (see ``tests``), which is why COMPLETE is the
-  default elsewhere.
+* PAPER is the historical procedure this tool reproduces: COMPLETE on a
+  flat pool tree (every local pool directly under the root) with two
+  bounds.  Outside the all-root configuration, the root pool takes
+  *exactly* ``len(root.vars)`` blocks, and every local pool keeps at
+  least one of its own holes.  Its stream is a strict subset of
+  COMPLETE's on some shapes (see ``tests``), which is why COMPLETE is
+  the default elsewhere.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,9 +40,8 @@ __all__ = [
     "Mode",
     "ScopeNestingError",
     "stirling2",
-    "count_at_most",
-    "rgs_at_most",
-    "rgs_exact",
+    "count_blocks",
+    "rgs",
     "rgs_of_vector",
     "Pool",
     "Family",
@@ -86,65 +86,46 @@ def stirling2(n: int, k: int) -> int:
     return _stirling_rows[n][k]
 
 
-def count_at_most(n: int, k: int) -> int:
-    """Partitions of an n-set into at most k blocks (1 for n == 0)."""
-    if n == 0:
-        return 1
-    return sum(stirling2(n, i) for i in range(1, min(k, n) + 1))
+def count_blocks(n: int, lo: int, hi: int) -> int:
+    """Partitions of an n-set into lo..hi blocks: the length of
+    ``rgs(n, lo, hi)``.  The empty set has one partition, into 0 blocks."""
+    return sum(stirling2(n, k) for k in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
 # Restricted growth strings
 
 
-def rgs_at_most(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All RGS of length n with at most k distinct digits (at most k
-    blocks), lexicographic.  n == 0 yields the single empty string."""
+def rgs(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """All RGS of length n with lo..hi distinct digits (blocks),
+    lexicographic.  n == 0 yields the single empty string iff lo == 0."""
     if n == 0:
-        yield ()
+        if lo == 0:
+            yield ()
         return
-    if k < 1:
+    lo = max(lo, 1)  # a[0] opens block 0
+    if lo > min(n, hi):
         return
     a = [0] * n
-    b = [1] * n  # b[i] = 1 + max(a[:i]); a[i] may grow up to min(b[i], k-1)
+    used = [1] * (n + 1)  # used[j]: blocks among a[:j], for j >= 1
+    i = 0
     while True:
+        # complete a[:i + 1] with its least suffix: zeros, then one new
+        # block per position for the blocks lo still needs
+        first_new = n - max(lo - used[i + 1], 0)
+        for j in range(i + 1, n):
+            a[j] = used[j] if j >= first_new else 0
+            used[j + 1] = used[j] + (j >= first_new)
         yield tuple(a)
+        # grow the last digit that may grow (to used[i] at most, which
+        # opens a block); its suffix kept lo in reach, so the new one can
         i = n - 1
-        while i > 0 and a[i] + 1 > min(b[i], k - 1):
+        while i and (a[i] >= used[i] or a[i] + 1 >= hi):
             i -= 1
-        if i == 0:
+        if not i:
             return
         a[i] += 1
-        for j in range(i + 1, n):
-            a[j] = 0
-            b[j] = max(b[j - 1], a[j - 1] + 1)
-
-
-def rgs_exact(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All RGS of length n using exactly k distinct digits, lexicographic.
-
-    Empty for k > n (no {n,n} fallback; the at-most routine owns the cap)."""
-    if k < 0 or k > n:
-        return
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            if used == k:
-                yield tuple(a)
-            return
-        hi = min(used, k - 1)
-        for d in range(hi + 1):
-            nu = used + (1 if d == used else 0)
-            # enough positions left to open the remaining blocks
-            if nu + (n - i - 1) >= k:
-                a[i] = d
-                yield from rec(i + 1, nu)
-
-    yield from rec(0, 0)
+        used[i + 1] = used[i] + (a[i] == used[i])
 
 
 def rgs_of_vector(values: Sequence) -> tuple[int, ...]:
@@ -222,27 +203,21 @@ class Family:
     def is_flat(self) -> bool:
         return all(p.parent == 0 for p in self.pools[1:])
 
-    def deepest(self, pos: int) -> int:
-        return self.eligible[pos][-1]
+    def own_holes(self) -> list[int]:
+        """Per pool, the number of holes whose deepest eligible pool it is."""
+        own = [0] * len(self.pools)
+        for el in self.eligible:
+            own[el[-1]] += 1
+        return own
 
 
-def _pool_positions(family: Family, config: Sequence[int]) -> list[list[int]]:
-    per_pool: list[list[int]] = [[] for _ in family.pools]
-    for pos, pi in enumerate(config):
-        per_pool[pi].append(pos)
-    return per_pool
-
-
-def _paper_config_ok(family: Family, config: Sequence[int]) -> bool:
-    # All-promoted is covered by the at-most solution over every hole;
-    # any other configuration must keep >= 1 hole in each local family.
-    if all(d == 0 for d in config):
-        return True
-    for p in range(1, len(family.pools)):
-        holes_of_p = [pos for pos in range(len(config)) if family.deepest(pos) == p]
-        if holes_of_p and not any(config[pos] == p for pos in holes_of_p):
-            return False
-    return True
+def _is_paper(family: Family, mode: Mode) -> bool:
+    if mode is Mode.PAPER and not family.is_flat:
+        raise ScopeNestingError(
+            "paper mode handles one level of local pools under the root; "
+            "this family nests pools"
+        )
+    return mode is Mode.PAPER
 
 
 def family_stream(
@@ -255,42 +230,44 @@ def family_stream(
     family's canonical form: two fillings are within-pool-renaming
     equivalent iff their pairs are equal.  PAPER mode raises
     ScopeNestingError on a family whose pool tree is not flat."""
-    if mode is Mode.PAPER and not family.is_flat:
-        raise ScopeNestingError(
-            "paper mode handles one level of local pools under the root; "
-            "this family nests pools"
-        )
+    paper = _is_paper(family, mode)
+    caps = [len(p.vars) for p in family.pools]
+    own = family.own_holes()
     for config in itertools.product(*family.eligible):
-        if mode is Mode.PAPER and not _paper_config_ok(family, config):
-            continue
-        per_pool = _pool_positions(family, config)
-        all_root = all(d == 0 for d in config)
-
-        def pool_factory(pi: int, positions: list[int]):
-            cap = len(family.pools[pi].vars)
-            if mode is Mode.PAPER and pi == 0 and not all_root:
-                return lambda: rgs_exact(len(positions), cap)
-            return lambda: rgs_at_most(len(positions), cap)
-
-        factories = [pool_factory(pi, pos) for pi, pos in enumerate(per_pool)]
+        sizes = [config.count(p) for p in range(len(caps))]
+        root_lo = 0
+        if paper and sizes[0] < len(config):
+            # on a flat tree only a pool's own holes can choose it
+            if any(o and not s for o, s in zip(own[1:], sizes[1:])):
+                continue
+            root_lo = caps[0]
+        factories = [
+            functools.partial(rgs, size, root_lo if p == 0 else 0, cap)
+            for p, (size, cap) in enumerate(zip(sizes, caps))
+        ]
         for rgs_tuple in lazy_product(factories):
             yield config, rgs_tuple
 
 
 def family_count(family: Family, mode: Mode) -> int:
     """Closed-form size of family_stream without enumerating it."""
-    if mode is Mode.PAPER:
-        return _paper_count(family)
-    return _complete_count(family)
+    if not _is_paper(family, mode):
+        return _pool_count(family, 0, False)
+    total = 0
+    if all(0 in el for el in family.eligible):  # the all-root configuration
+        total = count_blocks(len(family.holes), 0, len(family.pools[0].vars))
+    if any(family.own_holes()[1:]):
+        total += _pool_count(family, len(family.pools[0].vars), True)
+    return total
 
 
-def _complete_count(family: Family) -> int:
+def _pool_count(family: Family, root_lo: int, keep: bool) -> int:
     # Bottom-up over the pool tree.  up[p][j] = ways to place and partition
-    # every hole of p's subtree such that exactly j holes pass above p.
+    # every hole of p's subtree such that exactly j holes pass above p.  The
+    # root takes root_lo.. blocks; with keep, a local pool with holes of its
+    # own stops at least one of them.
     npools = len(family.pools)
-    own = [0] * npools
-    for pos in range(len(family.holes)):
-        own[family.deepest(pos)] += 1
+    own = family.own_holes()
     kids: list[list[int]] = [[] for _ in range(npools)]
     for i, p in enumerate(family.pools):
         if p.parent is not None:
@@ -308,53 +285,17 @@ def _complete_count(family: Family) -> int:
                         merged[i + j] += a * b
             arrived = merged
         v = len(family.pools[p].vars)
-        total_in = [0] * (len(arrived) + own[p])
-        for j, w in enumerate(arrived):
-            if w:
-                total_in[j + own[p]] += w
         if p == 0:
-            return sum(w * count_at_most(a, v) for a, w in enumerate(total_in))
-        out = [0] * len(total_in)
-        for a, w in enumerate(total_in):
-            if not w:
-                continue
+            return sum(w * count_blocks(j + own[p], root_lo, v) for j, w in enumerate(arrived))
+        out = [0] * (len(arrived) + own[p])
+        for j, w in enumerate(arrived):
+            a = j + own[p]
             for m in range(a + 1):  # m holes stop at p, a-m continue up
-                out[a - m] += w * math.comb(a, m) * count_at_most(m, v)
+                # with keep, drop the choices that stop none of p's own holes
+                ways = math.comb(a, m) - (math.comb(j, m) if keep and own[p] else 0)
+                out[a - m] += w * ways * count_blocks(m, 0, v)
         up[p] = out
     raise AssertionError("unreachable: family has a root pool")
-
-
-def _paper_count(family: Family) -> int:
-    if not family.is_flat:
-        raise ScopeNestingError(
-            "paper mode handles one level of local pools under the root; "
-            "this family nests pools"
-        )
-    n = len(family.holes)
-    v_root = len(family.pools[0].vars)
-    fams: dict[int, int] = {}
-    for pos in range(n):
-        d = family.deepest(pos)
-        if d != 0:
-            fams[d] = fams.get(d, 0) + 1
-    g = n - sum(fams.values())
-    # all promoted, at-most blocks -- only when every hole may reach the root
-    total = count_at_most(n, v_root) if all(0 in el for el in family.eligible) else 0
-    locals_ = sorted(fams.items())
-    if not locals_:
-        # no local pools: the procedure degenerates to the at-most solution
-        return total
-    # every local family keeps m_i in [1, u_i]; promoted holes join the root,
-    # which is then partitioned into exactly v_root blocks (no way at all
-    # when the root has no variables and a hole was promoted)
-    for kept in itertools.product(*[range(1, u + 1) for _, u in locals_]):
-        ways = 1
-        promoted = 0
-        for (p, u), m in zip(locals_, kept):
-            ways *= math.comb(u, m) * count_at_most(m, len(family.pools[p].vars))
-            promoted += u - m
-        total += ways * stirling2(g + promoted, v_root)
-    return total
 
 
 # ---------------------------------------------------------------------------

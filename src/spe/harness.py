@@ -117,7 +117,13 @@ class ToolchainConfig:
             repeated = [k for i, k in enumerate(keys) if k in keys[:i]]
             if repeated:
                 raise ConfigError(f"{what} {repeated[0]!r} is configured twice")
+        # no process argument may hold a NUL character
+        for flags in self.flags:
+            if any("\0" in flag for flag in flags):
+                raise ConfigError(f"flag row {' '.join(flags)!r} holds a NUL character")
         for spec in self.compilers:
+            if "\0" in spec.cmd:
+                raise ConfigError(f"compiler {spec.name!r}: template holds a NUL character")
             if spec.cmd.count("{input}") != 1:
                 raise ConfigError(
                     f"compiler {spec.name!r}: template must contain {{input}} exactly once"

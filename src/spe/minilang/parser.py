@@ -121,6 +121,10 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+# The one directive MiniC takes, spelt token by token as C89 reads it:
+# only spaces and tabs may separate or follow the tokens.
+_INCLUDE = re.compile(r"\#[ \t]*include[ \t]*<stdio\.h>[ \t]*\r?")
+
 # The loosest arithmetic row of BINARY_PREC: arithmetic operators keep
 # their operands' type, and constant initializers use only these rows.
 _ARITH = BINARY_PREC["+"]
@@ -163,7 +167,9 @@ def _lex(src: str) -> list[_Token]:
             # a stray character, or the one that cut a directive or string short
             err(f"unexpected character {text[-1]!r}", col + len(text) - 1)
         elif kind == "directive":
-            if "".join(text.split()) != "#include<stdio.h>":
+            if toks and toks[-1].line == line:  # a directive starts its line
+                err("stray '#' in program", col)
+            if not _INCLUDE.fullmatch(text):
                 err(f"unsupported preprocessor directive: {text.strip()!r}", col)
         elif kind == "open_comment":
             err("unterminated comment", col)

@@ -64,6 +64,31 @@ int main(void) {
 }
 """
 
+STRAIGHT_SRC = """\
+int main(void) {
+    int a;
+    int b;
+    a = 3;
+    b = a;
+    return b;
+}
+"""
+
+# nested declaring blocks: rejected by paper mode, fine in complete mode
+NESTED_SRC = """\
+int main(void) {
+    int a = 1;
+    if (a) {
+        int b = 2;
+        if (b) {
+            int c = 3;
+            c = a + b;
+        }
+    }
+    return 0;
+}
+"""
+
 SHADOW_SRC = """\
 int g = 1;
 

@@ -79,6 +79,42 @@ def stirling_by_enumeration(n: int, k: int) -> int:
     return len(set_partitions(n, k))
 
 
+def canonical_fillings(family) -> list[tuple]:
+    """The family's canonical forms, sorted, from the full filling
+    product: each hole takes any variable of any pool it may draw from;
+    the form is the pool each hole's variable belongs to, and per pool
+    the first-occurrence labels of the variables its holes took."""
+    choices = [[(p, v) for p in el for v in family.pools[p].vars] for el in family.eligible]
+    forms = set()
+    for filling in itertools.product(*choices):
+        labels: list[dict] = [{} for _ in family.pools]
+        for p, v in filling:
+            labels[p].setdefault(v, len(labels[p]))
+        rgs = tuple(
+            tuple(labels[p][v] for q, v in filling if q == p) for p in range(len(family.pools))
+        )
+        forms.add((tuple(p for p, _ in filling), rgs))
+    return sorted(forms)
+
+
+def paper_reference(family) -> list[tuple]:
+    """The PAPER stream of a flat family by its definition: the canonical
+    forms in which, unless every hole chose the root, the root's holes use
+    exactly as many variables as the root has, and every local pool keeps
+    at least one of the holes that may draw from no deeper pool."""
+    n_root = len(family.pools[0].vars)
+    owners = {el[-1] for el in family.eligible if el[-1]}
+    kept = []
+    for config, rgs in canonical_fillings(family):
+        if any(config):
+            if len(set(rgs[0])) != n_root:
+                continue
+            if {c for el, c in zip(family.eligible, config) if c and c == el[-1]} != owners:
+                continue
+        kept.append((config, rgs))
+    return kept
+
+
 def naive_space(skel) -> Iterator[tuple[str, ...]]:
     """Every filling of the skeleton: the product of each hole's
     variable set, in lexicographic order of hole position and

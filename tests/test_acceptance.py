@@ -19,6 +19,7 @@ from conftest import (
     LOOP_SRC,
     SCOPED_SRC,
     BRANCH_SRC,
+    STRAIGHT_SRC,
     random_skeleton,
     write_stub,
 )
@@ -42,16 +43,6 @@ from spe.harness import (
 from spe.minilang import parse
 from spe.minilang.interp import interpret
 from spe.skeleton import Granularity, extract
-
-STRAIGHT_SRC = """\
-int main(void) {
-    int a;
-    int b;
-    a = 3;
-    b = a;
-    return b;
-}
-"""
 
 ICE_LINE = "internal compiler error: in assign_by_spills, at lra-assigns.c:1281"
 ICE_LINE_MUTATED = "internal compiler error: in assign_by_spills, at lra-assigns.c:977"

@@ -18,9 +18,11 @@ from conftest import (
     BRANCH_SRC,
     CRASH_STUB,
     LOOP_SRC,
+    NESTED_SRC,
     OK_STUB,
     SCOPED_SRC,
     SHADOW_SRC,
+    STRAIGHT_SRC,
     random_source,
     write_stub,
 )
@@ -31,31 +33,6 @@ from spe.enumerator import plan, variants
 from spe.harness import read_log
 from spe.minilang import ParseError, parse, render
 from spe.skeleton import Granularity, extract
-
-# nested declaring blocks: rejected by paper mode, fine in complete mode
-NESTED_SRC = """\
-int main(void) {
-    int a = 1;
-    if (a) {
-        int b = 2;
-        if (b) {
-            int c = 3;
-            c = a + b;
-        }
-    }
-    return 0;
-}
-"""
-
-STRAIGHT_SRC = """\
-int main(void) {
-    int a;
-    int b;
-    a = 3;
-    b = a;
-    return b;
-}
-"""
 
 
 # 300 nested parentheses: past the parser's nesting limit
@@ -79,6 +56,9 @@ NON_ASCII_ERRORS = {
     "superscript": (SUPERSCRIPT_SRC, "3:9: malformed number literal"),
     "accent": (ACCENT_SRC, "2:9: unexpected character '\u00e9'"),
 }
+
+# well-formed flag rows that no process can receive
+NUL_FLAG_ROWS = [["-O0"], ["-O\u0000"]]
 
 
 @pytest.fixture
@@ -673,6 +653,9 @@ class TestTestCommand:
             ("flags", "-O2"),
             # shlex cannot split a template with an unbalanced quote
             ("compilers", [{"name": "okcc", "cmd": 'sh "oops {input} -o {output}'}]),
+            # no process argument may hold a NUL character
+            ("compilers", [{"name": "okcc", "cmd": "sh {flags} -o {output} {input} -DX=\u0000"}]),
+            ("flags", NUL_FLAG_ROWS),
         ],
     )
     def test_malformed_toolchain_value_exits_config(self, runner, corpus, tmp_path, key, value):
@@ -686,7 +669,12 @@ class TestTestCommand:
         )
         assert res.exit_code == EXIT_CONFIG
         assert isinstance(res.exception, SystemExit)
-        error = "compiler 'okcc': " if key == "compilers" else f"malformed {key}: "
+        if key == "compilers":
+            error = "compiler 'okcc': "
+        elif value == NUL_FLAG_ROWS:
+            error = "flag row '-O\\x00' holds a NUL character"
+        else:
+            error = f"malformed {key}: "
         assert res.output.startswith(f"configuration error: {error}")
         assert not out.exists()
 

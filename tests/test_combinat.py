@@ -1,6 +1,10 @@
 """Partition counting and generation against brute-force oracles."""
 
+import hashlib
+import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,20 +15,20 @@ from spe.combinat import (
     Mode,
     Pool,
     ScopeNestingError,
-    count_at_most,
+    count_blocks,
     family_count,
     family_stream,
     lazy_product,
-    rgs_at_most,
-    rgs_exact,
+    rgs,
     rgs_of_vector,
     stirling2,
 )
 
 from spe.minilang import parse
-from spe.skeleton import extract
+from spe.skeleton import Granularity, extract, normal_forms
 
-from oracles import set_partitions, stirling_by_enumeration
+from conftest import BRANCH_SRC, LOOP_SRC, NESTED_SRC, SCOPED_SRC, STRAIGHT_SRC, random_source
+from oracles import canonical_fillings, paper_reference, set_partitions, stirling_by_enumeration
 
 EMPTY_ROOT_SRC = (
     "int main() { { int a; int c; a = 1; c = a; a = c; } { int b; b = 2; b = b; } return 0; }"
@@ -66,29 +70,29 @@ class TestStirling:
 
 class TestRgsStreams:
     def test_at_most_62(self):
-        rows = list(rgs_at_most(6, 2))
-        assert len(rows) == 32 == count_at_most(6, 2)
+        rows = list(rgs(6, 0, 2))
+        assert len(rows) == 32 == count_blocks(6, 0, 2)
         assert rows[0] == (0, 0, 0, 0, 0, 0)
         assert rows[-1] == (0, 1, 1, 1, 1, 1)
 
     def test_exact_32(self):
-        rows = list(rgs_exact(3, 2))
+        rows = list(rgs(3, 2, 2))
         assert rows == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
-        assert stirling2(3, 2) == 3
+        assert stirling2(3, 2) == 3 == count_blocks(3, 2, 2)
 
     def test_exact_k_above_n_empty(self):
-        assert list(rgs_exact(1, 2)) == []
-        assert stirling2(1, 2) == 0
+        assert list(rgs(1, 2, 2)) == []
+        assert stirling2(1, 2) == 0 == count_blocks(1, 2, 2)
 
     def test_zero_holes(self):
-        assert list(rgs_at_most(0, 3)) == [()]
-        assert list(rgs_exact(0, 0)) == [()]
-        assert list(rgs_exact(0, 1)) == []
+        assert list(rgs(0, 0, 3)) == [()]
+        assert list(rgs(0, 0, 0)) == [()]
+        assert list(rgs(0, 1, 1)) == []
 
     @given(st.integers(0, 7), st.integers(1, 5))
     def test_at_most_stream_properties(self, n, k):
-        rows = list(rgs_at_most(n, k))
-        assert len(rows) == count_at_most(n, k) == sum(stirling2(n, j) for j in range(k + 1))
+        rows = list(rgs(n, 0, k))
+        assert len(rows) == count_blocks(n, 0, k) == sum(stirling2(n, j) for j in range(k + 1))
         assert rows == sorted(rows)
         assert len(set(rows)) == len(rows)
         for r in rows:
@@ -97,8 +101,8 @@ class TestRgsStreams:
 
     @given(st.integers(0, 7), st.integers(0, 5))
     def test_exact_stream_properties(self, n, k):
-        rows = list(rgs_exact(n, k))
-        assert len(rows) == stirling2(n, k)
+        rows = list(rgs(n, k, k))
+        assert len(rows) == stirling2(n, k) == count_blocks(n, k, k)
         for r in rows:
             assert is_rgs(r)
             assert len(set(r)) == k
@@ -106,7 +110,16 @@ class TestRgsStreams:
     def test_exact_matches_recursive_oracle(self):
         for n in range(0, 7):
             for k in range(0, n + 1):
-                assert set(rgs_exact(n, k)) == set(set_partitions(n, k))
+                assert set(rgs(n, k, k)) == set(set_partitions(n, k))
+
+    def test_block_range_matches_recursive_oracle(self):
+        for n in range(0, 7):
+            for lo in range(0, 6):
+                for hi in range(lo, 6):
+                    rows = list(rgs(n, lo, hi))
+                    expected = sorted(r for r in set_partitions(n) if lo <= len(set(r)) <= hi)
+                    assert rows == expected, (n, lo, hi)
+                    assert count_blocks(n, lo, hi) == len(rows)
 
     @given(st.lists(st.sampled_from("xyzw"), max_size=8))
     def test_rgs_of_vector_is_relabeling_invariant(self, values):
@@ -203,3 +216,87 @@ class TestNestedPools:
         count = family_count(fam, Mode.COMPLETE)
         rows = list(family_stream(fam, Mode.COMPLETE))
         assert len(rows) == len(set(rows)) == count
+
+
+@st.composite
+def pool_families(draw):
+    """A family of up to 4 pools, flat or nested, and up to 6 holes. The
+    root may be empty, and then no hole draws from it. The holes' filling
+    product is kept small enough to walk."""
+    n_pools = draw(st.integers(1, 4))
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n_pools)]
+    sizes = [draw(st.integers(0, 3))] + [draw(st.integers(1, 3)) for _ in parents[1:]]
+    homes = [p for p in range(n_pools) if p or sizes[0]]
+    deepest = sorted(draw(st.lists(st.sampled_from(homes), max_size=6)) if homes else [])
+    eligible = []
+    for d in deepest:
+        path = []
+        while d is not None:
+            path.append(d)
+            d = parents[d]
+        eligible.append(tuple(sorted(p for p in path if p or sizes[0])))
+    while math.prod(sum(sizes[p] for p in el) for el in eligible) > 2000:
+        eligible.pop()
+    pools = tuple(
+        Pool(vars=tuple(f"v{p}_{i}" for i in range(n)), parent=parent)
+        for p, (n, parent) in enumerate(zip(sizes, parents))
+    )
+    holes = tuple(range(1, len(eligible) + 1))
+    return Family(unit="main", type="int", pools=pools, holes=holes, eligible=tuple(eligible))
+
+
+class TestFamilyStreamProperties:
+    @given(pool_families())
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_streams_match_their_definitions(self, fam):
+        complete = list(family_stream(fam, Mode.COMPLETE))
+        assert complete == sorted(set(complete))
+        assert family_count(fam, Mode.COMPLETE) == len(complete)
+        assert complete == canonical_fillings(fam)
+        if not fam.is_flat:
+            with pytest.raises(ScopeNestingError):
+                family_count(fam, Mode.PAPER)
+            with pytest.raises(ScopeNestingError):
+                next(family_stream(fam, Mode.PAPER))
+            return
+        paper = list(family_stream(fam, Mode.PAPER))
+        assert paper == sorted(set(paper))
+        assert family_count(fam, Mode.PAPER) == len(paper)
+        assert paper == paper_reference(fam)
+
+
+# Every family of these sources, under both modes, both granularities and
+# with and without declaration holes, hashed by `stream_digest`.
+# `stream_digests.json` holds the digests of the streams as first
+# written, so a change to any stream's content or order shows here.
+DIGEST_SOURCES = {
+    "loop": LOOP_SRC,
+    "branch": BRANCH_SRC,
+    "scoped": SCOPED_SRC,
+    "straight": STRAIGHT_SRC,
+    "nested": NESTED_SRC,
+    **{f"random_source({seed})": random_source(seed) for seed in range(50)},
+}
+DIGEST_ROWS = 5000  # stream entries hashed per family
+
+
+def stream_digest(src: str) -> str:
+    h = hashlib.sha256()
+    for decl_holes in (False, True):
+        skel = extract(parse(src), decl_holes=decl_holes)
+        for granularity in Granularity:
+            for fam in normal_forms(skel, granularity):
+                for mode in Mode:
+                    h.update(f"{decl_holes} {granularity.value} {fam.unit} {fam.type} {mode.value}\n".encode())
+                    try:
+                        h.update(f"{family_count(fam, mode)}\n".encode())
+                        for row in itertools.islice(family_stream(fam, mode), DIGEST_ROWS):
+                            h.update(repr(row).encode())
+                    except ScopeNestingError:
+                        h.update(b"nests\n")
+    return h.hexdigest()[:16]
+
+
+def test_streams_match_frozen_digests():
+    frozen = json.loads((Path(__file__).parent / "stream_digests.json").read_text())
+    assert {name: stream_digest(src) for name, src in DIGEST_SOURCES.items()} == frozen

@@ -29,19 +29,9 @@ from spe.harness import (
     run_campaign,
 )
 
-from conftest import CRASH_STUB, EVIL_STUB, LOOP_SRC, OK_STUB, write_stub
+from conftest import CRASH_STUB, EVIL_STUB, LOOP_SRC, OK_STUB, STRAIGHT_SRC, write_stub
 
 ICE_LINE = "internal compiler error: in assign_by_spills, at lra-assigns.c:1281"
-
-STRAIGHT_SRC = """\
-int main(void) {
-    int a;
-    int b;
-    a = 3;
-    b = a;
-    return b;
-}
-"""
 
 # one variable in both holes: a single variant, which exits with 0
 ZERO_SRC = """\
@@ -177,7 +167,10 @@ TOOLCHAIN_DOCS = (
     },
 )
 UNBALANCED_CMD = 'sh "oops {input} -o {output}'
-CONFIG_JUNK = (None, True, 1.5, math.nan, [], {}, "-O2", "sh -o {output}", UNBALANCED_CMD)
+NUL_CMD = "sh {flags} -o {output} {input} -DX=\u0000"
+CONFIG_JUNK = (
+    None, True, 1.5, math.nan, [], {}, "-O2", "sh -o {output}", UNBALANCED_CMD, "-O\u0000", NUL_CMD
+)
 
 
 @st.composite
@@ -288,12 +281,33 @@ class TestToolchainConfig:
 
     @given(st.one_of(mutated_toolchain_docs(), st.sampled_from(CONFIG_JUNK)))
     @example({"compilers": [{"name": "cc", "cmd": UNBALANCED_CMD}]})
+    @example({"compilers": [{"name": "cc", "cmd": NUL_CMD}]})
+    @example({**TOOLCHAIN_DOCS[0], "flags": [["-O\u0000"]]})
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_mutated_documents_validate_or_raise_config_error(self, doc):
         try:
-            ToolchainConfig.from_dict(doc).validate()
+            cfg = ToolchainConfig.from_dict(doc)
+            cfg.validate()
         except ConfigError:
-            pass
+            return
+        # a configuration that validates can be spawned
+        for spec, flags in cfg.cells():
+            assert not any("\0" in arg for arg in spec.argv("in.c", "out.bin", flags))
+
+    @pytest.mark.parametrize(
+        "cmd,flags,message",
+        [
+            (NUL_CMD, (("-O0",),), "compiler 'sh': template holds a NUL character"),
+            ("sh {flags} -o {output} {input}", (("-O0",), ("-O\u0000",)),
+             "flag row '-O\\x00' holds a NUL character"),
+        ],
+        ids=["cmd", "flag"],
+    )
+    def test_nul_rejected(self, cmd, flags, message):
+        cfg = ToolchainConfig(compilers=(CompilerSpec("sh", cmd),), flags=flags)
+        with pytest.raises(ConfigError) as e:
+            cfg.validate()
+        assert str(e.value) == message
 
     def test_argv_substitution(self):
         spec = CompilerSpec("cc", "cc {flags} -o {output} {input}")

@@ -232,12 +232,30 @@ int helper(int x) {
             (wrap('    printf("%d\u00e9", 1);'), "unexpected character '\u00e9'", 2, 15),
             ("#include\u00a0<stdio.h>\n" + wrap(""), "unexpected character '\\xa0'", 1, 9),
             ("#include <stdio.h> \u00e9\n" + wrap(""), "unexpected character '\u00e9'", 1, 20),
+            # the directive is spelt token by token, as gcc -std=c89 reads it
+            ("#inc lude <std io.h>\n" + wrap(""), "unsupported preprocessor directive: '#inc lude <std io.h>'", 1, 1),
+            ("#include\x1c<stdio.h>\n" + wrap(""), "unsupported preprocessor directive: '#include\\x1c<stdio.h>'", 1, 1),
+            ("#include < stdio.h >\n" + wrap(""), "unsupported preprocessor directive: '#include < stdio.h >'", 1, 1),
+            # ... and starts its line
+            ("int main(void) { return 0; } #include <stdio.h>\n", "stray '#' in program", 1, 30),
+            (wrap("    int x; #include <stdio.h>"), "stray '#' in program", 2, 12),
         ],
     )
     def test_lexical_errors(self, source, message, line, col):
         with pytest.raises(ParseError) as e:
             parse(source)
         assert (e.value.kind, e.value.message, e.value.line, e.value.col) == (E_SYNTAX, message, line, col)
+
+    @pytest.mark.parametrize(
+        "directive",
+        ["#include <stdio.h>", "# include <stdio.h>", "#include<stdio.h>", "\t#include\t<stdio.h> \t",
+         "/* c */ #include <stdio.h>", "/* c\n */ #include <stdio.h>"],
+    )
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_include_spellings(self, directive, newline):
+        # every spelling here compiles with gcc -std=c89
+        source = (directive + "\n" + wrap("    printf(\"%d\", 1);")).replace("\n", newline)
+        assert render(parse(source)) == render(parse(wrap("    printf(\"%d\", 1);")))
 
     def test_end_of_input_is_where_the_text_ends(self):
         # also after a final // comment, whose start was reported before

@@ -186,8 +186,9 @@ class ToolchainConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ToolchainConfig":
         try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as e:
+            # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep
             raise ConfigError(f"cannot load toolchain config {path}: {e}") from e
         return cls.from_dict(data)
 
@@ -426,7 +427,7 @@ def _parse_row(line: bytes) -> Optional[dict]:
             and (interp["verdict"] != "ok" or _is_result(interp))
             and (run is None or run == {"timeout": True} or _is_result(run))
         )
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, RecursionError):
         return None
     return row if usable else None
 

@@ -2,7 +2,9 @@
 
 Nodes use identity equality so they can serve as dictionary keys (the
 interpreter keys frames by VarDecl, the renderer accepts per-node name
-overrides).
+overrides). `children` is the one place that states the source order
+of a node's children; hole extraction and the interpreter's frame
+model both walk the tree through it.
 """
 
 from __future__ import annotations
@@ -216,3 +218,30 @@ class Program:
             if f.name == name:
                 return f
         raise LookupError(f"no function named {name!r}")
+
+
+#: Each node class's children, in source order.
+_CHILDREN = {
+    Num: lambda n: [],
+    Var: lambda n: [],  # its decl is a reference, not a child
+    VarDecl: lambda n: [],
+    Unary: lambda n: [n.operand],
+    Binary: lambda n: [n.left, n.right],
+    Call: lambda n: [*n.args],
+    Assign: lambda n: [n.target, n.value],
+    If: lambda n: [n.cond, n.then] + ([] if n.orelse is None else [n.orelse]),
+    While: lambda n: [n.cond, n.body],
+    Return: lambda n: [n.value],
+    Printf: lambda n: [n.arg],
+    CallStmt: lambda n: [n.call],
+    Block: lambda n: [*n.decls, *n.stmts],
+    Function: lambda n: [*n.params, n.body],
+    Program: lambda n: [*n.globals, *n.functions],
+}
+
+
+def children(node) -> list:
+    """A node's child nodes in source order: declarations before
+    statements, an assignment's target before its value, parameters
+    before the body."""
+    return _CHILDREN[type(node)](node)

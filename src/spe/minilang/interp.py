@@ -20,6 +20,17 @@ A run costs one step per declaration on entering its block, one per
 statement executed, one per expression node evaluated (before its
 operands), and one after each iteration of a loop body; the step that
 exceeds the budget ends the run, so steps_used is then budget + 1.
+Every closure counts its step, but the budget is checked only where a
+run could go on without end or be seen: at each call, before it enters
+the callee and after the callee returns; at each loop back-edge; and in
+printf, before it appends. The verdict is the one a check at every
+step would give: steps only grow, so a run past the budget stays past
+it; no output is appended past it; and `run` reports a UB or a return
+from main that comes past the budget as the budget's verdict, with
+steps_used = budget + 1. Between the step that exceeds the budget and
+the check that sees it, a run neither loops nor enters nor leaves a
+call, so the work done past the budget is bounded by the nodes of one
+function body.
 
 `interpret` first compiles the Program into Python closures, one per
 node. Everything the tree decides is settled while compiling: which
@@ -99,6 +110,7 @@ from .ast import (
     Var,
     VarDecl,
     While,
+    children,
 )
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -166,27 +178,14 @@ def _frames(node, at: int, sites: dict) -> int:
     suite keeps that walker as its reference interpreter)."""
     if isinstance(node, (Num, Var)):
         return at + 1  # eval
-    if isinstance(node, Unary):  # eval, _unary
-        kids, at = [node.operand], at + 2
-    elif isinstance(node, Binary):  # eval, _binary
-        kids, at = [node.left, node.right], at + 2
+    if isinstance(node, (Unary, Binary, Block)):
+        # eval, then _unary or _binary; exec_block, then exec_stmt per statement
+        at += 2
     elif isinstance(node, Call):  # eval makes the call; the argument list is a frame
         sites[node] = at + 1
-        kids, at = node.args, at + 2
-    elif isinstance(node, Block):  # exec_block, then exec_stmt per statement
-        kids, at = node.stmts, at + 2
-    elif isinstance(node, If):
-        kids = [node.cond, node.then] + ([] if node.orelse is None else [node.orelse])
-    elif isinstance(node, While):
-        kids = [node.cond, node.body]
-    elif isinstance(node, Printf):
-        kids = [node.arg]
-    elif isinstance(node, CallStmt):
-        kids = [node.call]
-    else:  # Assign, Return
-        kids = [node.value]
+        at += 2
     deepest = at
-    for kid in kids:  # a loop, not a generator, to stack one frame per level
+    for kid in children(node):  # a loop, not a generator, to stack one frame per level
         deepest = max(deepest, _frames(kid, at, sites))
     return deepest
 
@@ -197,11 +196,9 @@ def _reads(e: Expr):
         yield e.decl
     elif isinstance(e, Call):
         yield e
-    elif isinstance(e, Unary):
-        yield from _reads(e.operand)
-    elif isinstance(e, Binary):
-        yield from _reads(e.left)
-        yield from _reads(e.right)
+    else:
+        for kid in children(e):
+            yield from _reads(kid)
 
 
 def _is_sum(e: Expr) -> bool:
@@ -289,8 +286,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def num(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 return value
 
             return num
@@ -302,28 +297,14 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
                 def global_var(f):
                     nonlocal steps
                     steps += 1
-                    if steps > budget:
-                        raise _OutOfSteps
                     return gvals[g]
 
                 return global_var
             i = slots[d]
-            if d.is_param or d.init is not None:
-                # set on entry to its scope, before any statement reads it
-                def initialized_var(f):
-                    nonlocal steps
-                    steps += 1
-                    if steps > budget:
-                        raise _OutOfSteps
-                    return f[i]
-
-                return initialized_var
 
             def var(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 v = f[i]
                 if v is _UNINIT:
                     raise _UB(UBKind.UNINIT_READ)
@@ -336,8 +317,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
                 def not_(f):
                     nonlocal steps
                     steps += 1
-                    if steps > budget:
-                        raise _OutOfSteps
                     return 0 if operand(f) else 1
 
                 return not_
@@ -345,8 +324,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
                 def negate_wrapping(f):
                     nonlocal steps
                     steps += 1
-                    if steps > budget:
-                        raise _OutOfSteps
                     return -operand(f) & _UINT_MASK
 
                 return negate_wrapping
@@ -354,8 +331,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def negate(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 v = operand(f)
                 if v == INT_MIN:
                     raise _UB(UBKind.SIGNED_OVERFLOW)
@@ -373,8 +348,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def and_(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 return 1 if left(f) and right(f) else 0
 
             return and_
@@ -382,32 +355,15 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def or_(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 return 1 if left(f) or right(f) else 0
 
             return or_
         compute = BINARY_OPS[op]
         if op in ("/", "%"):
-            if type_ == UINT:
-                def divide_unsigned(f):
-                    nonlocal steps
-                    steps += 1
-                    if steps > budget:
-                        raise _OutOfSteps
-                    l = left(f)
-                    r = right(f)
-                    if r == 0:
-                        raise _UB(UBKind.DIV_BY_ZERO)
-                    return compute(l, r)
-
-                return divide_unsigned
-
+            # an unsigned l is never INT_MIN
             def divide(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 l = left(f)
                 r = right(f)
                 if r == 0:
@@ -421,8 +377,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def compare(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 return 1 if compute(left(f), right(f)) else 0
 
             return compare
@@ -430,8 +384,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def wrapping(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 return compute(left(f), right(f)) & _UINT_MASK
 
             return wrapping
@@ -439,8 +391,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
         def checked(f):
             nonlocal steps
             steps += 1
-            if steps > budget:
-                raise _OutOfSteps
             v = compute(left(f), right(f))
             if INT_MIN <= v <= INT_MAX:
                 return v
@@ -457,15 +407,16 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
         def call_(f):
             nonlocal steps
             steps += 1
-            if steps > budget:
-                raise _OutOfSteps
             base = f[0]
             frame = [base + site]
             for a in args:
                 frame.append(a(f))
-            if base > limit:
+            if base > limit or steps > budget:
                 raise _OutOfSteps
-            return entries[name](frame)
+            v = entries[name](frame)
+            if steps > budget:
+                raise _OutOfSteps
+            return v
 
         return call_
 
@@ -479,8 +430,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
                 def assign_global(f):
                     nonlocal steps
                     steps += 1
-                    if steps > budget:
-                        raise _OutOfSteps
                     gvals[g] = value(f)
 
                 return assign_global
@@ -489,8 +438,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def assign(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 f[i] = value(f)
 
             return assign
@@ -502,8 +449,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def if_(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 if cond(f):
                     return then(f)
                 if orelse is not None:
@@ -518,12 +463,10 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def while_(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 # Brent's cycle detection on the state at the loop head,
                 # sampled at the first head past every CYCLE_SAMPLE_STEPS
                 # steps: `mark` is the next step to sample at, never past
-                # the budget, so the per-iteration tick compares once.
+                # the budget, so the back-edge compares once to check both.
                 mark = steps + CYCLE_SAMPLE_STEPS
                 if mark > budget:
                     mark = budget
@@ -572,8 +515,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def return_(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 return value(f)
 
             return return_
@@ -584,9 +525,10 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def printf(f):
                 nonlocal steps
                 steps += 1
+                text = f"{value(f)}{end}"
                 if steps > budget:
                     raise _OutOfSteps
-                out.append(f"{value(f)}{end}")
+                out.append(text)
 
             return printf
         if isinstance(s, CallStmt):
@@ -595,8 +537,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def call_stmt(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 value(f)
 
             return call_stmt
@@ -606,8 +546,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             def nested(f):
                 nonlocal steps
                 steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 return inner(f)
 
             return nested
@@ -669,10 +607,8 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
 
         def run_block(f):
             nonlocal steps
+            steps += len(inits)
             for i, v in inits:
-                steps += 1
-                if steps > budget:
-                    raise _OutOfSteps
                 f[i] = v
             for s in stmts:
                 r = s(f)
@@ -705,15 +641,18 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
         steps, budget = 0, step_budget
         out.clear()
         gvals[:] = ginit
+        status, ret, kind = Status.STEP_BUDGET_EXHAUSTED, 0, None
         try:
             if cost[main] > MAX_FRAMES:
                 raise _OutOfSteps
-            ret = entries[main]([0])
-            return ExecResult(Status.OK, ret & 0xFF, "".join(out), steps)
+            status, ret = Status.OK, entries[main]([0]) & 0xFF
         except _UB as ub:
-            return ExecResult(Status.UNDEFINED_BEHAVIOR, 0, "".join(out), steps, ub.kind)
+            status, kind = Status.UNDEFINED_BEHAVIOR, ub.kind
         except _OutOfSteps:
-            return ExecResult(Status.STEP_BUDGET_EXHAUSTED, 0, "".join(out), steps)
+            pass
+        if steps > budget:  # whatever ended the run came past the budget
+            return ExecResult(Status.STEP_BUDGET_EXHAUSTED, 0, "".join(out), budget + 1)
+        return ExecResult(status, ret, "".join(out), steps, kind)
 
     return run
 

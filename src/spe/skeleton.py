@@ -30,24 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .combinat import Family, Pool
-from .minilang.ast import (
-    GLOBAL_SCOPE,
-    Assign,
-    Binary,
-    Block,
-    Call,
-    CallStmt,
-    Function,
-    If,
-    Num,
-    Printf,
-    Program,
-    Return,
-    Unary,
-    Var,
-    VarDecl,
-    While,
-)
+from .minilang.ast import GLOBAL_SCOPE, Block, Function, Program, Var, VarDecl, children
 
 #: Pseudo-unit owning global declaration-name holes under --decl-holes.
 GLOBALS_UNIT = "<globals>"
@@ -157,68 +140,27 @@ class _Extractor:
             )
         )
 
-    def walk_function(self, f: Function) -> None:
-        if self.decl_holes:
-            for p in f.params:
-                self.add(p, p.type, p.scope_id, f.name)
-        self.walk_block(f.body, f.name)
-
-    def walk_block(self, b: Block, unit: str) -> None:
-        if self.decl_holes:
-            for d in b.decls:
-                self.add(d, d.type, b.scope_id, unit)
-        for s in b.stmts:
-            self.walk_stmt(s, b.scope_id, unit)
-
-    def walk_stmt(self, s, scope_id: int, unit: str) -> None:
-        if isinstance(s, Assign):
-            self.walk_expr(s.target, scope_id, unit)
-            self.walk_expr(s.value, scope_id, unit)
-        elif isinstance(s, If):
-            self.walk_expr(s.cond, scope_id, unit)
-            self.walk_block(s.then, unit)
-            if s.orelse is not None:
-                self.walk_block(s.orelse, unit)
-        elif isinstance(s, While):
-            self.walk_expr(s.cond, scope_id, unit)
-            self.walk_block(s.body, unit)
-        elif isinstance(s, Return):
-            self.walk_expr(s.value, scope_id, unit)
-        elif isinstance(s, Printf):
-            self.walk_expr(s.arg, scope_id, unit)
-        elif isinstance(s, CallStmt):
-            self.walk_expr(s.call, scope_id, unit)
-        elif isinstance(s, Block):
-            self.walk_block(s, unit)
-        else:
-            raise TypeError(f"not a statement: {s!r}")
-
-    def walk_expr(self, e, scope_id: int, unit: str) -> None:
-        if isinstance(e, Num):
-            return
-        if isinstance(e, Var):
-            self.add(e, e.type, scope_id, unit)
-        elif isinstance(e, Unary):
-            self.walk_expr(e.operand, scope_id, unit)
-        elif isinstance(e, Binary):
-            self.walk_expr(e.left, scope_id, unit)
-            self.walk_expr(e.right, scope_id, unit)
-        elif isinstance(e, Call):
-            for a in e.args:
-                self.walk_expr(a, scope_id, unit)
-        else:
-            raise TypeError(f"not an expression: {e!r}")
+    def walk(self, node, scope_id: int, unit: str) -> None:
+        """Add the holes under node in source order; scope_id is the
+        innermost enclosing block's scope, unit the enclosing function."""
+        if isinstance(node, Var):
+            self.add(node, node.type, scope_id, unit)
+        elif isinstance(node, VarDecl):
+            if self.decl_holes:
+                self.add(node, node.type, node.scope_id, unit)
+        elif isinstance(node, Block):
+            scope_id = node.scope_id
+        elif isinstance(node, Function):
+            unit = node.name
+        for kid in children(node):
+            self.walk(kid, scope_id, unit)
 
 
 def extract(program: Program, decl_holes: bool = False) -> Skeleton:
     """Turn every variable occurrence (and, with decl_holes, every
     declaration-name position) into a hole, in source order."""
     ex = _Extractor(program, decl_holes)
-    if decl_holes:
-        for d in program.globals:
-            ex.add(d, d.type, GLOBAL_SCOPE, GLOBALS_UNIT)
-    for f in program.functions:
-        ex.walk_function(f)
+    ex.walk(program, GLOBAL_SCOPE, GLOBALS_UNIT)
 
     ranges: dict[str, Optional[tuple[int, int]]] = {}
     for h in ex.holes:

@@ -4,6 +4,7 @@ budget handling, campaign exit codes, and log statistics."""
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -59,6 +60,9 @@ NON_ASCII_ERRORS = {
 
 # well-formed flag rows that no process can receive
 NUL_FLAG_ROWS = [["-O0"], ["-O\u0000"]]
+
+# JSON nested deeper than json.loads can recurse
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
 
 
 @pytest.fixture
@@ -656,20 +660,29 @@ class TestTestCommand:
             # no process argument may hold a NUL character
             ("compilers", [{"name": "okcc", "cmd": "sh {flags} -o {output} {input} -DX=\u0000"}]),
             ("flags", NUL_FLAG_ROWS),
+            # with no key, the value is the whole file: not UTF-8, or
+            # nested past what the JSON decoder recurses through
+            pytest.param(None, b"\xff\xfe{}", id="not-utf8"),
+            pytest.param(None, DEEP_JSON, id="nested-too-deep"),
         ],
     )
     def test_malformed_toolchain_value_exits_config(self, runner, corpus, tmp_path, key, value):
         cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
-        doc = json.loads(cfg.read_text())
-        doc[key] = value
-        cfg.write_text(json.dumps(doc))
+        if key is None:
+            cfg.write_bytes(value)
+        else:
+            doc = json.loads(cfg.read_text())
+            doc[key] = value
+            cfg.write_text(json.dumps(doc))
         out = tmp_path / "campaign"
         res = runner.invoke(
             main, ["test", str(corpus["loop"]), "--config", str(cfg), "--out", str(out)]
         )
         assert res.exit_code == EXIT_CONFIG
         assert isinstance(res.exception, SystemExit)
-        if key == "compilers":
+        if key is None:
+            error = f"cannot load toolchain config {cfg}: "
+        elif key == "compilers":
             error = "compiler 'okcc': "
         elif value == NUL_FLAG_ROWS:
             error = "flag row '-O\\x00' holds a NUL character"
@@ -910,6 +923,30 @@ class TestTornLog:
             assert isinstance(res.exception, SystemExit)
             assert f"{log}:17: not an outcome row" in res.output
 
+    def test_deeply_nested_line_is_not_a_row(self, runner, corpus, tmp_path):
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        assert self.campaign(runner, cfg, corpus["straight"], out).exit_code == EXIT_FINDINGS
+        log = out / "outcomes.jsonl"
+        whole = log.read_bytes()
+
+        # unterminated, it is a torn last line like any other
+        log.write_bytes(whole + DEEP_JSON)
+        res = runner.invoke(main, ["stats", str(log)])
+        assert res.exit_code == EXIT_OK
+        assert json.loads(res.output)["rows"] == 16
+        assert self.campaign(runner, cfg, corpus["straight"], out).exit_code == EXIT_FINDINGS
+        assert log.read_bytes() == whole
+
+        log.write_bytes(whole + DEEP_JSON + b"\n")
+        for res in (
+            runner.invoke(main, ["stats", str(log)]),
+            self.campaign(runner, cfg, corpus["straight"], out),
+        ):
+            assert res.exit_code == EXIT_CONFIG
+            assert isinstance(res.exception, SystemExit)
+            assert f"{log}:17: not an outcome row" in res.output
+
     @pytest.mark.parametrize(
         "row",
         [
@@ -988,6 +1025,74 @@ class TestTornLog:
                 assert res.exit_code == EXIT_CONFIG
                 assert isinstance(res.exception, SystemExit)
                 assert f"{log}:17: not an outcome row" in res.output
+
+
+def _key_paths(row: dict):
+    """Every key of a logged row as a path from the row: its own keys,
+    and the keys of the objects it holds."""
+    for k, v in row.items():
+        yield (k,)
+        if isinstance(v, dict):
+            yield from ((k, kk) for kk in v)
+
+
+# what a mutation writes in place of a value, as JSON text: an int, a
+# string, a list, null; None deletes the key instead. The text goes in
+# where json.dumps wrote _PLACEHOLDER, since no Python value nests as
+# deep as DEEP_JSON.
+_JUNK = (None, "7", '"junk"', "[1]", "null")
+_PLACEHOLDER = "\u0000junk\u0000"
+
+
+class TestMutatedLog:
+    """A log row with one key deleted or holding junk, or a line that
+    holds no object at all, never kills a reader of the log: `spe
+    stats` and a resumed campaign exit 0, 1 or 2."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("finished")
+        src = tmp / "loop.c"
+        src.write_text(LOOP_SRC)
+        cfg = stub_config_file(tmp, ("okcc", OK_STUB))
+        out = tmp / "campaign"
+        res = CliRunner().invoke(main, ["test", str(src), "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == EXIT_OK
+        return src, cfg, out
+
+    @given(at=st.integers(0, 63), which=st.integers(0, 20), junk=st.sampled_from(_JUNK))
+    @example(at=0, which=0, junk=DEEP_JSON.decode())
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    def test_readers_exit_with_a_code(self, finished, at, which, junk):
+        src, cfg, finished_out = finished
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "campaign"
+            shutil.copytree(finished_out, out)
+            log = out / "outcomes.jsonl"
+            lines = log.read_text().splitlines()
+            row = json.loads(lines[at])
+            # path () is the row itself: junk replaces the line, None drops it
+            paths = [(), *_key_paths(row)]
+            path = paths[which % len(paths)]
+            if not path:
+                line = junk
+            else:
+                *outer, key = path
+                holder = row[outer[0]] if outer else row
+                if junk is None:
+                    del holder[key]
+                    line = json.dumps(row, sort_keys=True)
+                else:
+                    holder[key] = _PLACEHOLDER
+                    line = json.dumps(row, sort_keys=True).replace(json.dumps(_PLACEHOLDER), junk)
+            lines[at : at + 1] = [] if line is None else [line]
+            log.write_text("".join(f"{line}\n" for line in lines))
+            for res in (
+                CliRunner().invoke(main, ["stats", str(log)]),
+                CliRunner().invoke(main, ["test", str(src), "--config", str(cfg), "--out", str(out)]),
+            ):
+                assert res.exit_code in (EXIT_OK, EXIT_FINDINGS, EXIT_CONFIG), res.output
+                assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
 
 
 # nine holes over four variables of one pool: 11,051 classes

@@ -1,6 +1,7 @@
 """Parser, interpreter, and renderer behavior, including cross-checks
 against system C compilers when present."""
 
+import dataclasses
 import math
 import re
 import shutil
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spe.minilang import ParseError, parse, render
+from spe.minilang import ParseError, ast, parse, render
 from spe.minilang.ast import BINARY_PREC, INT_MAX, INT_MIN, UINT_MAX
-from spe.minilang.interp import CYCLE_SAMPLE_STEPS, DEFAULT_STEP_BUDGET, Status, UBKind, interpret
+from spe.minilang.interp import CYCLE_SAMPLE_STEPS, DEFAULT_STEP_BUDGET, Status, UBKind, _compile, interpret
 from spe.minilang.parser import (
     E_BAD_PRINTF,
     E_DECL_AFTER_STMT,
@@ -33,6 +34,7 @@ from spe.minilang.parser import (
 )
 from spe.skeleton import extract
 
+import conftest
 from conftest import LOOP_SRC, SCOPED_SRC, BRANCH_SRC, random_source
 from oracles import program_key, reference_interpret, structurally_equal
 
@@ -646,6 +648,20 @@ int main(void) {
     return f(20);
 }
 """,
+    "work_after_return": """
+int f(int n) {
+    int r = 0;
+    if (n) {
+        r = f(n - 1);
+    }
+    r = r + n - n + n - n;
+    return r;
+}
+
+int main(void) {
+    return f(30);
+}
+""",
     "printf": """
 int main(void) {
     int x = -5;
@@ -1097,6 +1113,61 @@ int main(void) {
 }
 
 
+# Fields that hold a node but not a child: a variable's declaration and
+# the program's scope tree
+_NOT_CHILDREN = {(ast.Var, "decl"), (ast.Program, "scopes")}
+
+
+def _field_nodes(node) -> list:
+    """The nodes node's fields hold, in field order, but for _NOT_CHILDREN."""
+    found = []
+    for f in dataclasses.fields(node):
+        if (type(node), f.name) in _NOT_CHILDREN:
+            continue
+        value = getattr(node, f.name)
+        for x in value if isinstance(value, list) else [value]:
+            if dataclasses.is_dataclass(x) and type(x).__module__ == ast.__name__:
+                found.append(x)
+    return found
+
+
+# The programs TestChildren walks, by name
+_WALKED = {
+    **{k: getattr(conftest, k) for k in vars(conftest) if k.endswith("_SRC")},
+    **REFERENCE_PROGRAMS,
+    **{f"random_source({seed})": random_source(seed) for seed in range(50)},
+}
+
+
+def _nodes(source: str):
+    """Every node of the parsed source, through ast.children."""
+    todo = [parse(source)]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += ast.children(node)
+
+
+class TestChildren:
+    """`ast.children` holds every node a node's fields hold, in source
+    order, which for every node class is its field order, so that no walk
+    through it can skip a field added later."""
+
+    @pytest.mark.parametrize("name", sorted(_WALKED))
+    def test_children_are_every_field_node_in_order(self, name):
+        for node in _nodes(_WALKED[name]):
+            assert list(map(id, ast.children(node))) == list(map(id, _field_nodes(node))), node
+
+    def test_walked_programs_cover_every_node_class_and_else(self):
+        nodes = [node for source in _WALKED.values() for node in _nodes(source)]
+        classes = {
+            c for c in vars(ast).values()
+            if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == ast.__name__
+        }
+        assert {type(node) for node in nodes} == classes - {ast.ScopeNode, ast.ScopeTree}
+        assert any(isinstance(node, ast.If) and node.orelse is not None for node in nodes)
+
+
 @st.composite
 def loop_programs(draw) -> str:
     """A main that runs one while loop over two or three int locals, with
@@ -1185,9 +1256,8 @@ def check_against_reference(p, budget: int = DEFAULT_STEP_BUDGET):
     return want
 
 
-def interpret_counting_calls(p):
-    """interpret(p) at the default budget, and the number of Python calls
-    it made."""
+def counting_calls(fn, *args):
+    """fn(*args), and the number of Python calls it made."""
     calls = 0
 
     def count(frame, event, arg):
@@ -1196,7 +1266,7 @@ def interpret_counting_calls(p):
 
     sys.setprofile(count)
     try:
-        res = interpret(p)
+        res = fn(*args)
     finally:
         sys.setprofile(None)
     return res, calls
@@ -1250,7 +1320,7 @@ class TestAgainstReference:
     def test_fast_forward_skips_the_work(self):
         # counted in Python calls, not timed: stepping to the budget
         # makes about 800,000 of them
-        res, calls = interpret_counting_calls(parse(REFERENCE_PROGRAMS["endless_loop"]))
+        res, calls = counting_calls(interpret, parse(REFERENCE_PROGRAMS["endless_loop"]))
         assert res.status is Status.STEP_BUDGET_EXHAUSTED and res.steps_used == 10**6 + 1
         assert calls < 10_000
 
@@ -1258,9 +1328,19 @@ class TestAgainstReference:
     @pytest.mark.parametrize("cond,body", [("a", "b = b - a"), ("b", "a = a - b"), ("b", "b = b - a")])
     def test_translation_skips_the_work(self, cond, body):
         p = parse(wrap(f"    int a = 10;\n    int b = 1;\n    while ({cond}) {{\n        {body};\n    }}"))
-        res, calls = interpret_counting_calls(p)
+        res, calls = counting_calls(interpret, p)
         assert res.status is Status.STEP_BUDGET_EXHAUSTED and res.steps_used == DEFAULT_STEP_BUDGET + 1
         assert calls < 10_000
+
+    def test_work_past_the_budget_stays_in_one_activation(self):
+        # the budget is checked where a call starts and where it returns:
+        # run out on the way down the recursion or on the way back up, the
+        # run goes on at most to the end of the activation it ran out in
+        p = parse(REFERENCE_PROGRAMS["work_after_return"])
+        _, compiling = counting_calls(_compile, p)
+        for budget in range(1, interpret(p).steps_used + 1):
+            _, calls = counting_calls(interpret, p, budget)
+            assert calls - compiling <= budget + 100, budget
 
     @given(loop_programs(), st.integers(1, 20_000))
     @settings(max_examples=150, deadline=None)

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import click
 
@@ -57,7 +55,7 @@ def _decl_holes_option(f):
     return click.option(
         "--decl-holes",
         is_flag=True,
-        help="Treat declaration names as holes too.",
+        help="Enumerate every filling of the holes, declarations at their source names.",
     )(f)
 
 
@@ -244,25 +242,25 @@ def _family_doc(part) -> str:
     )
 
 
-def _manifest_entry(path: Optional[Path], v) -> str:
+def _manifest_entry(path: Path, v) -> str:
     """One variant's entry in the manifest's "variants" list."""
     return _block(
         [
             '"assignment": ' + _block([json.dumps(x) for x in v.assignment.values], " " * 6),
-            ('"file": ' + json.dumps(path.name)) if v.ok else ('"error": ' + json.dumps(v.error)),
+            '"file": ' + json.dumps(path.name),
             '"seq": ' + str(v.seq),
             '"signature": ' + _block([_family_doc(p) for p in v.signature.parts], " " * 6),
-            '"valid": ' + ("true" if v.ok else "false"),
+            '"valid": true',
         ],
         "    ",
         "{}",
     )
 
 
-def _write_manifest(path: Path, fields: dict, spool) -> None:
+def _write_manifest(path: Path, fields: dict, entries: Iterable[str]) -> None:
     """Write the manifest at `path`: the top-level `fields` plus
-    "variants", whose encoded entries, each led by its separator, are in
-    the text file `spool`. It is assembled under a temporary name and
+    "variants", whose encoded entries `entries` yields, as many as
+    fields["emitted"] says. It is written under a temporary name and
     renamed over `path`, so `path` holds either the complete new
     manifest or whatever it held before."""
     # every quote inside an encoded string is escaped, so the key is the
@@ -272,12 +270,14 @@ def _write_manifest(path: Path, fields: dict, spool) -> None:
     ).partition('"variants": []')
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        empty = spool.tell() == 0
-        spool.seek(0)
         with open(tmp, "w") as out:
             out.write(head + '"variants": [')
-            shutil.copyfileobj(spool, out)
-            out.write(("]" if empty else "\n  ]") + tail + "\n")
+            n = 0
+            for n, entry in enumerate(entries, start=1):
+                out.write(("\n    " if n == 1 else ",\n    ") + entry)
+            if n != fields["emitted"]:
+                raise RuntimeError(f"{path}: {n} entries streamed, {fields['emitted']} expected")
+            out.write(("]" if n == 0 else "\n  ]") + tail + "\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -336,31 +336,24 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
     for path, skel, pl in planned:
         stem = path.stem
         vdir = out_dir / stem
-        emitted = written = 0
-        # entries are spooled because "invalid", which sorts before
-        # "variants", is known only when the stream ends; the manifest is
-        # in place before variant_files removes the stale files
-        with variant_files(vdir, skel, pl, stem) as stream, tempfile.TemporaryFile(
-            "w+", dir=vdir
-        ) as spool:
-            for vpath, v in stream:
-                written += v.ok
-                spool.write(("\n    " if emitted == 0 else ",\n    ") + _manifest_entry(vpath, v))
-                emitted += 1
-            fields = {
-                "schema": 1,
-                "stem": stem,
-                "source": str(path),
-                "mode": m.value,
-                "granularity": gran.value,
-                "decl_holes": decl_holes,
-                "count": pl.selected_count,
-                "emitted": emitted,
-                "written": written,
-                "invalid": emitted - written,
-            }
-            _write_manifest(vdir / "manifest.json", fields, spool)
-        click.echo(f"{path}: wrote {written} variants to {vdir}")
+        fields = {
+            "schema": 1,
+            "stem": stem,
+            "source": str(path),
+            "mode": m.value,
+            "granularity": gran.value,
+            "decl_holes": decl_holes,
+            "count": pl.selected_count,
+            "emitted": pl.emitted,
+            "written": pl.emitted,
+            "invalid": 0,
+        }
+        # the manifest is in place before variant_files removes the stale files
+        with variant_files(vdir, skel, pl, stem) as stream:
+            _write_manifest(
+                vdir / "manifest.json", fields, (_manifest_entry(vpath, v) for vpath, v in stream)
+            )
+        click.echo(f"{path}: wrote {pl.emitted} variants to {vdir}")
 
 
 # ---------------------------------------------------------------------------

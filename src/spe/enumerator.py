@@ -16,10 +16,21 @@ of the naive product space; its length is the product of the same
 families' counts. A row of family partitions is already its class's
 canonical form, so `variants` takes every signature from the stream
 rather than recomputing it from the assignment.
+
+Under `decl_holes` the stream is instead the naive product of the hole
+variable sets, row-major with the last hole varying fastest, and
+declarations keep their source names. With declarations fixed an
+assignment is its program's binding structure (each use bound to one
+visible same-type declaration), so every entry is a distinct valid
+program, and the entries are the binding structures of every filling
+that renames declarations as well as uses and still parses. Each
+entry's signature has no parts, and neither the mode nor the
+granularity changes this stream.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from contextlib import contextmanager
@@ -30,7 +41,7 @@ from typing import Iterator, Literal, Optional, Sequence
 from . import combinat
 from .combinat import CountReport, Family, Mode, count_plan, lazy_product
 from .minilang.ast import Program
-from .minilang.parser import ParseError, parse
+from .minilang.parser import parse
 from .minilang.render import render
 from .skeleton import Granularity, Skeleton, characteristic_vector, normal_forms
 
@@ -38,7 +49,6 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "Assignment",
     "CanonicalSignature",
-    "InvalidRealization",
     "Variant",
     "EnumerationPlan",
     "enumerate_assignments",
@@ -80,16 +90,6 @@ class CanonicalSignature:
     parts: tuple[tuple[str, str, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
 
 
-class InvalidRealization(Exception):
-    """The assignment does not produce a well-formed program (possible
-    only under --decl-holes, e.g. two declarations renamed alike)."""
-
-    def __init__(self, assignment: Assignment, reason: str):
-        super().__init__(reason)
-        self.assignment = assignment
-        self.reason = reason
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -105,7 +105,13 @@ def _classes(
     One row-major product over every family of every unit; a row's
     pair per family fills that family's holes, block labels binding to
     the chosen pool's variables in declaration order. `families` are the
-    skeleton's families at `granularity`, computed here when not given."""
+    skeleton's families at `granularity`, computed here when not given.
+    Under decl_holes, the naive product with empty signatures."""
+    if skel.decl_holes:
+        sig = CanonicalSignature(granularity=granularity.value, parts=())
+        for values in itertools.product(*(h.names for h in skel.holes)):
+            yield Assignment(values), sig
+        return
     if families is None:
         families = normal_forms(skel, granularity)
     factories = [(lambda fam=fam: combinat.family_stream(fam, mode)) for fam in families]
@@ -134,6 +140,7 @@ def enumerate_assignments(
     Deterministic: units in program order, families in type order,
     partitions in lexicographic canonical order. PAPER mode propagates
     ScopeNestingError for units with nested variable-declaring blocks.
+    Under decl_holes, every filling of the naive product instead.
     """
     for a, _ in _classes(skel, mode, granularity):
         yield a
@@ -159,17 +166,8 @@ def realize_source(skel: Skeleton, assignment: Assignment) -> str:
 
 
 def realize(skel: Skeleton, assignment: Assignment) -> Program:
-    """The skeleton filled by the assignment, as a parsed Program.
-
-    Without declaration holes every filling parses. With them, renaming
-    a declaration can change which declaration, and so which type, an
-    occurrence resolves to, or make two declarations collide; the
-    parser's verdict decides, and InvalidRealization carries it.
-    """
-    try:
-        return parse(realize_source(skel, assignment))
-    except ParseError as e:
-        raise InvalidRealization(assignment, str(e)) from e
+    """The skeleton filled by the assignment, as a parsed Program."""
+    return parse(realize_source(skel, assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +207,13 @@ def canonical_signature(
 
 @dataclass(frozen=True)
 class Variant:
-    """One stream position: a variant's source, or a skipped-invalid
-    marker (source None and error set). Both carry the class's
+    """One stream position: a variant's source and its class's
     canonical signature."""
 
     seq: int  # 1-based position in the assignment stream
     assignment: Assignment
     signature: CanonicalSignature
-    source: Optional[str]
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
+    source: str
 
 
 def variants(
@@ -231,57 +223,40 @@ def variants(
     limit: Optional[int] = None,
     families: Optional[Sequence[Family]] = None,
 ) -> Iterator[Variant]:
-    """Realize the enumeration stream by filling the skeleton's template;
-    invalid realizations become markers rather than vanishing, so stream
-    positions stay auditable. Signatures come with the stream. Without
-    declaration holes every filling is valid and nothing is parsed;
-    with them, the parser's verdict on the filled template decides each
-    position's validity, as in `realize`. `families`, when given, are
-    the skeleton's families at `granularity` (see `plan`)."""
+    """Realize the enumeration stream by filling the skeleton's template.
+    Every filling is a valid program, so nothing is parsed. Signatures
+    come with the stream. `families`, when given, are the skeleton's
+    families at `granularity` (see `plan`)."""
     template = _template(skel)
     for seq, (a, sig) in enumerate(_classes(skel, mode, granularity, families), start=1):
         if limit is not None and seq > limit:
             return
-        source = template.format(*a.values)
-        if skel.decl_holes:
-            try:
-                parse(source)
-            except ParseError as e:
-                yield Variant(seq, a, sig, None, str(e))
-                continue
-        yield Variant(seq, a, sig, source)
+        yield Variant(seq, a, sig, template.format(*a.values))
 
 
 @contextmanager
 def variant_files(
     vdir: Path, skel: Skeleton, plan: EnumerationPlan, stem: str
-) -> Iterator[Iterator[tuple[Optional[Path], Variant]]]:
+) -> Iterator[Iterator[tuple[Path, Variant]]]:
     """The plan's variant stream, the first `cap` entries when capped, as
-    (path, Variant) pairs: each valid variant is written to
-    `vdir/<stem>__v<seq>.c`, its seq zero-padded to the digits of the
-    number of entries emitted so names sort in stream order, and each
-    invalid marker pairs with None. When the `with` block ends cleanly,
-    every `<stem>__v<digits>.c` in `vdir` this run did not write is
-    removed, an earlier file at an invalid entry's name included; after
-    an exception nothing is."""
+    (path, Variant) pairs: each variant is written to
+    `vdir/<stem>__v<seq>.c`, its seq zero-padded to the digits of
+    `plan.emitted` so names sort in stream order. When the `with` block
+    ends cleanly, every `<stem>__v<digits>.c` in `vdir` this run did not
+    write is removed; after an exception nothing is."""
     if plan.refusal is not None:
         raise ValueError(f"plan is refused: {plan.refusal}")
     vdir.mkdir(parents=True, exist_ok=True)
-    count = plan.selected_count if plan.cap is None else min(plan.selected_count, plan.cap)
-    width = len(str(max(count, 1)))
+    width = len(str(max(plan.emitted, 1)))
     emitted = 0
-    stale = []  # earlier files at the names of this run's invalid entries
 
-    def stream() -> Iterator[tuple[Optional[Path], Variant]]:
+    def stream() -> Iterator[tuple[Path, Variant]]:
         nonlocal emitted
         for v in variants(skel, plan.mode, plan.granularity, limit=plan.cap, families=plan.families):
             emitted = v.seq
             path = vdir / f"{stem}__v{v.seq:0{width}d}.c"
-            if v.ok:
-                path.write_text(v.source)
-            elif path.is_file():
-                stale.append(path)
-            yield (path if v.ok else None), v
+            path.write_text(v.source)
+            yield path, v
 
     yield stream()
     name = re.compile(re.escape(stem) + r"__v([0-9]+)\.c")
@@ -290,8 +265,6 @@ def variant_files(
             m = name.fullmatch(e.name)
             if m and e.is_file() and (len(m[1]) != width or not 1 <= int(m[1]) <= emitted):
                 os.unlink(e.path)
-    for path in stale:
-        path.unlink(missing_ok=True)
 
 
 def check_unique_stems(corpus: Sequence[str | Path]) -> None:
@@ -318,15 +291,26 @@ class EnumerationPlan:
     report: CountReport
     mode: Mode
     granularity: Granularity
+    decl_holes: bool
     threshold: int
     cap: Optional[int]
     families: tuple[Family, ...] = field(repr=False, compare=False)
 
     @property
     def selected_count(self) -> Optional[int]:
+        """The stream's length: the naive count under decl_holes, else
+        the mode's count."""
+        if self.decl_holes:
+            return self.report.naive_count
         if self.mode is Mode.PAPER:
             return self.report.paper_mode_count
         return self.report.complete_mode_count
+
+    @property
+    def emitted(self) -> int:
+        """The number of entries an enumerated plan's stream yields:
+        the selected count, or the cap when that is smaller."""
+        return self.selected_count if self.cap is None else min(self.selected_count, self.cap)
 
     @property
     def refusal(self) -> Optional[Literal["unsupported", "threshold"]]:
@@ -352,6 +336,7 @@ def plan(
         report=count_plan(skel, families),
         mode=mode,
         granularity=granularity,
+        decl_holes=skel.decl_holes,
         threshold=threshold,
         cap=cap,
         families=families,

@@ -410,15 +410,18 @@ def _is_result(rec) -> bool:
 
 def _parse_row(line: bytes) -> Optional[dict]:
     """The outcome row a log line holds, or None when it holds none: a
-    row has a string variant and compiler, a list of string flags, a
-    string compile status, and a crash has a string signature; its
-    interp has a string verdict, and an exit and a stdout digest when
-    the verdict is "ok"; its run is null, a timeout or a result."""
+    row has schema 1 or 2, a string variant and compiler, a list of
+    string flags, a string compile status, and a crash has a string
+    signature; its interp has a string verdict, and an exit and a stdout
+    digest when the verdict is "ok"; its run is null, a timeout or a
+    result; and its run_skipped, when present, is the interp verdict,
+    not "ok", of a row that compiled and has no run."""
     try:
         row = json.loads(line)
         compile_, interp, run = row["compile"], row["interp"], row.get("run")
         usable = (
-            all(isinstance(row[k], str) for k in ("variant", "compiler"))
+            row["schema"] in (1, 2)
+            and all(isinstance(row[k], str) for k in ("variant", "compiler"))
             and isinstance(row["flags"], list)
             and all(isinstance(f, str) for f in row["flags"])
             and isinstance(compile_["status"], str)
@@ -426,6 +429,14 @@ def _parse_row(line: bytes) -> Optional[dict]:
             and isinstance(interp["verdict"], str)
             and (interp["verdict"] != "ok" or _is_result(interp))
             and (run is None or run == {"timeout": True} or _is_result(run))
+            and (
+                "run_skipped" not in row
+                or (
+                    row["run_skipped"] == interp["verdict"] != "ok"
+                    and compile_["status"] == "ok"
+                    and run is None
+                )
+            )
         )
     except (ValueError, KeyError, TypeError, RecursionError):
         return None
@@ -500,17 +511,26 @@ def _write_report(
     repro_lines: list[str],
 ) -> bool:
     """Create one report directory; an existing one is left untouched
-    so first-seen data survives re-runs. Returns True when new."""
+    so first-seen data survives re-runs. Returns True when new. The
+    files are written into the temporary sibling `.<dirname>.<pid>.tmp`,
+    which is renamed into place once complete, so a report directory
+    holds all of its files or does not exist."""
     d = reports_dir / dirname
     if d.exists():
         return False
-    d.mkdir(parents=True)
-    (d / "witness.c").write_text(witness_source)
-    (d / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
-    script = "#!/bin/sh\nset -x\n" + "\n".join(repro_lines) + "\n"
-    repro = d / "repro.sh"
-    repro.write_text(script)
-    repro.chmod(repro.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
+    tmp = reports_dir / f".{dirname}.{os.getpid()}.tmp"
+    tmp.mkdir(parents=True, exist_ok=True)  # a killed run of a reused pid may have left it
+    try:
+        (tmp / "witness.c").write_text(witness_source)
+        (tmp / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
+        script = "#!/bin/sh\nset -x\n" + "\n".join(repro_lines) + "\n"
+        repro = tmp / "repro.sh"
+        repro.write_text(script)
+        repro.chmod(repro.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
+        os.rename(tmp, d)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     return True
 
 
@@ -662,18 +682,13 @@ def run_campaign(
                 entry.update(status="skipped", threshold=threshold)
                 continue
 
-            entry.update(
-                status="tested", enumerated=0, invalid=0, crash_cells=0, wrong_code_variants=0
-            )
+            entry.update(status="tested", enumerated=0, crash_cells=0, wrong_code_variants=0)
             # variants in stream order, whose ids sort in that order:
             # finishing the oldest first appends rows in key order, and an
             # interrupted campaign keeps every variant it finished
             window: deque = deque()
             with variant_files(variants_dir / stem, skel, pl, stem) as stream:
                 for vpath, v in stream:
-                    if not v.ok:
-                        entry["invalid"] += 1
-                        continue
                     entry["enumerated"] += 1
                     vid = vpath.stem
                     # logged rows carry the interpreter record; a variant is
@@ -698,7 +713,10 @@ def run_campaign(
 
     naive = sum(f.get("naive", 0) for f in files)
     enumerated = sum(f.get("enumerated", 0) for f in files)
-    report_dirs = sorted(p.name for p in reports_dir.iterdir() if p.is_dir())
+    # a dot-name is a report still being written, or one a killed run left
+    report_dirs = sorted(
+        p.name for p in reports_dir.iterdir() if p.is_dir() and not p.name.startswith(".")
+    )
     summary = {
         "schema": SCHEMA_VERSION,
         "mode": mode.value,

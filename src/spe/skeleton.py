@@ -4,18 +4,20 @@ A skeleton is a program with every variable occurrence replaced by a
 hole. Each hole carries its scope path, its type, and its variable set:
 the same-type variables visible at that position (all of them, because
 MiniC puts declarations before statements, so visibility is uniform
-across a block). Declaration-name positions become holes too when
-`decl_holes` is set.
+across a block). Declarations are never holes: under `decl_holes` the
+skeleton only records the flag, and the enumerator fills these same
+holes by the naive product, declarations at their source names.
 
 `normal_forms` turns a skeleton into one flat tuple of the
 pool-structured (unit, type) families the partition machinery consumes.
 One builder serves every unit: given the unit's holes and its root
 scopes, it makes per type a root pool of those scopes' declarations,
 then one pool per other variable-declaring scope in source order. At
-intra granularity the units are `<globals>` (rooted at the global
-scope) and each function (rooted at the global scope and its own, so
-globals, parameters and top-level locals merge); at inter granularity
-the whole program is one unit rooted at the global scope.
+intra granularity the units are the functions, each rooted at the
+global scope and its own, so globals, parameters and top-level locals
+merge; at inter granularity the whole program is one unit rooted at the
+global scope. Every hole lies in a function, since a global's
+initializer is a folded constant.
 
 Shadowing is the one thing the uniform-visibility model cannot absorb:
 if an inner declaration hides a same-type outer variable from some hole,
@@ -30,10 +32,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .combinat import Family, Pool
-from .minilang.ast import GLOBAL_SCOPE, Block, Function, Program, Var, VarDecl, children
+from .minilang.ast import GLOBAL_SCOPE, Block, Program, Var, VarDecl, children
 
-#: Pseudo-unit owning global declaration-name holes under --decl-holes.
-GLOBALS_UNIT = "<globals>"
 #: Unit name of the whole-program families (inter granularity).
 PROGRAM_UNIT = "<program>"
 
@@ -55,8 +55,8 @@ class Hole:
     # Visible same-type variables, ordered by (scope depth, declaration
     # order); entries are (name, declaring scope id).
     var_set: tuple[tuple[str, int], ...]
-    unit: str  # owning function name, or GLOBALS_UNIT
-    node: object = field(repr=False)  # Var occurrence or VarDecl site
+    unit: str  # owning function name
+    node: Var = field(repr=False)  # the occurrence
     # True when some same-type declaration on the scope path is hidden
     # from this hole by an inner redeclaration.
     hidden_conflict: bool = field(default=False, repr=False)
@@ -119,65 +119,49 @@ def _visible_vars(
 
 
 class _Extractor:
-    def __init__(self, program: Program, decl_holes: bool):
+    def __init__(self, program: Program):
         self.program = program
-        self.decl_holes = decl_holes
         self.holes: list[Hole] = []
-
-    def add(self, node, type_: str, scope_id: int, unit: str) -> None:
-        path = tuple(self.program.scopes.chain(scope_id))
-        decls, hidden = _visible_vars(self.program, path, type_)
-        assert decls, "a hole always sees at least its own variable"
-        self.holes.append(
-            Hole(
-                index=len(self.holes) + 1,
-                scope_path=path,
-                type=type_,
-                var_set=tuple((d.name, d.scope_id) for d in decls),
-                unit=unit,
-                node=node,
-                hidden_conflict=hidden,
-            )
-        )
 
     def walk(self, node, scope_id: int, unit: str) -> None:
         """Add the holes under node in source order; scope_id is the
         innermost enclosing block's scope, unit the enclosing function."""
         if isinstance(node, Var):
-            self.add(node, node.type, scope_id, unit)
-        elif isinstance(node, VarDecl):
-            if self.decl_holes:
-                self.add(node, node.type, node.scope_id, unit)
+            path = tuple(self.program.scopes.chain(scope_id))
+            decls, hidden = _visible_vars(self.program, path, node.type)
+            assert decls, "a hole always sees at least its own variable"
+            self.holes.append(
+                Hole(
+                    index=len(self.holes) + 1,
+                    scope_path=path,
+                    type=node.type,
+                    var_set=tuple((d.name, d.scope_id) for d in decls),
+                    unit=unit,
+                    node=node,
+                    hidden_conflict=hidden,
+                )
+            )
         elif isinstance(node, Block):
             scope_id = node.scope_id
-        elif isinstance(node, Function):
-            unit = node.name
         for kid in children(node):
             self.walk(kid, scope_id, unit)
 
 
 def extract(program: Program, decl_holes: bool = False) -> Skeleton:
-    """Turn every variable occurrence (and, with decl_holes, every
-    declaration-name position) into a hole, in source order."""
-    ex = _Extractor(program, decl_holes)
-    ex.walk(program, GLOBAL_SCOPE, GLOBALS_UNIT)
-
+    """Turn every variable occurrence into a hole, in source order.
+    decl_holes is recorded for the enumerator; it adds no hole."""
+    ex = _Extractor(program)
     ranges: dict[str, Optional[tuple[int, int]]] = {}
-    for h in ex.holes:
-        lo, _ = ranges.get(h.unit) or (h.index, h.index)
-        ranges[h.unit] = (lo, h.index)
-    ordered: dict[str, Optional[tuple[int, int]]] = {}
-    if GLOBALS_UNIT in ranges:
-        ordered[GLOBALS_UNIT] = ranges[GLOBALS_UNIT]
     for f in program.functions:
-        ordered[f.name] = ranges.get(f.name)
+        first = len(ex.holes) + 1
+        ex.walk(f, GLOBAL_SCOPE, f.name)
+        ranges[f.name] = (first, len(ex.holes)) if len(ex.holes) >= first else None
 
-    origin = tuple(h.node.name for h in ex.holes)
     return Skeleton(
         program=program,
         holes=ex.holes,
-        per_function_ranges=ordered,
-        origin_vector=origin,
+        per_function_ranges=ranges,
+        origin_vector=tuple(h.node.name for h in ex.holes),
         decl_holes=decl_holes,
     )
 
@@ -256,21 +240,23 @@ def _unit_families(
 
 def normal_forms(skel: Skeleton, granularity: Granularity) -> tuple[Family, ...]:
     """Every family the enumeration multiplies together, in stream order.
-    At INTRA granularity each unit in per_function_ranges order is
-    rooted at the global scope, plus its own scope for a function, so
-    globals, parameters and top-level locals share the root pool. At
+    At INTRA granularity each function in per_function_ranges order is
+    rooted at the global scope and its own, so globals, parameters and
+    top-level locals share the root pool. At
     INTER the whole program is one unit rooted at the global scope, and
     every variable-declaring function or block scope is a local pool."""
     program = skel.program
     if granularity is Granularity.INTER:
         units = [(PROGRAM_UNIT, skel.holes, (GLOBAL_SCOPE,))]
     else:
-        units = []
-        for unit, rng in skel.per_function_ranges.items():
-            roots = (GLOBAL_SCOPE,)
-            if unit != GLOBALS_UNIT:
-                roots += (program.function(unit).scope_id,)
-            units.append((unit, skel.holes[rng[0] - 1 : rng[1]] if rng else [], roots))
+        units = [
+            (
+                unit,
+                skel.holes[rng[0] - 1 : rng[1]] if rng else [],
+                (GLOBAL_SCOPE, program.function(unit).scope_id),
+            )
+            for unit, rng in skel.per_function_ranges.items()
+        ]
     return tuple(
         fam for unit, holes, roots in units for fam in _unit_families(program, unit, holes, roots)
     )

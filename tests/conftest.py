@@ -102,6 +102,24 @@ int main(void) {
 """
 
 
+# two functions over globals of two types
+TWO_FUNCTIONS_SRC = """
+int g = 0;
+unsigned h = 1u;
+
+int f(unsigned p) {
+    int x = 1;
+    h = p;
+    return x + g;
+}
+
+int main(void) {
+    int y = 2;
+    return y + f(h);
+}
+"""
+
+
 @pytest.fixture
 def loop():
     return parse(LOOP_SRC)
@@ -129,7 +147,7 @@ def scoped():
 
 @pytest.fixture
 def scoped_skel(scoped):
-    return extract(scoped, decl_holes=True)
+    return extract(scoped)
 
 
 # ---------------------------------------------------------------------------

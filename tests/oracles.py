@@ -2,11 +2,13 @@
 package. Everything here is deliberately naive: plain recursion, the
 full product space (`naive_space`) and whole-group orbit walks, sharing
 no code with src/ beyond the MiniC renderer that `realize_source` prints
-through, and the interpreter's result types and frame-cost model
-(`_frames`, `MAX_FRAMES`) that `reference_interpret` must share with it
-for budget verdicts to agree. `structurally_equal` compares two parsed
-programs node by node. `reference_manifest` builds a manifest as one
-in-memory document and encodes it with the standard library."""
+through, the parser and child order that `binding_key` and the
+declaration-hole brute force walk programs with, and the interpreter's
+result types and frame-cost model (`_frames`, `MAX_FRAMES`) that
+`reference_interpret` must share with it for budget verdicts to agree.
+`structurally_equal` compares two parsed programs node by node.
+`reference_manifest` builds a manifest as one in-memory document and
+encodes it with the standard library."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import json
 import math
 from typing import Iterable, Iterator, Sequence
 
+from spe.minilang import ParseError, parse, render
 from spe.minilang.ast import (
     GLOBAL_SCOPE,
     INT_MAX,
@@ -39,6 +42,7 @@ from spe.minilang.ast import (
     While,
     c_div,
     c_mod,
+    children,
 )
 from spe.minilang.interp import (
     DEFAULT_STEP_BUDGET,
@@ -203,6 +207,57 @@ def realize_source(skel, assignment) -> str:
     return render(skel.program, names)
 
 
+# Binding structure: alpha-equivalence on whole programs
+
+
+def name_sites(program) -> tuple[list, list[tuple[str, ...]]]:
+    """Every Var and VarDecl of the program in source order, with the
+    names each may take when declarations are renamed as well as uses:
+    those of the same-type declarations on its scope path, outermost
+    first. Their product is the declaration-hole space."""
+    sites, choices = [], []
+
+    def walk(node, scope_id):
+        if isinstance(node, (Var, VarDecl)):
+            chain = program.scopes.chain(node.scope_id if isinstance(node, VarDecl) else scope_id)
+            decls = [d for sid in chain for d in program.scopes.node(sid).decls]
+            sites.append(node)
+            choices.append(tuple(dict.fromkeys(d.name for d in decls if d.type == node.type)))
+        elif isinstance(node, Block):
+            scope_id = node.scope_id
+        for kid in children(node):
+            walk(kid, scope_id)
+
+    walk(program, GLOBAL_SCOPE)
+    return sites, choices
+
+
+def binding_key(program) -> str:
+    """The program's text with each declaration named by its number in
+    source order and each use by its declaration's number: de Bruijn's
+    nameless form. Two programs are alpha-equivalent iff their keys are
+    equal."""
+    sites, _ = name_sites(program)
+    names = {d: f"v{i}" for i, d in enumerate(s for s in sites if isinstance(s, VarDecl))}
+    names.update({s: names[s.decl] for s in sites if isinstance(s, Var)})
+    return render(program, names)
+
+
+def valid_binding_keys(program, limit: int = 40_000) -> set[str]:
+    """The binding keys of every filling of the program's
+    declaration-hole space that parses: each declaration and each use
+    renamed independently. Refuses a space larger than `limit`."""
+    sites, choices = name_sites(program)
+    assert math.prod(map(len, choices)) <= limit, "declaration-hole space too large"
+    keys = set()
+    for names in itertools.product(*choices):
+        try:
+            keys.add(binding_key(parse(render(program, dict(zip(sites, names))))))
+        except ParseError:
+            continue
+    return keys
+
+
 # Structural comparison. Scope ids are allocated in source order by the
 # parser, so two programs parsed from equivalent sources carry identical
 # ids and the ids can take part in the comparison directly.
@@ -289,26 +344,22 @@ def reference_manifest(
 ) -> str:
     """The text of a file's manifest.json, built as one document and
     encoded by `json.dumps(indent=2, sort_keys=True)`. `rows` are the
-    Variants `spe enumerate` emitted for the file; a valid one's file is
+    Variants `spe enumerate` emitted for the file; each one's file is
     `<stem>__v<seq>.c`, its seq zero-padded to the digits of len(rows)."""
     width = len(str(max(len(rows), 1)))
-    entries = []
-    for v in rows:
-        entry = {
+    entries = [
+        {
             "seq": v.seq,
-            "valid": v.ok,
+            "valid": True,
             "assignment": list(v.assignment.values),
             "signature": [
                 {"unit": unit, "type": type_, "config": list(config), "rgs": [list(r) for r in rgs]}
                 for unit, type_, config, rgs in v.signature.parts
             ],
+            "file": f"{stem}__v{v.seq:0{width}d}.c",
         }
-        if v.ok:
-            entry["file"] = f"{stem}__v{v.seq:0{width}d}.c"
-        else:
-            entry["error"] = v.error
-        entries.append(entry)
-    written = sum(1 for v in rows if v.ok)
+        for v in rows
+    ]
     manifest = {
         "schema": 1,
         "stem": stem,
@@ -318,8 +369,8 @@ def reference_manifest(
         "decl_holes": decl_holes,
         "count": count,
         "emitted": len(entries),
-        "written": written,
-        "invalid": len(entries) - written,
+        "written": len(entries),
+        "invalid": 0,
         "variants": entries,
     }
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -2,11 +2,14 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
 complete. Every check recomputes its expected values from independent
-oracles (explicit orbit enumeration, Burnside counting, the reference
-interpreter) rather than trusting the implementation under test.
+oracles (explicit orbit enumeration, Burnside counting, a brute force
+over binding structures, the reference interpreter) rather than
+trusting the implementation under test.
 """
 
+import itertools
 import json
+import math
 import subprocess
 import time
 from contextlib import contextmanager
@@ -23,15 +26,23 @@ from conftest import (
     random_skeleton,
     write_stub,
 )
-from oracles import burnside_count, naive_space, orbits, pools_of_program, renaming_group
+from oracles import (
+    binding_key,
+    burnside_count,
+    name_sites,
+    naive_space,
+    orbits,
+    pools_of_program,
+    renaming_group,
+    valid_binding_keys,
+)
 from spe.cli import main as cli_main
 from spe.combinat import Mode, ScopeNestingError, naive_count, stirling2
 from spe.enumerator import (
     Assignment,
-    InvalidRealization,
     canonical_signature,
     enumerate_assignments,
-    realize,
+    variants,
 )
 from spe.harness import (
     CompilerSpec,
@@ -40,7 +51,8 @@ from spe.harness import (
     read_log,
     run_campaign,
 )
-from spe.minilang import parse
+from spe.minilang import parse, render
+from spe.minilang.ast import VarDecl
 from spe.minilang.interp import interpret
 from spe.skeleton import Granularity, extract
 
@@ -65,10 +77,6 @@ def criterion(num: int, description: str, budget_s: float | None = None):
 
 def vectors(skel, mode, granularity):
     return [a.values for a in enumerate_assignments(skel, mode, granularity)]
-
-
-def signatures(skel, assignments, granularity=Granularity.INTER):
-    return {canonical_signature(skel, a, granularity) for a in assignments}
 
 
 def assert_orbit_bijection(skel):
@@ -135,16 +143,17 @@ def test_criterion_3_loop_bijection_and_rgs():
 
 
 def test_criterion_4_scoped_decl_holes_cover_naive():
-    with criterion(4, "scoped with declaration holes: 8448 classes cover all 32768 naive fillings", budget_s=60.0):
-        skel = extract(parse(SCOPED_SRC), decl_holes=True)
-        assert naive_count(skel.holes) == 32768
-        all_names = {name for h in skel.holes for name in h.names}
-        assert len(all_names) ** skel.n == 1048576  # scope-blind upper bound
-        stream = list(enumerate_assignments(skel, Mode.COMPLETE, Granularity.INTER))
-        stream_sigs = signatures(skel, stream)
-        assert len(stream) == len(stream_sigs) == 8448
-        naive_sigs = signatures(skel, naive_space(skel))
-        assert naive_sigs == stream_sigs
+    with criterion(4, "scoped: the 512 binding structures of its 32768 fillings are its --decl-holes stream", budget_s=60.0):
+        program = parse(SCOPED_SRC)
+        sites, choices = name_sites(program)
+        assert sum(isinstance(s, VarDecl) for s in sites) == 4
+        assert math.prod(map(len, choices)) == 32768
+        expected = valid_binding_keys(program)
+        assert len(expected) == 512
+        skel = extract(program, decl_holes=True)
+        keys = [binding_key(parse(v.source)) for v in variants(skel, Mode.COMPLETE, Granularity.INTER)]
+        assert len(keys) == len(set(keys)) == naive_count(skel.holes) == 512
+        assert set(keys) == expected
 
 
 def test_criterion_5_stirling_numbers():
@@ -181,33 +190,30 @@ def test_criterion_6_random_skeletons_sound_and_complete():
         assert supported >= 100
 
 
+def renamed_source(skel, values, g) -> str:
+    """The skeleton filled by `values`, with the renaming g applied to
+    every declaration as well as every hole."""
+    sites, _ = name_sites(skel.program)
+    names = {d: g.get(d.name, d.name) for d in sites if isinstance(d, VarDecl)}
+    names.update({h.node: g.get(v, v) for h, v in zip(skel.holes, values)})
+    return render(skel.program, names)
+
+
 def test_criterion_7_orbit_members_interpret_identically():
     # Renaming must cover declarations to be behaviour-preserving (an
-    # initializer distinguishes its variable), so sample on decl-holes
-    # skeletons and skip fillings that collide declarations.
+    # initializer distinguishes its variable), so every orbit member is
+    # rendered with its declarations renamed alike.
     with criterion(7, "50+ sampled orbits: members behave exactly like their representative"):
         sources = [LOOP_SRC, STRAIGHT_SRC]
-        skels = [extract(parse(src), decl_holes=True) for src in sources]
-        skels += [
-            extract(random_skeleton(seed).program, decl_holes=True) for seed in range(8)
-        ]
+        skels = [extract(parse(src)) for src in sources]
+        skels += [random_skeleton(seed) for seed in range(8)]
         checked = 0
         for skel in skels:
             group = renaming_group(pools_of_program(skel.program))
-            valid_here = 0
-            for rep in enumerate_assignments(skel, Mode.COMPLETE, Granularity.INTER):
-                if valid_here == 10:
-                    break
-                try:
-                    realize(skel, rep)
-                except InvalidRealization:
-                    continue
-                valid_here += 1
-                members = {tuple(g.get(n, n) for n in rep.values) for g in group}
+            for rep in itertools.islice(enumerate_assignments(skel, Mode.COMPLETE, Granularity.INTER), 10):
                 outcomes = set()
-                for member in members:
-                    program = realize(skel, Assignment(member))
-                    res = interpret(program, step_budget=20_000)
+                for member in {renamed_source(skel, rep.values, g) for g in group}:
+                    res = interpret(parse(member), step_budget=20_000)
                     outcomes.add((res.status, res.exit_code, res.stdout))
                 assert len(outcomes) == 1, f"orbit of {rep.values} diverged"
                 checked += 1

@@ -1,6 +1,7 @@
 """Command line behaviour: counts, deterministic enumeration output,
 budget handling, campaign exit codes, and log statistics."""
 
+import itertools
 import json
 import os
 import re
@@ -239,8 +240,8 @@ class TestSkeleton:
             main, ["skeleton", "--decl-holes", str(corpus["straight"])]
         )
         doc = json.loads(res.output)
-        # four use holes plus the two declaration holes
-        assert doc["skeletons"][0]["n"] == 6
+        # the four use holes: declarations are never holes
+        assert doc["skeletons"][0]["n"] == 4
         assert doc["skeletons"][0]["decl_holes"] is True
 
 
@@ -342,6 +343,7 @@ class TestEnumerate:
         assert not out.exists()
 
     def test_decl_holes_invalid_markers(self, runner, corpus, tmp_path):
+        # every --decl-holes entry is a valid program: none is a marker
         out = tmp_path / "v"
         res = runner.invoke(
             main,
@@ -349,14 +351,10 @@ class TestEnumerate:
         )
         assert res.exit_code == EXIT_OK
         manifest = json.loads((out / "straight" / "manifest.json").read_text())
-        assert (manifest["count"], manifest["written"], manifest["invalid"]) == (32, 16, 16)
+        assert (manifest["count"], manifest["written"], manifest["invalid"]) == (16, 16, 0)
         entries = manifest["variants"]
-        assert [e["valid"] for e in entries] == [False] * 16 + [True] * 16
-        for e in entries[:16]:
-            assert set(e) == {"seq", "valid", "assignment", "signature", "error"}
-        assert [e["file"] for e in entries[16:]] == [
-            f"straight__v{seq}.c" for seq in range(17, 33)
-        ]
+        assert all(e["valid"] and e["signature"] == [] for e in entries)
+        assert [e["file"] for e in entries] == [f"straight__v{seq:02d}.c" for seq in range(1, 17)]
 
     @pytest.mark.parametrize(
         "last,option,code",
@@ -376,12 +374,14 @@ class TestEnumerate:
     def test_shadowing_file_exits_config_and_writes_nothing(self, runner, corpus, tmp_path):
         out = tmp_path / "v"
         paths = [str(corpus["loop"]), str(corpus["shadow"])]
-        res = runner.invoke(main, ["enumerate", *paths, "--out", str(out)])
-        assert res.exit_code == EXIT_CONFIG
-        assert isinstance(res.exception, SystemExit)
-        (line,) = res.output.splitlines()
-        assert line.startswith(f"{corpus['shadow']}: ") and "shadowing" in line
-        assert not out.exists()
+        # --decl-holes refuses it too
+        for options in ([], ["--decl-holes"]):
+            res = runner.invoke(main, ["enumerate", *options, *paths, "--out", str(out)])
+            assert res.exit_code == EXIT_CONFIG
+            assert isinstance(res.exception, SystemExit)
+            (line,) = res.output.splitlines()
+            assert line.startswith(f"{corpus['shadow']}: ") and "shadowing" in line
+            assert not out.exists()
 
     def test_paper_mode_unsupported_exits_config(self, runner, corpus, tmp_path):
         res = runner.invoke(
@@ -418,20 +418,6 @@ class TestEnumerate:
         files = self._variant_files(vdir, "loop")
         assert files == self._manifest_files(vdir) == [f"loop__v{i}.c" for i in range(1, 6)]
         assert {n: (vdir / n).read_text() for n in kept} == kept
-
-    def test_rerun_removes_stale_files_at_invalid_seqs(self, runner, corpus, tmp_path):
-        # --decl-holes emits 32 entries of which 16 are invalid; an earlier
-        # file at every seq, at this width and others, must go unless rewritten
-        out = tmp_path / "out"
-        vdir = out / "straight"
-        vdir.mkdir(parents=True)
-        for name in [f"straight__v{i:02d}.c" for i in range(0, 34)] + ["straight__v7.c", "straight__v007.c"]:
-            (vdir / name).write_text("stale\n")
-        args = ["enumerate", "--decl-holes", str(corpus["straight"]), "--out", str(out)]
-        assert runner.invoke(main, args).exit_code == EXIT_OK
-        files = self._variant_files(vdir, "straight")
-        assert files == self._manifest_files(vdir) and len(files) == 16
-        assert all((vdir / f).read_text() != "stale\n" for f in files)
 
     @pytest.mark.parametrize("fail_at", [0, 3])
     def test_failed_rerun_removes_nothing(self, runner, corpus, tmp_path, monkeypatch, fail_at):
@@ -516,19 +502,21 @@ class TestTestCommand:
         # this run's first variants may be written; nothing earlier changes
         assert {n: (vdir / n).read_bytes() for n in before} == before
 
-    def test_rerun_removes_stale_files_at_invalid_seqs(self, runner, corpus, tmp_path):
-        # --decl-holes emits 32 entries of which 16 are invalid and get no file
+    def test_decl_holes_capped_run_tests_its_first_entries(self, runner, corpus, tmp_path):
+        # every --decl-holes entry is a valid program, so a capped run
+        # tests as many variants as its cap allows
         cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        scoped = tmp_path / "scoped.c"
+        scoped.write_text(SCOPED_SRC)
+        paths = [str(corpus["straight"]), str(corpus["loop"]), str(scoped), str(corpus["branch"])]
         out = tmp_path / "campaign"
-        vdir = out / "variants" / "straight"
-        vdir.mkdir(parents=True)
-        for name in [f"straight__v{i:02d}.c" for i in range(0, 34)] + ["straight__v7.c"]:
-            (vdir / name).write_text("stale\n")
-        args = ["test", "--decl-holes", str(corpus["straight"]), "--config", str(cfg), "--out", str(out)]
-        # findings: the stub's binaries exit 0 where the variants return 3
-        assert runner.invoke(main, args).exit_code == EXIT_FINDINGS
-        files = list(vdir.iterdir())
-        assert len(files) == 16 and all(p.read_text() != "stale\n" for p in files)
+        res = runner.invoke(
+            main, ["test", "--decl-holes", "--cap", "5", *paths, "--config", str(cfg), "--out", str(out)]
+        )
+        assert res.exit_code in (EXIT_OK, EXIT_FINDINGS), res.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert [f["enumerated"] for f in summary["files"]] == [5, 5, 5, 5]
+        assert all("invalid" not in f for f in summary["files"])
 
     def test_bad_config_exits_config(self, runner, corpus, tmp_path):
         cfg = tmp_path / "toolchain.json"
@@ -786,7 +774,7 @@ class TestTestCommand:
         assert res.exit_code == EXIT_FINDINGS
         summary = json.loads((out / "summary.json").read_text())
         (entry,) = summary["files"]
-        assert (entry["enumerated"], entry["invalid"]) == (16, 16)
+        assert entry["enumerated"] == 16
         enum_out = tmp_path / "enumerated"
         res = runner.invoke(
             main,
@@ -1006,6 +994,38 @@ class TestTornLog:
             assert isinstance(res.exception, SystemExit)
             assert f"{log}:{at + 1}: not an outcome row" in res.output
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda row: row.update(run_skipped=[1]),
+            lambda row: row.update(run_skipped={"ub": "budget", "budget": "ub"}[row["run_skipped"]]),
+            lambda row: row.update(run={"timeout": True}),
+            lambda row: row.update(schema=3),
+        ],
+        ids=["run-skipped-list", "run-skipped-not-the-verdict", "run-skipped-with-a-run", "schema-3"],
+    )
+    def test_row_with_unusable_run_skipped_or_schema_exits_config(
+        self, runner, corpus, tmp_path, mutate
+    ):
+        # stats names a run outcome after run_skipped, so junk there
+        # would be reported as an outcome of its own
+        cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "campaign"
+        assert self.campaign(runner, cfg, corpus["loop"], out).exit_code == EXIT_OK
+        log = out / "outcomes.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if "run_skipped" in json.loads(line))
+        row = json.loads(lines[at])
+        mutate(row)
+        lines[at] = json.dumps(row, sort_keys=True).encode() + b"\n"
+        log.write_bytes(b"".join(lines))
+        for res in (
+            runner.invoke(main, ["stats", str(log)]),
+            self.campaign(runner, cfg, corpus["loop"], out),
+        ):
+            assert res.exit_code == EXIT_CONFIG
+            assert f"{log}:{at + 1}: not an outcome row" in res.output
+
     def test_crash_row_without_signature_exits_config(self, runner, corpus, tmp_path):
         # stats and a campaign's crash reports both read the signature
         cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
@@ -1044,10 +1064,15 @@ _JUNK = (None, "7", '"junk"', "[1]", "null")
 _PLACEHOLDER = "\u0000junk\u0000"
 
 
+# what `spe stats` may count a row's binary as
+_RUN_OUTCOMES = {"none", "ok", "timeout", "skipped_ub", "skipped_budget"}
+
+
 class TestMutatedLog:
     """A log row with one key deleted or holding junk, or a line that
     holds no object at all, never kills a reader of the log: `spe
-    stats` and a resumed campaign exit 0, 1 or 2."""
+    stats` and a resumed campaign exit 0, 1 or 2, and every run outcome
+    `spe stats` reports is one a row can have."""
 
     @pytest.fixture(scope="class")
     def finished(self, tmp_path_factory):
@@ -1062,6 +1087,7 @@ class TestMutatedLog:
 
     @given(at=st.integers(0, 63), which=st.integers(0, 20), junk=st.sampled_from(_JUNK))
     @example(at=0, which=0, junk=DEEP_JSON.decode())
+    @example(at=2, which=12, junk='"junk"')  # the first skipped run's run_skipped
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     def test_readers_exit_with_a_code(self, finished, at, which, junk):
         src, cfg, finished_out = finished
@@ -1087,12 +1113,16 @@ class TestMutatedLog:
                     line = json.dumps(row, sort_keys=True).replace(json.dumps(_PLACEHOLDER), junk)
             lines[at : at + 1] = [] if line is None else [line]
             log.write_text("".join(f"{line}\n" for line in lines))
+            stats = CliRunner().invoke(main, ["stats", str(log)])
             for res in (
-                CliRunner().invoke(main, ["stats", str(log)]),
+                stats,
                 CliRunner().invoke(main, ["test", str(src), "--config", str(cfg), "--out", str(out)]),
             ):
                 assert res.exit_code in (EXIT_OK, EXIT_FINDINGS, EXIT_CONFIG), res.output
                 assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+            if stats.exit_code == EXIT_OK:
+                for tally in json.loads(stats.output)["runs"].values():
+                    assert set(tally) <= _RUN_OUTCOMES, tally
 
 
 # nine holes over four variables of one pool: 11,051 classes
@@ -1182,11 +1212,11 @@ class TestManifest:
             )
 
     @pytest.mark.parametrize("earlier", [False, True])
-    @pytest.mark.parametrize("fail_at", ["stream:0", "stream:3", "assembly"])
+    @pytest.mark.parametrize("fail_at", ["stream:0", "stream:3", "assembly", "short"])
     def test_failure_leaves_no_torn_manifest(
         self, runner, corpus, tmp_path, monkeypatch, earlier, fail_at
     ):
-        import shutil
+        import spe.enumerator
 
         out = tmp_path / "out"
         args = ["enumerate", "--decl-holes", str(corpus["straight"]), "--out", str(out)]
@@ -1199,15 +1229,23 @@ class TestManifest:
         class Injected(Exception):
             pass
 
+        expected = Injected
         if fail_at == "assembly":
-            def copy(*args):
+            def replace(*args):
                 raise Injected
 
-            monkeypatch.setattr(shutil, "copyfileobj", copy)
+            monkeypatch.setattr(os, "replace", replace)
+        elif fail_at == "short":
+            # a stream that ends before the header's "emitted" entries
+            real = spe.enumerator.variants
+            monkeypatch.setattr(
+                spe.enumerator, "variants", lambda *a, **k: itertools.islice(real(*a, **k), 3)
+            )
+            expected = RuntimeError
         else:
             fail_variants_at(monkeypatch, int(fail_at.split(":")[1]), Injected)
         res = runner.invoke(main, args)
-        assert isinstance(res.exception, Injected)
+        assert isinstance(res.exception, expected)
         if earlier:
             assert (vdir / "manifest.json").read_bytes() == before
         else:
@@ -1236,8 +1274,8 @@ class TestManifest:
 
 
 class TestHotPath:
-    """Without declaration holes, a variant is neither parsed nor
-    rendered nor given a signature by canonical_signature: its source
+    """A variant is neither parsed nor rendered nor given a signature
+    by canonical_signature: its source
     fills the skeleton's template, rendered once per file, and its
     signature comes from the enumeration stream."""
 
@@ -1293,7 +1331,11 @@ class TestHotPath:
             renders.append(args[0])
             return real_render(*args, **kwargs)
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the variant path")
+
         monkeypatch.setattr(spe.enumerator, "render", recorded)
+        monkeypatch.setattr(spe.enumerator, "parse", forbidden)
         res = runner.invoke(
             main,
             ["enumerate", "--decl-holes", str(corpus["straight"]), str(corpus["loop"]),
@@ -1301,7 +1343,7 @@ class TestHotPath:
         )
         assert res.exit_code == EXIT_OK, res.output
         manifest = json.loads((tmp_path / "out" / "straight" / "manifest.json").read_text())
-        assert (manifest["written"], manifest["invalid"]) == (16, 16)
+        assert (manifest["written"], manifest["invalid"]) == (16, 0)
         assert len(renders) == 2
 
 

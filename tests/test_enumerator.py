@@ -2,6 +2,7 @@
 realization and alpha-equivalence behavior."""
 
 import itertools
+import math
 import random
 import re
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from spe.combinat import Mode, naive_count
 from spe.enumerator import (
     Assignment,
-    InvalidRealization,
     canonical_signature,
     enumerate_assignments,
     plan,
@@ -21,20 +21,33 @@ from spe.enumerator import (
     variant_files,
     variants,
 )
-from spe.minilang import ParseError, parse, render
+from spe.minilang import parse, render
 from spe.minilang.ast import Program
 from spe.minilang.interp import interpret
 from spe.skeleton import Granularity, extract
 
-from conftest import BRANCH_SRC, LOOP_SRC, SCOPED_SRC, SHADOW_SRC, random_skeleton
+from conftest import (
+    BRANCH_SRC,
+    LOOP_SRC,
+    NESTED_SRC,
+    SCOPED_SRC,
+    SHADOW_SRC,
+    STRAIGHT_SRC,
+    TWO_FUNCTIONS_SRC,
+    random_skeleton,
+    random_source,
+)
 from oracles import (
+    binding_key,
     burnside_count,
+    name_sites,
     naive_space,
     orbits,
     pools_of_program,
     reference_interpret,
     renaming_group,
     structurally_equal,
+    valid_binding_keys,
 )
 from oracles import realize_source as oracle_realize_source
 
@@ -44,20 +57,9 @@ def stream_vectors(skel, mode=Mode.COMPLETE, granularity=Granularity.INTRA):
 
 
 def programs_alpha_equivalent(p: Program, q: Program) -> bool:
-    """Whole-program alpha-equivalence of two parsed programs.
-
-    Both are skeletonized with declaration holes so every name position
-    is abstracted; the programs are equivalent iff the name-free shapes
-    match and their own fillings reduce to the same canonical signature.
-    """
-    sp, sq = extract(p, decl_holes=True), extract(q, decl_holes=True)
-    shape_p = render(p, {h.node: f"__h{h.index}" for h in sp.holes})
-    shape_q = render(q, {h.node: f"__h{h.index}" for h in sq.holes})
-    if shape_p != shape_q:
-        return False
-    return canonical_signature(
-        sp, Assignment(sp.origin_vector), Granularity.INTER
-    ) == canonical_signature(sq, Assignment(sq.origin_vector), Granularity.INTER)
+    """Whole-program alpha-equivalence of two parsed programs: equal
+    binding structures."""
+    return binding_key(p) == binding_key(q)
 
 
 def check_orbit_bijection(skel, granularity=Granularity.INTER):
@@ -158,12 +160,12 @@ class TestScoped:
         var_sets = [h.names for h in scoped_skel.holes]
         expected = burnside_count(var_sets, group)
         stream = stream_vectors(scoped_skel, Mode.COMPLETE, Granularity.INTER)
-        assert len(stream) == len(set(stream)) == expected == 8448
+        assert len(stream) == len(set(stream)) == expected == 144
 
     def test_inter_paper_subset(self, scoped_skel):
         paper = set(stream_vectors(scoped_skel, Mode.PAPER, Granularity.INTER))
         comp = set(stream_vectors(scoped_skel, Mode.COMPLETE, Granularity.INTER))
-        assert len(paper) == 8327
+        assert len(paper) == 131
         assert paper < comp
 
     def test_signatures_all_distinct(self, scoped_skel):
@@ -171,21 +173,17 @@ class TestScoped:
             canonical_signature(scoped_skel, a, Granularity.INTER)
             for a in enumerate_assignments(scoped_skel, Mode.COMPLETE, Granularity.INTER)
         }
-        assert len(sigs) == 8448
+        assert len(sigs) == 144
 
-    def test_invalid_realizations_marked_not_dropped(self, scoped_skel):
-        seen = list(variants(scoped_skel, Mode.COMPLETE, Granularity.INTER, limit=200))
-        assert [v.seq for v in seen] == list(range(1, 201))
-        bad = [v for v in seen if not v.ok]
-        assert bad, "expected some duplicate-declaration assignments"
-        assert all(v.error and v.source is None for v in bad)
-        assert all(v.ok == (v.source is not None) for v in seen)
-
-    def test_duplicate_decl_raises(self, scoped_skel):
-        values = list(scoped_skel.origin_vector)
-        values[1] = values[0]  # both globals named alike
-        with pytest.raises(InvalidRealization):
-            realize(scoped_skel, Assignment(tuple(values)))
+    @pytest.mark.parametrize("mode", Mode)
+    @pytest.mark.parametrize("granularity", Granularity)
+    def test_decl_holes_stream_is_the_naive_product(self, scoped, mode, granularity):
+        skel = extract(scoped, decl_holes=True)
+        rows = list(variants(skel, mode, granularity))
+        assert [v.seq for v in rows] == list(range(1, 513))
+        assert [v.assignment.values for v in rows] == list(naive_space(skel))
+        assert {v.signature.parts for v in rows} == {()}
+        assert plan(skel, mode, granularity).selected_count == 512
 
 
 class TestProgramEquivalence:
@@ -282,11 +280,9 @@ class TestRandomSkeletonOrbits:
 
 
 def _stream_skeletons():
-    """The criterion-6 random skeletons and the shared fixtures; scoped
-    both with declaration holes, as its fixture has them, and without."""
+    """The criterion-6 random skeletons and the shared fixtures."""
     skels = [random_skeleton(seed, max_naive=2048) for seed in range(200)]
     skels += [extract(parse(src)) for src in (LOOP_SRC, BRANCH_SRC, SCOPED_SRC, SHADOW_SRC)]
-    skels.append(extract(parse(SCOPED_SRC), decl_holes=True))
     return skels
 
 
@@ -295,15 +291,12 @@ class TestStreamOracle:
         """Every variant's signature and source agree with the slow
         definitions: canonical_signature and the oracle's render-based
         realize_source, and the interpreter agrees with the reference
-        walker on it. Without declaration holes every position is
-        valid; with them, a position is valid exactly when the parser
-        accepts the reference text. A refused stream (ScopeNestingError,
+        walker on it. A refused stream (ScopeNestingError,
         ShadowingError) is a refusal here too."""
         from spe.combinat import ScopeNestingError
         from spe.skeleton import ShadowingError
 
         valid = 0
-        invalid = 0
         refused = 0
         for skel in _stream_skeletons():
             for mode in Mode:
@@ -315,25 +308,58 @@ class TestStreamOracle:
                         continue
                     for v in stream:
                         assert v.signature == canonical_signature(skel, v.assignment, gran)
-                        reference = oracle_realize_source(skel, v.assignment)
-                        if skel.decl_holes:
-                            try:
-                                parse(reference)
-                                accepted = True
-                            except ParseError:
-                                accepted = False
-                            assert v.ok == accepted
-                        else:
-                            assert v.ok
-                        if v.ok:
-                            valid += 1
-                            assert v.source == reference
-                            program = parse(v.source)
-                            assert interpret(program, 20_000) == reference_interpret(program, 20_000)
-                        else:
-                            invalid += 1
-                            assert v.source is None and v.error
-        assert refused and invalid and valid > 10_000
+                        assert v.source == oracle_realize_source(skel, v.assignment)
+                        program = parse(v.source)
+                        assert interpret(program, 20_000) == reference_interpret(program, 20_000)
+                        valid += 1
+        assert refused and valid > 10_000
+
+
+def _decl_holes_sources():
+    """The fixtures but shadow.c, which is refused, and scoped.c, whose
+    32,768 fillings criterion 4 brute-forces, and the random programs
+    whose declaration-hole space has at most 4,096 fillings."""
+    sources = {
+        "loop": LOOP_SRC,
+        "branch": BRANCH_SRC,
+        "straight": STRAIGHT_SRC,
+        "nested": NESTED_SRC,
+        "two_functions": TWO_FUNCTIONS_SRC,
+    }
+    for seed in range(60):
+        src = random_source(seed)
+        if math.prod(map(len, name_sites(parse(src))[1])) <= 4096:
+            sources[f"random_source({seed})"] = src
+    return sources
+
+
+class TestDeclHolesStream:
+    """Under --decl-holes the stream holds one program per binding
+    structure that any filling of declarations and uses alike spells:
+    its binding keys are duplicate-free, are exactly the keys of the
+    brute-forced fillings that parse, and number naive_count, in every
+    mode at every granularity."""
+
+    def test_stream_is_every_valid_binding_structure_once(self):
+        checked = 0
+        key_of: dict[str, str] = {}
+        for name, src in _decl_holes_sources().items():
+            program = parse(src)
+            expected = valid_binding_keys(program)
+            skel = extract(program, decl_holes=True)
+            for mode in Mode:
+                for gran in Granularity:
+                    pl = plan(skel, mode, gran)
+                    keys = []
+                    for v in variants(skel, mode, gran):
+                        if v.source not in key_of:
+                            key_of[v.source] = binding_key(parse(v.source))
+                        keys.append(key_of[v.source])
+                    assert len(set(keys)) == len(keys), name
+                    assert set(keys) == expected, name
+                    assert len(keys) == pl.selected_count == pl.report.naive_count, name
+                    checked += 1
+        assert checked >= 4 * 50
 
 
 class TestVariantStream:
@@ -341,7 +367,6 @@ class TestVariantStream:
         rows = list(variants(loop_skel))
         assert len(rows) == 32
         assert [v.seq for v in rows] == list(range(1, 33))
-        assert all(v.ok for v in rows)
         # seqs are padded to the digits of the number of entries emitted
         for cap, name in ((None, "loop__v03.c"), (9, "loop__v3.c")):
             with variant_files(tmp_path / str(cap), loop_skel, plan(loop_skel, cap=cap), "loop") as stream:

@@ -376,6 +376,35 @@ class TestCampaign:
         sigs = {r["compile"]["signature"] for r in crash_cells}
         assert sigs == {"internal compiler error: in operand_equal_p, at fold-const.c:#"}
 
+    def test_report_cut_short_is_written_whole_on_rerun(self, tmp_path, corpus, monkeypatch):
+        # a report directory appears only once all its files are written:
+        # a run that fails while writing repro.sh leaves no report, and
+        # the rerun writes every file of it
+        cfg = stub_config(tmp_path, ("crashcc", CRASH_STUB))
+        out = tmp_path / "out"
+        reports = out / "reports"
+        real = Path.write_text
+        failed = []
+
+        def write_text(self, *args, **kwargs):
+            if self.name == "repro.sh" and not failed:
+                failed.append(self)
+                raise OSError("injected")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+        with pytest.raises(OSError, match="injected"):
+            run_campaign([corpus["straight"]], cfg, out)
+        assert list(reports.iterdir()) == []
+        # what a run killed mid-report leaves is not a report
+        (reports / ".crash-0123456789ab.1.tmp").mkdir()
+        summary = run_campaign([corpus["straight"]], cfg, out)
+        assert summary["reports"]
+        assert summary["reports"] == sorted(p.name for p in reports.iterdir() if p.name[0] != ".")
+        for name in summary["reports"]:
+            files = sorted(p.name for p in (reports / name).iterdir())
+            assert files == ["metadata.json", "repro.sh", "witness.c"], name
+
     def test_crash_repro_recrashes_with_same_signature(self, tmp_path, corpus):
         cfg = stub_config(tmp_path, ("crashcc", CRASH_STUB))
         out = tmp_path / "out"

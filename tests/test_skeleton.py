@@ -9,7 +9,6 @@ from spe.enumerator import Assignment
 from spe.minilang import parse
 from spe.minilang.ast import VarDecl
 from spe.skeleton import (
-    GLOBALS_UNIT,
     PROGRAM_UNIT,
     Granularity,
     ShadowingError,
@@ -19,7 +18,7 @@ from spe.skeleton import (
     to_json,
 )
 
-from conftest import SHADOW_SRC, random_skeleton
+from conftest import SHADOW_SRC, TWO_FUNCTIONS_SRC, random_skeleton
 
 
 class TestExtraction:
@@ -40,33 +39,29 @@ class TestExtraction:
         assert sizes == [2, 2, 4, 4, 2]
         assert s.origin_vector == ("a", "b", "c", "d", "a")
 
-    def test_scoped_decl_holes(self, scoped_skel):
-        s = scoped_skel
-        assert s.n == 10
-        assert [len(h.var_set) for h in s.holes] == [2, 2, 2, 4, 4, 4, 4, 4, 2, 2]
-        assert s.origin_vector == ("a", "b", "a", "c", "d", "b", "c", "d", "a", "b")
-        decl_flags = [isinstance(h.node, VarDecl) for h in s.holes]
-        assert decl_flags == [True, True, False, True, True, False, False, False, False, False]
-        assert list(s.per_function_ranges) == [GLOBALS_UNIT, "main"]
+    def test_scoped_decl_holes(self, scoped, scoped_skel):
+        # declarations are never holes; the flag is the enumerator's
+        s = extract(scoped, decl_holes=True)
+        assert s.decl_holes and not scoped_skel.decl_holes
+        assert [(h.node, h.var_set) for h in s.holes] == [(h.node, h.var_set) for h in scoped_skel.holes]
+        assert s.per_function_ranges == scoped_skel.per_function_ranges
 
-    def test_scoped_without_decl_holes(self, scoped):
-        s = extract(scoped)
+    def test_scoped_without_decl_holes(self, scoped_skel):
+        s = scoped_skel
         assert s.n == 6
         assert not any(isinstance(h.node, VarDecl) for h in s.holes)
-        assert list(s.per_function_ranges) == ["main"]
+        assert [len(h.var_set) for h in s.holes] == [2, 4, 4, 4, 2, 2]
+        assert s.origin_vector == ("a", "b", "c", "d", "a", "b")
+        assert s.per_function_ranges == {"main": (1, 6)}
 
     def test_condition_sees_enclosing_scope_only(self, scoped_skel):
-        cond = scoped_skel.holes[2]  # the `if (a)` test
+        cond = scoped_skel.holes[0]  # the `if (a)` test
         assert cond.names == ("a", "b")
 
     def test_var_set_order_outer_first(self, branch_skel):
         block_hole = branch_skel.holes[2]
         # visibility chain order: enclosing scopes first, then the block's own
         assert block_hole.names == ("a", "b", "c", "d")
-
-    def test_decl_hole_sees_itself(self, scoped_skel):
-        first_global = scoped_skel.holes[0]
-        assert isinstance(first_global.node, VarDecl) and "a" in first_global.names
 
     def test_multiple_functions_have_disjoint_units(self):
         src = """
@@ -108,23 +103,6 @@ class TestCharacteristicVector:
     def test_foreign_name_rejected(self, loop_skel):
         with pytest.raises(ValueError):
             characteristic_vector(loop_skel, ("a", "b", "a", "a", "a", "z"))
-
-
-TWO_FUNCTIONS_SRC = """
-int g = 0;
-unsigned h = 1u;
-
-int f(unsigned p) {
-    int x = 1;
-    h = p;
-    return x + g;
-}
-
-int main(void) {
-    int y = 2;
-    return y + f(h);
-}
-"""
 
 
 def family_of(skel, unit, granularity=Granularity.INTRA, type_="int"):
@@ -170,12 +148,12 @@ class TestNormalForms:
 
     def test_intra_units(self, scoped_skel):
         intra = normal_forms(scoped_skel, Granularity.INTRA)
-        assert [(f.unit, f.type) for f in intra] == [(GLOBALS_UNIT, "int"), ("main", "int")]
+        assert [(f.unit, f.type) for f in intra] == [("main", "int")]
 
     def test_inter_is_one_unit(self, scoped_skel):
         inter = normal_forms(scoped_skel, Granularity.INTER)
         assert [(f.unit, f.type) for f in inter] == [(PROGRAM_UNIT, "int")]
-        assert sorted(inter[0].holes) == list(range(1, 11))
+        assert sorted(inter[0].holes) == list(range(1, 7))
 
     @pytest.mark.parametrize(
         "decl_holes,granularity,expected",
@@ -189,14 +167,7 @@ class TestNormalForms:
             (
                 True,
                 Granularity.INTRA,
-                [
-                    (GLOBALS_UNIT, "int"),
-                    (GLOBALS_UNIT, "uint"),
-                    ("f", "int"),
-                    ("f", "uint"),
-                    ("main", "int"),
-                    ("main", "uint"),
-                ],
+                [("f", "int"), ("f", "uint"), ("main", "int"), ("main", "uint")],
             ),
             (True, Granularity.INTER, [(PROGRAM_UNIT, "int"), (PROGRAM_UNIT, "uint")]),
         ],

@@ -407,56 +407,19 @@ def cmd_test(paths, mode, granularity, decl_holes, threshold, cap, config, out) 
 # ---------------------------------------------------------------------------
 # stats
 
-_RUN_OUTCOMES = ("none", "ok", "skipped_budget", "skipped_ub", "timeout")
-
-
-def _run_outcome(row: dict) -> str:
-    """What became of a row's binary: "skipped_<verdict>" when the
-    interpreter's verdict kept it from running, "none" when there was
-    none to run (the compile did not succeed), else "timeout" or "ok".
-    A row logged before runs were skipped counts by the run it carries."""
-    if row.get("run_skipped"):
-        return f"skipped_{row['run_skipped']}"
-    run = row.get("run")
-    if not run:
-        return "none"
-    return "timeout" if run.get("timeout") else "ok"
-
-
 @main.command("stats")
 @click.argument("log", type=click.Path(exists=True, dir_okay=False))
 def cmd_stats(log) -> None:
     """Aggregate an outcome log (outcomes.jsonl) into per-compiler
-    compile-status totals, per-compiler run totals (ran ok, timed out,
-    not run because the interpreter found UB or ran out of budget, or
-    no binary) and the distinct crash signatures."""
-    from .harness import read_log
+    compile-status and run-outcome totals and the distinct crash
+    signatures."""
+    from .harness import log_stats
 
     try:
-        rows = list(read_log(log).values())
+        doc = log_stats(log)
     except ConfigError as e:
         click.echo(f"configuration error: {e}", err=True)
         sys.exit(EXIT_CONFIG)
-    by_compiler: dict[str, dict[str, int]] = {}
-    runs: dict[str, dict[str, int]] = {}
-    signatures: set[str] = set()
-    for row in rows:
-        status = row["compile"]["status"]
-        agg = by_compiler.setdefault(row["compiler"], {})
-        agg[status] = agg.get(status, 0) + 1
-        if status == "crash":
-            signatures.add(row["compile"]["signature"])
-        tally = runs.setdefault(row["compiler"], dict.fromkeys(_RUN_OUTCOMES, 0))
-        outcome = _run_outcome(row)
-        tally[outcome] = tally.get(outcome, 0) + 1
-    doc = {
-        "schema": 1,
-        "rows": len(rows),
-        "variants": len({row["variant"] for row in rows}),
-        "compilers": {k: dict(sorted(v.items())) for k, v in sorted(by_compiler.items())},
-        "runs": dict(sorted(runs.items())),
-        "distinct_crash_signatures": sorted(signatures),
-    }
     click.echo(json.dumps(doc, indent=2))
 
 

@@ -180,7 +180,10 @@ def canonical_signature(
     granularity: Granularity = Granularity.INTRA,
 ) -> CanonicalSignature:
     """Stable, name-free signature: per family, the pool each hole's
-    variable belongs to and the RGS of each pool's value sequence."""
+    variable belongs to and the RGS of each pool's value sequence.
+    Empty under decl_holes, as in the stream."""
+    if skel.decl_holes:
+        return CanonicalSignature(granularity=granularity.value, parts=())
     values = characteristic_vector(skel, assignment)
     parts = []
     for fam in normal_forms(skel, granularity):

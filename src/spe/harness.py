@@ -23,7 +23,7 @@ import shutil
 import stat
 import subprocess
 import tempfile
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,8 +44,12 @@ __all__ = [
     "ToolchainConfig",
     "normalize_signature",
     "differential_verdict",
+    "ROW_KINDS",
+    "RUN_OUTCOMES",
+    "run_outcome",
     "run_campaign",
     "read_log",
+    "log_stats",
 ]
 
 SCHEMA_VERSION = 2
@@ -245,15 +249,6 @@ def normalize_signature(stderr: str, exit_status: int) -> str:
     return " ".join(_mask(line).split())
 
 
-def _ran(rows: Sequence[dict]) -> list[dict]:
-    """The rows whose cell compiled and ran without timing out."""
-    return [
-        r
-        for r in rows
-        if r["compile"]["status"] == "ok" and r.get("run") and not r["run"].get("timeout")
-    ]
-
-
 def _cell(row: dict) -> str:
     """The label a row's cell goes by in verdicts and reports."""
     return f"{row['compiler']}:{' '.join(row['flags'])}"
@@ -272,7 +267,7 @@ def differential_verdict(rows: Sequence[dict]) -> dict:
     interp = rows[0]["interp"]
     if interp["verdict"] != "ok":
         return {"status": "ok"}
-    ran = _ran(rows)
+    ran = [r for r in rows if run_outcome(r) == "ok"]
     if len(ran) < 2:
         return {"status": "ok"}
     expected = (interp["exit"], interp["stdout_sha256"])
@@ -295,16 +290,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# the verdict each interpreter status is logged as
+_VERDICTS = {Status.OK: "ok", Status.UNDEFINED_BEHAVIOR: "ub", Status.STEP_BUDGET_EXHAUSTED: "budget"}
+
+
 def _interp_record(program) -> dict:
     res = interpret(program)
-    if res.status is Status.OK:
-        verdict = "ok"
-    elif res.status is Status.STEP_BUDGET_EXHAUSTED:
-        verdict = "budget"
-    else:
-        verdict = "ub"
     rec = {
-        "verdict": verdict,
+        "verdict": _VERDICTS[res.status],
         "exit": res.exit_code,
         "stdout_sha256": _sha256(res.stdout.encode()),
     }
@@ -403,44 +396,62 @@ def _row_key(row: dict) -> tuple[str, str, str]:
     return (row["variant"], row["compiler"], " ".join(row["flags"]))
 
 
-def _is_result(rec) -> bool:
-    """An interpreter or run record with an int exit and a stdout digest."""
-    return isinstance(rec["exit"], int) and isinstance(rec["stdout_sha256"], str)
+# The outcome row, declared once. A row's kind is its (schema, compile
+# status, interpreter verdict). ROW_KINDS maps each kind to the fields
+# its readers need, as (record, key, type), and to the run outcomes it
+# may have. Schema 1 ran every binary that compiled; schema 2 runs one
+# only for an ok verdict, and names any other verdict in run_skipped.
+# A line holding a row of no declared kind is not an outcome row.
+_COMPILE_NEEDS = {"crash": (("compile", "signature", str),)}
+_INTERP_NEEDS = {"ok": (("interp", "exit", int), ("interp", "stdout_sha256", str))}
+ROW_KINDS = {
+    (schema, status, verdict): (
+        _COMPILE_NEEDS.get(status, ()) + _INTERP_NEEDS.get(verdict, ()),
+        ("none",) if status != "ok"
+        else ("ok", "timeout") if schema == 1 or verdict == "ok"
+        else (f"skipped_{verdict}",),
+    )
+    for schema in (1, 2)
+    for status in ("ok", "reject", "crash", "timeout")
+    for verdict in _VERDICTS.values()
+}
+RUN_OUTCOMES = tuple(sorted({o for _, outcomes in ROW_KINDS.values() for o in outcomes}))
+
+
+def run_outcome(row) -> Optional[str]:
+    """What became of an outcome row's binary: "ok" or "timeout" when it
+    ran, "skipped_<verdict>" when the verdict kept it from running,
+    "none" when the compile made none. None when `row` is no outcome
+    row: its key is not strings, its kind is undeclared, it lacks a
+    field its kind needs, or its run is not one its kind may have."""
+    try:
+        names = (row["variant"], row["compiler"], *row["flags"])
+        if not (isinstance(row["flags"], list) and all(isinstance(n, str) for n in names)):
+            return None
+        needs, outcomes = ROW_KINDS[row["schema"], row["compile"]["status"], row["interp"]["verdict"]]
+        if not all(isinstance(row[rec][key], type_) for rec, key, type_ in needs):
+            return None
+        run = row.get("run")
+        if "run_skipped" in row:
+            outcome = "skipped_" + row["run_skipped"] if run is None else None
+        elif run is None or run == {"timeout": True}:
+            outcome = "timeout" if run else "none"
+        elif isinstance(run["exit"], int) and isinstance(run["stdout_sha256"], str):
+            outcome = "ok"
+        else:
+            return None
+    except (KeyError, TypeError):
+        return None
+    return outcome if outcome in outcomes else None
 
 
 def _parse_row(line: bytes) -> Optional[dict]:
-    """The outcome row a log line holds, or None when it holds none: a
-    row has schema 1 or 2, a string variant and compiler, a list of
-    string flags, a string compile status, and a crash has a string
-    signature; its interp has a string verdict, and an exit and a stdout
-    digest when the verdict is "ok"; its run is null, a timeout or a
-    result; and its run_skipped, when present, is the interp verdict,
-    not "ok", of a row that compiled and has no run."""
+    """The outcome row a log line holds, or None when it holds none."""
     try:
         row = json.loads(line)
-        compile_, interp, run = row["compile"], row["interp"], row.get("run")
-        usable = (
-            row["schema"] in (1, 2)
-            and all(isinstance(row[k], str) for k in ("variant", "compiler"))
-            and isinstance(row["flags"], list)
-            and all(isinstance(f, str) for f in row["flags"])
-            and isinstance(compile_["status"], str)
-            and (compile_["status"] != "crash" or isinstance(compile_["signature"], str))
-            and isinstance(interp["verdict"], str)
-            and (interp["verdict"] != "ok" or _is_result(interp))
-            and (run is None or run == {"timeout": True} or _is_result(run))
-            and (
-                "run_skipped" not in row
-                or (
-                    row["run_skipped"] == interp["verdict"] != "ok"
-                    and compile_["status"] == "ok"
-                    and run is None
-                )
-            )
-        )
-    except (ValueError, KeyError, TypeError, RecursionError):
+    except (ValueError, RecursionError):
         return None
-    return row if usable else None
+    return row if run_outcome(row) else None
 
 
 def read_log(path: str | Path) -> dict[tuple[str, str, str], dict]:
@@ -466,6 +477,27 @@ def read_log(path: str | Path) -> dict[tuple[str, str, str], dict]:
                 raise ConfigError(f"{p}:{lineno}: not an outcome row")
             rows[_row_key(row)] = row
     return rows
+
+
+def log_stats(path: str | Path) -> dict:
+    """The `spe stats` document of an outcome log: per compiler, how
+    many cells had each compile status and each run outcome, and the
+    distinct crash signatures. ConfigError as read_log."""
+    rows = list(read_log(path).values())
+    compiles: dict[str, Counter] = {}
+    runs: dict[str, dict[str, int]] = {}
+    for row in rows:
+        compiles.setdefault(row["compiler"], Counter())[row["compile"]["status"]] += 1
+        runs.setdefault(row["compiler"], dict.fromkeys(RUN_OUTCOMES, 0))[run_outcome(row)] += 1
+    crashes = [row["compile"] for row in rows if row["compile"]["status"] == "crash"]
+    return {
+        "schema": 1,
+        "rows": len(rows),
+        "variants": len({row["variant"] for row in rows}),
+        "compilers": {k: dict(sorted(v.items())) for k, v in sorted(compiles.items())},
+        "runs": dict(sorted(runs.items())),
+        "distinct_crash_signatures": sorted({c["signature"] for c in crashes}),
+    }
 
 
 def _mend_last_line(fh) -> None:
@@ -562,7 +594,7 @@ def _wrong_code_report(
 ) -> bool:
     blob = variant_id + "|" + ",".join(verdict["cells"])
     slug = hashlib.sha1(blob.encode()).hexdigest()[:12]
-    ran = _ran(rows)
+    ran = [r for r in rows if run_outcome(r) == "ok"]
     meta = {
         "kind": "wrong-code",
         "variant": variant_id,
@@ -604,8 +636,9 @@ def run_campaign(
     recorded) or evaluate every variant under every toolchain cell, with
     at most _WINDOW x workers variants in flight. Variant files an
     earlier run left in the file's variants directory are removed once
-    this run's are written. Returns the summary, which is also written
-    to <out>/summary.json.
+    this run's are written, and report directories a killed run left
+    half written are removed first. Returns the summary, which is also
+    written to <out>/summary.json.
     """
     if threshold < 1:
         raise ConfigError(f"threshold must be >= 1, got {threshold}")
@@ -619,6 +652,9 @@ def run_campaign(
     reports_dir = out / "reports"
     variants_dir.mkdir(parents=True, exist_ok=True)
     reports_dir.mkdir(parents=True, exist_ok=True)
+    # what a run killed while writing a report left (see _write_report)
+    for leftover in reports_dir.glob(".*.tmp"):
+        shutil.rmtree(leftover, ignore_errors=True)
     log_path = out / "outcomes.jsonl"
     log = read_log(log_path)
     _append_rows(log_path, [])  # create the log and mend a torn tail up front
@@ -713,10 +749,8 @@ def run_campaign(
 
     naive = sum(f.get("naive", 0) for f in files)
     enumerated = sum(f.get("enumerated", 0) for f in files)
-    # a dot-name is a report still being written, or one a killed run left
-    report_dirs = sorted(
-        p.name for p in reports_dir.iterdir() if p.is_dir() and not p.name.startswith(".")
-    )
+    # a dot-name is a report still being written
+    report_dirs = sorted(p.name for p in reports_dir.iterdir() if p.is_dir() and p.name[0] != ".")
     summary = {
         "schema": SCHEMA_VERSION,
         "mode": mode.value,

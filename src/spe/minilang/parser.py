@@ -113,8 +113,8 @@ _TOKEN = re.compile(
     | (?P<punct>[=!<>]=|&&|\|\||[(){};,=+\-*%<>!]|/(?![/*]))
     | (?P<num>[0-9]+[uU]?(?P<junk>[\w.])?)
     | (?P<comment>//[^\n]*|/\*.*?\*/)
-    | (?P<directive>\#[^\n\x80-\U0010ffff]*[^\n]?)
-    | (?P<str>"(?P<body>(?:[^"\\\n\x80-\U0010ffff]|\\n)*)(?P<close>.?))
+    | (?P<directive>\#[\x00-\x09\x0b-\x7f]*[^\n]?)
+    | (?P<str>"(?P<body>(?:[\x00-\x09\x0b-\x21\x23-\x5b\x5d-\x7f]|\\n)*)(?P<close>.?))
     | (?P<open_comment>/\*)
     | (?P<other>.)
     """,

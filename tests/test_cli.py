@@ -32,7 +32,7 @@ from oracles import reference_manifest
 from spe.cli import EXIT_CONFIG, EXIT_FINDINGS, EXIT_OK, EXIT_THRESHOLD, main
 from spe.combinat import Mode
 from spe.enumerator import plan, variants
-from spe.harness import read_log
+from spe.harness import ROW_KINDS, RUN_OUTCOMES, read_log
 from spe.minilang import ParseError, parse, render
 from spe.skeleton import Granularity, extract
 
@@ -894,7 +894,7 @@ class TestTornLog:
         assert self.campaign(runner, cfg, corpus["straight"], out).exit_code == EXIT_FINDINGS
         log = out / "outcomes.jsonl"
         whole = log.read_bytes()
-        statusless = b'{"variant":"x","compiler":"c","flags":[]}'
+        statusless = b'{"schema":2,"variant":"x","compiler":"c","flags":[],"interp":{"verdict":"ub"},"run_skipped":"ub"}'
 
         # unterminated, it is a torn last line like any other
         log.write_bytes(whole + statusless)
@@ -938,13 +938,13 @@ class TestTornLog:
     @pytest.mark.parametrize(
         "row",
         [
-            '{"variant":"v","compiler":["gcc"],"flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"}}',
-            '{"variant":7,"compiler":"c","flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"}}',
-            '{"variant":"v","compiler":"c","flags":"-O0","compile":{"status":"ok"},"interp":{"verdict":"ub"}}',
-            '{"variant":"v","compiler":"c","flags":[0],"compile":{"status":"ok"},"interp":{"verdict":"ub"}}',
-            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":["ok"]},"interp":{"verdict":"ub"}}',
-            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"},"run":5}',
-            '{"variant":"v","compiler":"c","flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"},"run":[]}',
+            '{"schema":2,"variant":"v","compiler":["gcc"],"flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"},"run_skipped":"ub"}',
+            '{"schema":2,"variant":7,"compiler":"c","flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"},"run_skipped":"ub"}',
+            '{"schema":2,"variant":"v","compiler":"c","flags":"-O0","compile":{"status":"ok"},"interp":{"verdict":"ub"},"run_skipped":"ub"}',
+            '{"schema":2,"variant":"v","compiler":"c","flags":[0],"compile":{"status":"ok"},"interp":{"verdict":"ub"},"run_skipped":"ub"}',
+            '{"schema":2,"variant":"v","compiler":"c","flags":[],"compile":{"status":["ok"]},"interp":{"verdict":"ub"},"run_skipped":"ub"}',
+            '{"schema":1,"variant":"v","compiler":"c","flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"},"run":5}',
+            '{"schema":1,"variant":"v","compiler":"c","flags":[],"compile":{"status":"ok"},"interp":{"verdict":"ub"},"run":[]}',
             '["v","c",[],{"status":"ok"}]',
         ],
         ids=["compiler-list", "variant-int", "flags-string", "flag-int", "status-list",
@@ -1001,23 +1001,39 @@ class TestTornLog:
             lambda row: row.update(run_skipped={"ub": "budget", "budget": "ub"}[row["run_skipped"]]),
             lambda row: row.update(run={"timeout": True}),
             lambda row: row.update(schema=3),
+            lambda row: (row.pop("run_skipped"), row["compile"].update(status="banana")),
+            lambda row: row.update(run_skipped="weird", interp={"verdict": "weird"}),
+            lambda row: (
+                row.pop("run_skipped"),
+                row.update(compile={"status": "reject", "exit": 1}, run={"exit": 0, "stdout_sha256": "0" * 64}),
+            ),
         ],
-        ids=["run-skipped-list", "run-skipped-not-the-verdict", "run-skipped-with-a-run", "schema-3"],
+        ids=["run-skipped-list", "run-skipped-not-the-verdict", "run-skipped-with-a-run", "schema-3",
+             "undeclared-status", "undeclared-verdict", "run-without-a-binary"],
     )
     def test_row_with_unusable_run_skipped_or_schema_exits_config(
         self, runner, corpus, tmp_path, mutate
     ):
-        # stats names a run outcome after run_skipped, so junk there
-        # would be reported as an outcome of its own
+        # stats tallies the names of a row's kind and run outcome, so a
+        # row of no declared kind would be reported under names of its own
         cfg = stub_config_file(tmp_path, ("okcc", OK_STUB))
         out = tmp_path / "campaign"
         assert self.campaign(runner, cfg, corpus["loop"], out).exit_code == EXIT_OK
         log = out / "outcomes.jsonl"
-        lines = log.read_bytes().splitlines(keepends=True)
+        whole = log.read_bytes()
+        lines = whole.splitlines(keepends=True)
         at = next(i for i, line in enumerate(lines) if "run_skipped" in json.loads(line))
         row = json.loads(lines[at])
         mutate(row)
-        lines[at] = json.dumps(row, sort_keys=True).encode() + b"\n"
+        mutated = json.dumps(row, sort_keys=True).encode()
+
+        # unterminated, it is a torn last line like any other
+        log.write_bytes(whole + mutated)
+        res = runner.invoke(main, ["stats", str(log)])
+        assert res.exit_code == EXIT_OK
+        assert json.loads(res.output)["rows"] == len(lines)
+
+        lines[at] = mutated + b"\n"
         log.write_bytes(b"".join(lines))
         for res in (
             runner.invoke(main, ["stats", str(log)]),
@@ -1034,7 +1050,7 @@ class TestTornLog:
         log = out / "outcomes.jsonl"
         whole = log.read_bytes()
         for compile_ in ('{"status":"crash"}', '{"status":"crash","signature":7}'):
-            row = b'{"variant":"v","compiler":"c","flags":[],"compile":%s,"interp":{"verdict":"ub"}}\n' % (
+            row = b'{"schema":2,"variant":"v","compiler":"c","flags":[],"compile":%s,"interp":{"verdict":"ub"}}\n' % (
                 compile_.encode()
             )
             log.write_bytes(whole + row)
@@ -1063,16 +1079,20 @@ def _key_paths(row: dict):
 _JUNK = (None, "7", '"junk"', "[1]", "null")
 _PLACEHOLDER = "\u0000junk\u0000"
 
-
-# what `spe stats` may count a row's binary as
-_RUN_OUTCOMES = {"none", "ok", "timeout", "skipped_ub", "skipped_budget"}
+# the names a row's kind is declared with: a swap puts one in place of
+# another, or renames run_skipped to run and run to run_skipped
+_SWAPS = (
+    *((("compile", "status"), status) for status in sorted({k[1] for k in ROW_KINDS})),
+    *((("interp", "verdict"), verdict) for verdict in sorted({k[2] for k in ROW_KINDS})),
+    (("run_skipped",), "run"),
+)
 
 
 class TestMutatedLog:
-    """A log row with one key deleted or holding junk, or a line that
-    holds no object at all, never kills a reader of the log: `spe
-    stats` and a resumed campaign exit 0, 1 or 2, and every run outcome
-    `spe stats` reports is one a row can have."""
+    """A log row with one key deleted or holding junk, or one declared
+    name swapped for another, or a line that holds no object at all,
+    never kills a reader of the log: `spe stats` and a resumed campaign
+    exit 0, 1 or 2, and `spe stats` prints only declared names."""
 
     @pytest.fixture(scope="class")
     def finished(self, tmp_path_factory):
@@ -1085,17 +1105,37 @@ class TestMutatedLog:
         assert res.exit_code == EXIT_OK
         return src, cfg, out
 
-    @given(at=st.integers(0, 63), which=st.integers(0, 20), junk=st.sampled_from(_JUNK))
-    @example(at=0, which=0, junk=DEEP_JSON.decode())
-    @example(at=2, which=12, junk='"junk"')  # the first skipped run's run_skipped
-    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-    def test_readers_exit_with_a_code(self, finished, at, which, junk):
+    def check_readers(self, finished, mutate):
+        """Run both readers over the finished campaign's log with its
+        lines passed through mutate."""
         src, cfg, finished_out = finished
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "campaign"
             shutil.copytree(finished_out, out)
             log = out / "outcomes.jsonl"
             lines = log.read_text().splitlines()
+            mutate(lines)
+            log.write_text("".join(f"{line}\n" for line in lines))
+            stats = CliRunner().invoke(main, ["stats", str(log)])
+            for res in (
+                stats,
+                CliRunner().invoke(main, ["test", str(src), "--config", str(cfg), "--out", str(out)]),
+            ):
+                assert res.exit_code in (EXIT_OK, EXIT_FINDINGS, EXIT_CONFIG), res.output
+                assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+            if stats.exit_code == EXIT_OK:
+                doc = json.loads(stats.output)
+                for agg in doc["compilers"].values():
+                    assert set(agg) <= {k[1] for k in ROW_KINDS}, agg
+                for tally in doc["runs"].values():
+                    assert list(tally) == list(RUN_OUTCOMES), tally
+
+    @given(at=st.integers(0, 63), which=st.integers(0, 20), junk=st.sampled_from(_JUNK))
+    @example(at=0, which=0, junk=DEEP_JSON.decode())
+    @example(at=2, which=12, junk='"junk"')  # the first skipped run's run_skipped
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    def test_readers_exit_with_a_code(self, finished, at, which, junk):
+        def mutate(lines):
             row = json.loads(lines[at])
             # path () is the row itself: junk replaces the line, None drops it
             paths = [(), *_key_paths(row)]
@@ -1112,17 +1152,26 @@ class TestMutatedLog:
                     holder[key] = _PLACEHOLDER
                     line = json.dumps(row, sort_keys=True).replace(json.dumps(_PLACEHOLDER), junk)
             lines[at : at + 1] = [] if line is None else [line]
-            log.write_text("".join(f"{line}\n" for line in lines))
-            stats = CliRunner().invoke(main, ["stats", str(log)])
-            for res in (
-                stats,
-                CliRunner().invoke(main, ["test", str(src), "--config", str(cfg), "--out", str(out)]),
-            ):
-                assert res.exit_code in (EXIT_OK, EXIT_FINDINGS, EXIT_CONFIG), res.output
-                assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
-            if stats.exit_code == EXIT_OK:
-                for tally in json.loads(stats.output)["runs"].values():
-                    assert set(tally) <= _RUN_OUTCOMES, tally
+
+        self.check_readers(finished, mutate)
+
+    @given(at=st.integers(0, 63), swap=st.sampled_from(_SWAPS))
+    @example(at=2, swap=(("run_skipped",), "run"))  # the first skipped run
+    @example(at=0, swap=(("compile", "status"), "ok"))  # a swap that changes nothing
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    def test_readers_exit_with_a_code_after_a_swap(self, finished, at, swap):
+        path, name = swap
+
+        def mutate(lines):
+            row = json.loads(lines[at])
+            if path == ("run_skipped",):
+                old, new = ("run_skipped", "run") if "run_skipped" in row else ("run", "run_skipped")
+                row[new] = row.pop(old)
+            else:
+                row[path[0]][path[1]] = name
+            lines[at] = json.dumps(row, sort_keys=True)
+
+        self.check_readers(finished, mutate)
 
 
 # nine holes over four variables of one pool: 11,051 classes

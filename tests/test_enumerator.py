@@ -361,6 +361,14 @@ class TestDeclHolesStream:
                     checked += 1
         assert checked >= 4 * 50
 
+    @pytest.mark.parametrize("granularity", list(Granularity), ids=lambda g: g.value)
+    def test_canonical_signature_is_the_streams(self, granularity):
+        # the empty signature every entry and manifest carries
+        for src in (LOOP_SRC, BRANCH_SRC, SCOPED_SRC, STRAIGHT_SRC, NESTED_SRC, TWO_FUNCTIONS_SRC):
+            skel = extract(parse(src), decl_holes=True)
+            for v in variants(skel, Mode.COMPLETE, granularity):
+                assert v.signature == canonical_signature(skel, v.assignment, granularity)
+
 
 class TestVariantStream:
     def test_names_and_sequence(self, loop_skel, tmp_path):

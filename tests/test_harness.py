@@ -22,11 +22,14 @@ from spe.harness import (
     CompilerSpec,
     ConfigError,
     MAX_TIMEOUT_S,
+    ROW_KINDS,
+    RUN_OUTCOMES,
     ToolchainConfig,
     differential_verdict,
     normalize_signature,
     read_log,
     run_campaign,
+    run_outcome,
 )
 
 from conftest import CRASH_STUB, EVIL_STUB, LOOP_SRC, OK_STUB, STRAIGHT_SRC, write_stub
@@ -99,6 +102,7 @@ class TestDifferentialVerdict:
     def row(self, compiler, flags, exit_code, sha="x", interp=("ok", 0, "x")):
         verdict, iexit, isha = interp
         return {
+            "schema": 1,
             "variant": "v",
             "compiler": compiler,
             "flags": list(flags),
@@ -148,6 +152,61 @@ class TestDifferentialVerdict:
         v = differential_verdict(rows)
         assert v["status"] == "wrong-code"
         assert v["cells"] == ["cc1:-O0", "cc2:-O0"]
+
+
+def declared_row(schema: int, status: str, verdict: str, outcome: str) -> dict:
+    """A row of the given kind, with every field any kind needs, whose
+    binary had the given run outcome."""
+    row = {
+        "schema": schema,
+        "variant": "v",
+        "compiler": "c",
+        "flags": ["-O0"],
+        "compile": {"status": status, "signature": "sig"},
+        "interp": {"verdict": verdict, "exit": 0, "stdout_sha256": "x"},
+        "run": {"none": None, "timeout": {"timeout": True}}.get(outcome, {"exit": 0, "stdout_sha256": "x"}),
+    }
+    if outcome.startswith("skipped_"):
+        row.update(run=None, run_skipped=outcome.removeprefix("skipped_"))
+    return row
+
+
+class TestRowKinds:
+    def test_the_table_is_the_documented_one(self):
+        # the README's table of row kinds: a log written by any version
+        # must keep reading the same way
+        verdicts = ("ok", "ub", "budget")
+        assert {kind: set(outcomes) for kind, (_, outcomes) in ROW_KINDS.items()} == {
+            **{(s, c, v): {"none"} for s in (1, 2) for c in ("reject", "crash", "timeout") for v in verdicts},
+            **{(s, "ok", "ok"): {"ok", "timeout"} for s in (1, 2)},
+            **{(1, "ok", v): {"ok", "timeout"} for v in ("ub", "budget")},
+            **{(2, "ok", v): {f"skipped_{v}"} for v in ("ub", "budget")},
+        }
+        for (_, status, verdict), (needs, _) in ROW_KINDS.items():
+            expected = {("compile", "signature", str)} if status == "crash" else set()
+            if verdict == "ok":
+                expected |= {("interp", "exit", int), ("interp", "stdout_sha256", str)}
+            assert set(needs) == expected, (status, verdict)
+
+    def test_a_row_reads_only_with_the_outcomes_its_kind_declares(self, tmp_path):
+        log = tmp_path / "outcomes.jsonl"
+        for (schema, status, verdict), (needs, outcomes) in ROW_KINDS.items():
+            assert set(outcomes) <= set(RUN_OUTCOMES)
+            for outcome in RUN_OUTCOMES + ("skipped_ok",):
+                row = declared_row(schema, status, verdict, outcome)
+                assert run_outcome(row) == (outcome if outcome in outcomes else None), row
+            for outcome in outcomes:
+                row = declared_row(schema, status, verdict, outcome)
+                log.write_text(json.dumps(row) + "\n")
+                assert list(read_log(log).values()) == [row]
+                # without a field its kind needs, it is no row
+                for record, key, _ in needs:
+                    lacking = copy.deepcopy(row)
+                    del lacking[record][key]
+                    assert run_outcome(lacking) is None, (record, key)
+                    log.write_text(json.dumps(lacking) + "\n")
+                    with pytest.raises(ConfigError, match=re.escape(f"{log}:1: not an outcome row")):
+                        read_log(log)
 
 
 # Toolchain documents shaped like the benchmark's, and the junk that
@@ -396,9 +455,13 @@ class TestCampaign:
         with pytest.raises(OSError, match="injected"):
             run_campaign([corpus["straight"]], cfg, out)
         assert list(reports.iterdir()) == []
-        # what a run killed mid-report leaves is not a report
-        (reports / ".crash-0123456789ab.1.tmp").mkdir()
+        # what a run killed mid-report leaves is not a report, and the
+        # rerun removes it
+        leftover = reports / ".crash-0123456789ab.1.tmp"
+        leftover.mkdir()
+        (leftover / "witness.c").write_text("")
         summary = run_campaign([corpus["straight"]], cfg, out)
+        assert not leftover.exists()
         assert summary["reports"]
         assert summary["reports"] == sorted(p.name for p in reports.iterdir() if p.name[0] != ".")
         for name in summary["reports"]:

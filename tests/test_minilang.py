@@ -31,6 +31,7 @@ from spe.minilang.parser import (
     E_SYNTAX,
     E_TYPE,
     E_UNDECLARED,
+    _TOKEN,
 )
 from spe.skeleton import extract
 
@@ -264,6 +265,21 @@ int helper(int x) {
         with pytest.raises(ParseError) as e:
             parse("int main(void) { return 0; // end")
         assert (e.value.line, e.value.col) == (1, 34)
+
+    @pytest.mark.parametrize(
+        "negated, ascii",
+        [
+            (r"[^\n\x80-\U0010ffff]", r"[\x00-\x09\x0b-\x7f]"),
+            (r'[^"\\\n\x80-\U0010ffff]', r"[\x00-\x09\x0b-\x21\x23-\x5b\x5d-\x7f]"),
+        ],
+        ids=["directive", "string-body"],
+    )
+    def test_token_classes_are_ascii_ranges(self, negated, ascii):
+        # the token pattern spells as ASCII ranges the classes that
+        # exclude everything past ASCII, which compile far slower
+        assert ascii in _TOKEN.pattern
+        every = "".join(map(chr, range(0x110000)))
+        assert re.findall(ascii, every) == re.findall(negated, every)
 
     @pytest.mark.parametrize("expr", ["x && u", "u || x", "(u < u) + x"])
     def test_logical_and_comparison_results_mix(self, expr):

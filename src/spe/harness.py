@@ -4,7 +4,8 @@ A campaign walks a corpus of source files, enumerates each file's
 variants, and compiles every variant under every (compiler, flags)
 cell of the toolchain matrix, with the reference interpreter as ground
 truth. Only the variants the interpreter finds UB-free and terminating
-are run, since only their runs can be judged. Compile crashes are
+are run, since only their runs can be judged; the others are compiled
+with -c, so no binary is linked for them. Compile crashes are
 deduplicated by normalized diagnostic signature; output disagreements
 on UB-free variants become wrong-code candidates. All outcomes land in an append-only JSONL log keyed by
 (variant id, compiler, flags), so re-running a campaign is idempotent
@@ -14,6 +15,7 @@ and worker scheduling cannot change the persisted result.
 from __future__ import annotations
 
 import datetime
+import errno
 import hashlib
 import json
 import os
@@ -82,9 +84,6 @@ class CompilerSpec:
     name: str
     cmd: str
 
-    def binary(self) -> str:
-        return shlex.split(self.cmd)[0]
-
     def argv(self, input_path: str, output_path: str, flags: Sequence[str]) -> list[str]:
         out: list[str] = []
         for tok in shlex.split(self.cmd):
@@ -135,9 +134,15 @@ class ToolchainConfig:
             if "{output}" not in spec.cmd:
                 raise ConfigError(f"compiler {spec.name!r}: template lacks {{output}}")
             try:
-                binary = spec.binary()
+                words = shlex.split(spec.cmd)
             except ValueError as e:  # shlex: an unbalanced quote or a trailing escape
                 raise ConfigError(f"compiler {spec.name!r}: template does not split: {e}") from e
+            # argv() expands only a whole word; flags and -c go there
+            if "{flags}" not in words or any("{flags}" in w for w in words if w != "{flags}"):
+                raise ConfigError(
+                    f"compiler {spec.name!r}: template must hold {{flags}} as a word of its own"
+                )
+            binary = words[0]
             if "{" in binary:
                 raise ConfigError(f"compiler {spec.name!r}: first token may not be a placeholder")
             if os.sep in binary:
@@ -327,6 +332,15 @@ def _spawn(
         return None
 
 
+def _compile_argv(spec: CompilerSpec, row: dict, input_path: str, output_path: str) -> list[str]:
+    """The compile of a row's cell: the cell's flags, then -c when the
+    interpreter's verdict keeps the binary from running. -c is the POSIX
+    c99 option to compile without linking; the assembler still runs,
+    but no link is spent on a binary that never runs."""
+    flags = row["flags"] if row["interp"]["verdict"] == "ok" else [*row["flags"], "-c"]
+    return spec.argv(input_path, output_path, flags)
+
+
 def _evaluate_cell(
     spec: CompilerSpec,
     flags: tuple[str, ...],
@@ -339,10 +353,12 @@ def _evaluate_cell(
     """Compile one variant under one cell, and run the binary when the
     interpreter found the variant ok. Both go through _spawn, inside a
     cell directory made under tmp_root (the system default when None)
-    and removed when the cell ends. A UB or budget variant is compiled,
-    since compiler crashes need no run, but its binary is not run, since
+    and removed when the cell ends. A UB or budget variant is compiled
+    with -c (_compile_argv), since compiler crashes need no link and
     differential_verdict ignores its runs; the row says so with
-    run_skipped, the interpreter's verdict, and keeps run None."""
+    run_skipped, the interpreter's verdict, and keeps run None. A
+    binary the system cannot execute is logged as a run that exited
+    126, the status a shell gives such a file."""
     row: dict = {
         "schema": SCHEMA_VERSION,
         "variant": variant_id,
@@ -356,7 +372,7 @@ def _evaluate_cell(
     ) as workdir:
         output = os.path.join(workdir, "a.out")
         # the subprocess cwd is the cell directory, so the input must be absolute
-        argv = spec.argv(str(Path(source_path).resolve()), output, flags)
+        argv = _compile_argv(spec, row, str(Path(source_path).resolve()), output)
         # a crashing compiler may write any bytes
         proc = _spawn(argv, workdir, timeout_s, text=True, errors="replace")
         if proc is None:
@@ -380,7 +396,13 @@ def _evaluate_cell(
                 row["run_skipped"] = interp_rec["verdict"]
                 return row
             os.chmod(output, os.stat(output).st_mode | stat.S_IXUSR)
-            run = _spawn([output], workdir, timeout_s)
+            try:
+                run = _spawn([output], workdir, timeout_s)
+            except OSError as e:
+                if e.errno != errno.ENOEXEC:
+                    raise
+                # the compile wrote a file in no format the system executes
+                run = subprocess.CompletedProcess([output], 126, b"")
             row["run"] = (
                 {"timeout": True}
                 if run is None
@@ -571,7 +593,7 @@ def _crash_report(
 ) -> bool:
     sig = row["compile"]["signature"]
     slug = hashlib.sha1(sig.encode()).hexdigest()[:12]
-    argv = spec.argv("witness.c", "repro.out", row["flags"])
+    argv = _compile_argv(spec, row, "witness.c", "repro.out")
     meta = {
         "kind": "crash",
         "signature": sig,
@@ -610,7 +632,7 @@ def _wrong_code_report(
     lines = ['cd "$(dirname "$0")"']
     for r in sorted(ran, key=_cell):
         if _cell(r) in verdict["cells"]:
-            argv = by_name[r["compiler"]].argv("witness.c", "repro.out", r["flags"])
+            argv = _compile_argv(by_name[r["compiler"]], r, "witness.c", "repro.out")
             lines += [shlex.join(argv), './repro.out; echo "exit: $?"']
     return _write_report(reports_dir, f"wrong-code-{slug}", witness_source, meta, lines)
 

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -48,12 +49,26 @@ int main(void) {
 # the same variant exiting with 3, where the stubs' binaries exit with 0
 THREE_SRC = ZERO_SRC.replace("a = 0;", "a = 3;")
 
+# every variant reads a variable before it is set, so every variant is
+# UB; CRASH_STUB crashes on those that hold `b = a;`
+UNINIT_SRC = """\
+int main(void) {
+    int a;
+    int b;
+    a = b;
+    b = a;
+    return 0;
+}
+"""
+
 # a compiler that never finishes, one whose binaries never finish, and
 # one that rejects every input; exec leaves no grandchild to outlive
 # the kill on timeout
 HANG_STUB = "#!/bin/sh\nexec sleep 5\n"
 HANGING_BINARY_STUB = OK_STUB.replace("exit 0\\n' > ", "exec sleep 5\\n' > ")
 REJECT_STUB = '#!/bin/sh\necho "error: unsupported input" >&2\nexit 1\n'
+# exits 0 but writes a file in no format the system executes
+GARBAGE_STUB = OK_STUB.replace("printf '#!/bin/sh\\nexit 0\\n'", "printf 'garbage'")
 
 # recursion deeper than the interpreter's frame budget
 RECURSE_SRC = """\
@@ -275,12 +290,15 @@ class TestToolchainConfig:
             "/bin/sh -o {output}",  # no input
             "/bin/sh {input} {input} -o {output}",  # input twice
             "/bin/sh {input}",  # no output
-            "{input} -o {output}",  # placeholder as binary
+            "{input} -o {output}",  # placeholder as binary, and no flags
+            "{input} {flags} -o {output}",  # placeholder as binary
+            "/bin/sh -o {output} {input}",  # no flags
+            "/bin/sh -O{flags} -o {output} {input}",  # flags inside a word
         ],
     )
     def test_bad_templates_rejected(self, cmd):
         cfg = ToolchainConfig(compilers=(CompilerSpec("bad", cmd),))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^compiler 'bad': "):
             cfg.validate()
 
     def test_unsplittable_template_names_the_compiler(self):
@@ -476,14 +494,25 @@ class TestCampaign:
             out / "reports" / r for r in summary["reports"] if r.startswith("crash-")
         ]
         meta = json.loads((crash_dir / "metadata.json").read_text())
-        proc = subprocess.run(
-            ["/bin/sh", str(crash_dir / "repro.sh")], capture_output=True, text=True, timeout=30
-        )
-        assert proc.returncode != 0
-        diagnostics = "\n".join(
-            l for l in proc.stderr.splitlines() if not l.startswith("+")
-        )
-        assert normalize_signature(diagnostics, proc.returncode) == meta["signature"]
+        assert replayed_signature(crash_dir) == meta["signature"]
+
+    def test_crash_repro_of_an_unrun_variant_compiles_with_c(self, tmp_path):
+        # the crashing cell compiled without linking, and its repro does too
+        src = tmp_path / "uninit.c"
+        src.write_text(UNINIT_SRC)
+        cfg = stub_config(tmp_path, ("crashcc", CRASH_STUB))
+        out = tmp_path / "out"
+        summary = run_campaign([src], cfg, out)
+        (crash_dir,) = [
+            out / "reports" / r for r in summary["reports"] if r.startswith("crash-")
+        ]
+        meta = json.loads((crash_dir / "metadata.json").read_text())
+        row = read_log(out / "outcomes.jsonl")[meta["variant"], "crashcc", "-O0"]
+        assert row["interp"]["verdict"] == "ub" and row["flags"] == meta["flags"] == ["-O0"]
+        assert repro_argvs(crash_dir) == [
+            [str(tmp_path / "crashcc"), "-O0", "-c", "-o", "repro.out", "witness.c"]
+        ]
+        assert replayed_signature(crash_dir) == meta["signature"]
 
     def test_wrong_code_names_cell(self, tmp_path, corpus):
         cfg = stub_config(tmp_path, ("okcc", OK_STUB), ("evilcc", EVIL_STUB))
@@ -754,12 +783,26 @@ def spawned(calls) -> tuple[list[list[str]], list[list[str]]]:
 
 
 def repro_argvs(report: Path) -> list[list[str]]:
-    """The compiler commands of a wrong-code repro.sh: after the shebang,
-    `set -x` and `cd`, a compile line and a run line per cell."""
+    """The compiler commands of a repro.sh: after the shebang, `set -x`
+    and `cd`, the one compile line of a crash report, or a compile line
+    and a run line per cell of a wrong-code report."""
     lines = (report / "repro.sh").read_text().splitlines()
     assert lines[:3] == ["#!/bin/sh", "set -x", 'cd "$(dirname "$0")"']
+    if report.name.startswith("crash-"):
+        assert len(lines) == 4
+        return [shlex.split(lines[3])]
     assert set(lines[4::2]) == {'./repro.out; echo "exit: $?"'}
     return [shlex.split(line) for line in lines[3::2]]
+
+
+def replayed_signature(report: Path) -> str:
+    """The signature of the crash a crash report's repro.sh replays."""
+    proc = subprocess.run(
+        ["/bin/sh", str(report / "repro.sh")], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode != 0
+    diagnostics = "\n".join(l for l in proc.stderr.splitlines() if not l.startswith("+"))
+    return normalize_signature(diagnostics, proc.returncode)
 
 
 class TestCellPath:
@@ -769,11 +812,23 @@ class TestCellPath:
         # subprocess import run` would bypass without a test noticing
         calls = record(monkeypatch, subprocess, "run")
         cfg = stub_config(tmp_path, ("okcc", OK_STUB))
-        run_campaign([corpus["loop"]], cfg, tmp_path / "out")
-        rows = read_log(tmp_path / "out" / "outcomes.jsonl").values()
+        out = tmp_path / "out"
+        run_campaign([corpus["loop"]], cfg, out)
+        rows = read_log(out / "outcomes.jsonl").values()
         compiles, runs = spawned(calls)
-        assert sorted((Path(a[-1]).name, a[1:-3]) for a in compiles) == sorted(
-            (r["variant"] + ".c", r["flags"]) for r in rows
+        # a variant whose binary never runs is compiled with -c after its
+        # flags, which its row logs unchanged
+        assert sorted(r["flags"] for r in rows) == [["-O0"]] * 32 + [["-O3"]] * 32
+        assert sorted([*a[:-2], Path(a[-2]).name, a[-1]] for a in compiles) == sorted(
+            [
+                str(tmp_path / "okcc"),
+                *r["flags"],
+                *([] if r["interp"]["verdict"] == "ok" else ["-c"]),
+                "-o",
+                "a.out",
+                str((out / "variants" / "loop" / (r["variant"] + ".c")).resolve()),
+            ]
+            for r in rows
         )
         assert len(compiles) == 32 * 2
         assert len(runs) == sum(r["interp"]["verdict"] == "ok" for r in rows) == 6 * 2
@@ -796,6 +851,21 @@ class TestCellPath:
         assert [a[1:-3] for a in ran] == [["-O0"], ["-O2", "-DMSG=a b"]]
         replayed = [[*a[:-3], "-o", "repro.out", "witness.c"] for a in ran]
         assert repro_argvs(tmp_path / "out" / "reports" / report) == replayed
+
+    def test_an_output_that_cannot_be_executed_exits_126(self, tmp_path):
+        # both cells disagree with the interpreter's exit 0, as a shell
+        # that finds a file it cannot execute would
+        src = tmp_path / "zero.c"
+        src.write_text(ZERO_SRC)
+        cfg = stub_config(tmp_path, ("garbagecc", GARBAGE_STUB))
+        summary = run_campaign([src], cfg, tmp_path / "out")
+        rows = read_log(tmp_path / "out" / "outcomes.jsonl").values()
+        empty = hashlib.sha256(b"").hexdigest()
+        assert [r["run"] for r in rows] == [{"exit": 126, "stdout_sha256": empty}] * 2
+        (report,) = summary["reports"]
+        meta = json.loads((tmp_path / "out" / "reports" / report / "metadata.json").read_text())
+        assert meta["kind"] == "wrong-code"
+        assert meta["cells"] == ["garbagecc:-O0", "garbagecc:-O3"]
 
     def test_compiler_name_may_hold_a_colon(self, tmp_path):
         src = tmp_path / "three.c"
@@ -900,3 +970,35 @@ class TestTimeouts:
             ("reject", None, None),
             ("timeout", None, None),
         }
+
+
+# ---------------------------------------------------------------------------
+# gcc, where it is installed
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc not installed")
+def test_gcc_campaign_matches_frozen_outcomes(tmp_path):
+    # gcc_loop_outcomes.json was written by a campaign that linked every
+    # variant: compiling the unrun ones with -c changes no judged fact
+    (tmp_path / "loop.c").write_text(LOOP_SRC)
+    cfg = {
+        "compilers": [{"name": "gcc", "cmd": "gcc -std=c89 {flags} -o {output} {input}"}],
+        "flags": [["-O0"], ["-O2"]],
+        "workers": 2,
+    }
+    (tmp_path / "gcc.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(
+        main,
+        ["test", str(tmp_path / "loop.c"), "--config", str(tmp_path / "gcc.json"), "--out", str(out)],
+    )
+    assert res.exit_code == 0, res.output
+    rows = read_log(out / "outcomes.jsonl").values()
+
+    def cell(r: dict) -> str:
+        return f"{r['variant']} {r['compiler']}:{' '.join(r['flags'])}"
+
+    frozen = json.loads((Path(__file__).parent / "gcc_loop_outcomes.json").read_text())
+    judged = [f"{cell(r)} {r['interp']['verdict']} {r['compile']['status']}" for r in rows]
+    assert judged == frozen["rows"]
+    assert {cell(r): r["run"] for r in rows if r["interp"]["verdict"] == "ok"} == frozen["ok_runs"]

@@ -33,7 +33,16 @@ from spe.harness import (
     run_outcome,
 )
 
-from conftest import CRASH_STUB, EVIL_STUB, LOOP_SRC, OK_STUB, STRAIGHT_SRC, write_stub
+from conftest import (
+    BRANCH_SRC,
+    CRASH_STUB,
+    EVIL_STUB,
+    LOOP_SRC,
+    OK_STUB,
+    SCOPED_SRC,
+    STRAIGHT_SRC,
+    write_stub,
+)
 
 ICE_LINE = "internal compiler error: in assign_by_spills, at lra-assigns.c:1281"
 
@@ -1002,3 +1011,55 @@ def test_gcc_campaign_matches_frozen_outcomes(tmp_path):
     judged = [f"{cell(r)} {r['interp']['verdict']} {r['compile']['status']}" for r in rows]
     assert judged == frozen["rows"]
     assert {cell(r): r["run"] for r in rows if r["interp"]["verdict"] == "ok"} == frozen["ok_runs"]
+
+
+# ---------------------------------------------------------------------------
+# Frozen campaign bytes
+
+# `campaign_digests.json` holds the digest of every file a stub campaign
+# over these sources writes, and of its `spe stats` output, as first
+# recorded, so a change to any byte of a log, summary or report shows
+# here. A report's first_seen is the time it was written, so it is
+# masked. The stubs are found on PATH, so no temporary path reaches a
+# repro.sh, and the paths in the summary are relative. The cap keeps
+# the run short and still takes loop__v18, evilcc's one wrong -O3 run.
+DIGEST_CORPUS = {"loop": LOOP_SRC, "branch": BRANCH_SRC, "scoped": SCOPED_SRC, "straight": STRAIGHT_SRC}
+DIGEST_CAP = 20
+DIGEST_STUBS = {"okcc": OK_STUB, "crashcc": CRASH_STUB, "evilcc": EVIL_STUB}
+FIRST_SEEN = re.compile(rb'"first_seen": "[^"]*"')
+
+
+def campaign_digests(tmp_path: Path, monkeypatch) -> dict[str, str]:
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    for name, body in DIGEST_STUBS.items():
+        write_stub(bin_dir, name, body)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.chdir(tmp_path)
+    for stem, src in DIGEST_CORPUS.items():
+        Path(f"{stem}.c").write_text(src)
+    cfg = {
+        "compilers": [{"name": n, "cmd": f"{n} {{flags}} -o {{output}} {{input}}"} for n in DIGEST_STUBS],
+        "flags": [["-O0"], ["-O3"]],
+        "workers": 2,
+    }
+    Path("toolchain.json").write_text(json.dumps(cfg))
+    runner = CliRunner()
+    corpus = [f"{stem}.c" for stem in DIGEST_CORPUS]
+    res = runner.invoke(
+        main, ["test", *corpus, "--cap", str(DIGEST_CAP), "--config", "toolchain.json", "--out", "out"]
+    )
+    assert res.exit_code == 1, res.output
+    stats = runner.invoke(main, ["stats", "out/outcomes.jsonl"])
+    assert stats.exit_code == 0, stats.output
+    files = {"spe stats": stats.output.encode()}
+    for name in ("outcomes.jsonl", "summary.json"):
+        files[name] = Path("out", name).read_bytes()
+    for path in sorted(Path("out/reports").glob("*/*")):
+        files[path.relative_to("out").as_posix()] = FIRST_SEEN.sub(b'"first_seen": "#"', path.read_bytes())
+    return {name: hashlib.sha256(data).hexdigest()[:16] for name, data in files.items()}
+
+
+def test_campaign_matches_frozen_digests(tmp_path, monkeypatch):
+    frozen = json.loads((Path(__file__).parent / "campaign_digests.json").read_text())
+    assert campaign_digests(tmp_path, monkeypatch) == frozen

@@ -246,10 +246,10 @@ def _manifest_entry(path: Path, v) -> str:
     """One variant's entry in the manifest's "variants" list."""
     return _block(
         [
-            '"assignment": ' + _block([json.dumps(x) for x in v.assignment.values], " " * 6),
+            '"assignment": ' + _block([json.dumps(x) for x in v.assignment], " " * 6),
             '"file": ' + json.dumps(path.name),
             '"seq": ' + str(v.seq),
-            '"signature": ' + _block([_family_doc(p) for p in v.signature.parts], " " * 6),
+            '"signature": ' + _block([_family_doc(p) for p in v.signature], " " * 6),
             '"valid": true',
         ],
         "    ",

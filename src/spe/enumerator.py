@@ -1,11 +1,11 @@
 """Assignment enumeration, realization, and canonical signatures.
 
-An Assignment is a characteristic vector: one variable name per hole.
-Two assignments are alpha-equivalent when some renaming that permutes
-variables only within their (scope, type) pool maps one onto the other;
-`canonical_signature` decides this by reducing an assignment to its pool
-configuration plus one restricted growth string per pool, which is
-invariant under exactly those renamings.
+An assignment is a characteristic vector: a tuple of one variable name
+per hole, in hole order. Two assignments are alpha-equivalent when some
+renaming that permutes variables only within their (scope, type) pool
+maps one onto the other; `canonical_signature` decides this by reducing
+an assignment to its pool configuration plus one restricted growth
+string per pool, which is invariant under exactly those renamings.
 
 `enumerate_assignments` walks one flat row-major product of the
 partition streams of every (unit, type) family and emits one
@@ -47,8 +47,7 @@ from .skeleton import Granularity, Skeleton, characteristic_vector, normal_forms
 
 __all__ = [
     "DEFAULT_THRESHOLD",
-    "Assignment",
-    "CanonicalSignature",
+    "Signature",
     "Variant",
     "EnumerationPlan",
     "enumerate_assignments",
@@ -70,24 +69,9 @@ class ConfigError(Exception):
     """A run's configuration is unusable; raised before any work."""
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A total map hole index -> variable name, as a vector in hole order."""
-
-    values: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CanonicalSignature:
-    """Name-free invariant of an assignment under compact renaming.
-
-    parts: per family one (unit, type, config, per-pool RGS) tuple, in
-    stream order. Equal signatures <=> alpha-equivalent assignments
-    at the chosen granularity.
-    """
-
-    granularity: str
-    parts: tuple[tuple[str, str, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+#: A class's canonical form: per family one (unit, type, config,
+#: per-pool RGS) tuple, in stream order.
+Signature = tuple[tuple[str, str, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +83,7 @@ def _classes(
     mode: Mode,
     granularity: Granularity,
     families: Optional[Sequence[Family]] = None,
-) -> Iterator[tuple[Assignment, CanonicalSignature]]:
+) -> Iterator[tuple[tuple[str, ...], Signature]]:
     """The enumeration stream: each class's representative with its
     canonical signature, read off the family partitions that produced it.
     One row-major product over every family of every unit; a row's
@@ -108,9 +92,8 @@ def _classes(
     skeleton's families at `granularity`, computed here when not given.
     Under decl_holes, the naive product with empty signatures."""
     if skel.decl_holes:
-        sig = CanonicalSignature(granularity=granularity.value, parts=())
         for values in itertools.product(*(h.names for h in skel.holes)):
-            yield Assignment(values), sig
+            yield values, ()
         return
     if families is None:
         families = normal_forms(skel, granularity)
@@ -124,17 +107,14 @@ def _classes(
                 values[index - 1] = fam.pools[pool_i].vars[rgs[pool_i][used[pool_i]]]
                 used[pool_i] += 1
             parts.append((fam.unit, fam.type, config, rgs))
-        yield (
-            Assignment(tuple(values)),
-            CanonicalSignature(granularity=granularity.value, parts=tuple(parts)),
-        )
+        yield tuple(values), tuple(parts)
 
 
 def enumerate_assignments(
     skel: Skeleton,
     mode: Mode = Mode.COMPLETE,
     granularity: Granularity = Granularity.INTRA,
-) -> Iterator[Assignment]:
+) -> Iterator[tuple[str, ...]]:
     """One representative assignment per alpha-equivalence class.
 
     Deterministic: units in program order, families in type order,
@@ -160,12 +140,12 @@ def _template(skel: Skeleton) -> str:
     return re.sub(r"\0(\d+)\0", r"{\1}", escaped)
 
 
-def realize_source(skel: Skeleton, assignment: Assignment) -> str:
+def realize_source(skel: Skeleton, assignment: Sequence[str]) -> str:
     """The skeleton's text with each hole filled by its assigned name."""
     return _template(skel).format(*characteristic_vector(skel, assignment))
 
 
-def realize(skel: Skeleton, assignment: Assignment) -> Program:
+def realize(skel: Skeleton, assignment: Sequence[str]) -> Program:
     """The skeleton filled by the assignment, as a parsed Program."""
     return parse(realize_source(skel, assignment))
 
@@ -176,14 +156,16 @@ def realize(skel: Skeleton, assignment: Assignment) -> Program:
 
 def canonical_signature(
     skel: Skeleton,
-    assignment: Assignment,
+    assignment: Sequence[str],
     granularity: Granularity = Granularity.INTRA,
-) -> CanonicalSignature:
+) -> Signature:
     """Stable, name-free signature: per family, the pool each hole's
     variable belongs to and the RGS of each pool's value sequence.
-    Empty under decl_holes, as in the stream."""
+    Two assignments have equal signatures at a granularity exactly when
+    they are alpha-equivalent at it. Empty under decl_holes, as in the
+    stream."""
     if skel.decl_holes:
-        return CanonicalSignature(granularity=granularity.value, parts=())
+        return ()
     values = characteristic_vector(skel, assignment)
     parts = []
     for fam in normal_forms(skel, granularity):
@@ -201,7 +183,7 @@ def canonical_signature(
             per_pool[owner].append(name)
         rgs = tuple(combinat.rgs_of_vector(per_pool[i]) for i in range(len(fam.pools)))
         parts.append((fam.unit, fam.type, tuple(config), rgs))
-    return CanonicalSignature(granularity=granularity.value, parts=tuple(parts))
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +196,8 @@ class Variant:
     canonical signature."""
 
     seq: int  # 1-based position in the assignment stream
-    assignment: Assignment
-    signature: CanonicalSignature
+    assignment: tuple[str, ...]
+    signature: Signature
     source: str
 
 
@@ -234,7 +216,7 @@ def variants(
     for seq, (a, sig) in enumerate(_classes(skel, mode, granularity, families), start=1):
         if limit is not None and seq > limit:
             return
-        yield Variant(seq, a, sig, template.format(*a.values))
+        yield Variant(seq, a, sig, template.format(*a))
 
 
 @contextmanager

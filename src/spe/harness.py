@@ -467,38 +467,45 @@ def run_outcome(row) -> Optional[str]:
     return outcome if outcome in outcomes else None
 
 
-def _parse_row(line: bytes) -> Optional[dict]:
-    """The outcome row a log line holds, or None when it holds none."""
-    try:
-        row = json.loads(line)
-    except (ValueError, RecursionError):
-        return None
-    return row if run_outcome(row) else None
+def _scan_log(fh) -> tuple[dict[tuple[str, str, str], dict], int, bool]:
+    """Read a log open in binary mode from its start: its outcome rows
+    keyed by (variant id, compiler, flags), the offset where the last
+    line kept ends, and whether that line is a row lacking only its
+    newline.
+
+    A final line without its newline that holds no row is an append cut
+    short by an interrupted campaign; it is not kept. Any other line
+    that holds no row is a ConfigError naming it as path:line, unless it
+    is blank.
+    """
+    rows: dict[tuple[str, str, str], dict] = {}
+    fh.seek(0)
+    end = 0
+    for lineno, line in enumerate(fh, start=1):
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError):
+            row = None
+        if run_outcome(row):
+            rows[_row_key(row)] = row
+        elif not line.endswith(b"\n"):
+            # only the last line can lack its newline: every kept line has one
+            return rows, end, False
+        elif line.strip():
+            raise ConfigError(f"{fh.name}:{lineno}: not an outcome row")
+        end += len(line)
+    return rows, end, end > 0 and not line.endswith(b"\n")
 
 
 def read_log(path: str | Path) -> dict[tuple[str, str, str], dict]:
-    """Outcome rows keyed by (variant id, compiler, flags).
-
-    A final line without its newline that holds no row is an append cut
-    short by an interrupted campaign; it is ignored, and the next append
-    cuts it off. Any other line that holds no row is a ConfigError
-    naming it as path:line.
-    """
-    rows: dict[tuple[str, str, str], dict] = {}
-    p = Path(path)
-    if not p.exists():
-        return rows
-    with p.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = _parse_row(line)
-            if row is None:
-                if not line.endswith(b"\n"):
-                    break
-                raise ConfigError(f"{p}:{lineno}: not an outcome row")
-            rows[_row_key(row)] = row
-    return rows
+    """Outcome rows keyed by (variant id, compiler, flags); none when
+    there is no log. ConfigError as _scan_log."""
+    try:
+        fh = Path(path).open("rb")
+    except FileNotFoundError:
+        return {}
+    with fh:
+        return _scan_log(fh)[0]
 
 
 def log_stats(path: str | Path) -> dict:
@@ -520,34 +527,6 @@ def log_stats(path: str | Path) -> dict:
         "runs": dict(sorted(runs.items())),
         "distinct_crash_signatures": sorted({c["signature"] for c in crashes}),
     }
-
-
-def _mend_last_line(fh) -> None:
-    """End a log's last line when it lacks its newline: add the newline
-    when the line holds a row (read_log kept it), cut the line off when
-    it does not (read_log ignored it). fh is open in "a+b" mode."""
-    size = fh.seek(0, os.SEEK_END)
-    if not size:
-        return
-    fh.seek(size - 1)
-    if fh.read(1) == b"\n":
-        return
-    fh.seek(0)
-    data = fh.read()
-    start = data.rfind(b"\n") + 1
-    if _parse_row(data[start:]) is None:
-        fh.truncate(start)
-    else:
-        fh.write(b"\n")
-
-
-def _append_rows(path: Path, rows: list[dict]) -> None:
-    """Append rows in key order, each on a line of its own."""
-    rows = sorted(rows, key=_row_key)
-    with path.open("a+b") as fh:
-        _mend_last_line(fh)
-        for row in rows:
-            fh.write((json.dumps(row, sort_keys=True) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +638,10 @@ def run_campaign(
     at most _WINDOW x workers variants in flight. Variant files an
     earlier run left in the file's variants directory are removed once
     this run's are written, and report directories a killed run left
-    half written are removed first. Returns the summary, which is also
-    written to <out>/summary.json.
+    half written are removed first. The outcome log is opened once: a
+    row an interrupted append cut short is removed, and each finished
+    variant's rows are appended and flushed. Returns the summary, which
+    is also written to <out>/summary.json.
     """
     if threshold < 1:
         raise ConfigError(f"threshold must be >= 1, got {threshold}")
@@ -677,10 +658,6 @@ def run_campaign(
     # what a run killed while writing a report left (see _write_report)
     for leftover in reports_dir.glob(".*.tmp"):
         shutil.rmtree(leftover, ignore_errors=True)
-    log_path = out / "outcomes.jsonl"
-    log = read_log(log_path)
-    _append_rows(log_path, [])  # create the log and mend a torn tail up front
-
     # cell directories go under SPE_TMPDIR when it is set; a relative one
     # is made absolute, since each cell runs with its directory as cwd
     tmp_root = os.environ.get("SPE_TMPDIR") or None
@@ -694,11 +671,13 @@ def run_campaign(
     wrong_new = 0
 
     def finish(entry: dict, vid: str, source: str, cells: list) -> None:
-        """Append a variant's new rows, write its reports and count them
-        into its file's entry. A cell is a logged row or a future."""
+        """Append a variant's new rows in key order and flush them,
+        write its reports and count them into its file's entry. A cell
+        is a logged row or a future."""
         nonlocal appended, crash_new, wrong_new
-        new = [c.result() for c in cells if isinstance(c, Future)]
-        _append_rows(log_path, new)
+        new = sorted((c.result() for c in cells if isinstance(c, Future)), key=_row_key)
+        log_file.write(b"".join((json.dumps(row, sort_keys=True) + "\n").encode() for row in new))
+        log_file.flush()
         appended += len(new)
         rows = sorted([c for c in cells if isinstance(c, dict)] + new, key=_row_key)
         for row in rows:
@@ -712,7 +691,13 @@ def run_campaign(
                 wrong_new += 1
             entry["wrong_code_variants"] += 1
 
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    log_file = (out / "outcomes.jsonl").open("a+b")
+    with log_file, ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        log, end, unterminated = _scan_log(log_file)
+        # cut off what an interrupted append left torn
+        log_file.truncate(end)
+        if unterminated:
+            log_file.write(b"\n")
         for path in corpus:
             path = Path(path)
             stem = path.stem

@@ -166,9 +166,9 @@ def extract(program: Program, decl_holes: bool = False) -> Skeleton:
     )
 
 
-def characteristic_vector(skel: Skeleton, assignment) -> tuple[str, ...]:
+def characteristic_vector(skel: Skeleton, assignment: Sequence[str]) -> tuple[str, ...]:
     """The assignment as a vector in hole-index order, after validation."""
-    values = tuple(getattr(assignment, "values", assignment))
+    values = tuple(assignment)
     if len(values) != skel.n:
         raise ValueError(
             f"assignment covers {len(values)} holes, skeleton has {skel.n}"

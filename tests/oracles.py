@@ -203,7 +203,7 @@ def realize_source(skel, assignment) -> str:
     with each hole's node printed under its assigned name."""
     from spe.minilang import render
 
-    names = {h.node: name for h, name in zip(skel.holes, assignment.values)}
+    names = {h.node: name for h, name in zip(skel.holes, assignment)}
     return render(skel.program, names)
 
 
@@ -351,10 +351,10 @@ def reference_manifest(
         {
             "seq": v.seq,
             "valid": True,
-            "assignment": list(v.assignment.values),
+            "assignment": list(v.assignment),
             "signature": [
                 {"unit": unit, "type": type_, "config": list(config), "rgs": [list(r) for r in rgs]}
-                for unit, type_, config, rgs in v.signature.parts
+                for unit, type_, config, rgs in v.signature
             ],
             "file": f"{stem}__v{v.seq:0{width}d}.c",
         }

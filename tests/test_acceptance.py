@@ -39,7 +39,6 @@ from oracles import (
 from spe.cli import main as cli_main
 from spe.combinat import Mode, ScopeNestingError, naive_count, stirling2
 from spe.enumerator import (
-    Assignment,
     canonical_signature,
     enumerate_assignments,
     variants,
@@ -76,7 +75,7 @@ def criterion(num: int, description: str, budget_s: float | None = None):
 
 
 def vectors(skel, mode, granularity):
-    return [a.values for a in enumerate_assignments(skel, mode, granularity)]
+    return list(enumerate_assignments(skel, mode, granularity))
 
 
 def assert_orbit_bijection(skel):
@@ -96,8 +95,8 @@ def assert_orbit_bijection(skel):
 
 
 def rgs_string(skel, values, granularity=Granularity.INTRA):
-    sig = canonical_signature(skel, Assignment(values), granularity)
-    (part,) = sig.parts
+    sig = canonical_signature(skel, values, granularity)
+    (part,) = sig
     _unit, _type, _config, rgs = part
     (pool_rgs,) = rgs
     return "".join(str(d) for d in pool_rgs)
@@ -212,10 +211,10 @@ def test_criterion_7_orbit_members_interpret_identically():
             group = renaming_group(pools_of_program(skel.program))
             for rep in itertools.islice(enumerate_assignments(skel, Mode.COMPLETE, Granularity.INTER), 10):
                 outcomes = set()
-                for member in {renamed_source(skel, rep.values, g) for g in group}:
+                for member in {renamed_source(skel, rep, g) for g in group}:
                     res = interpret(parse(member), step_budget=20_000)
                     outcomes.add((res.status, res.exit_code, res.stdout))
-                assert len(outcomes) == 1, f"orbit of {rep.values} diverged"
+                assert len(outcomes) == 1, f"orbit of {rep} diverged"
                 checked += 1
         assert checked >= 50
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from spe.combinat import Mode, naive_count
 from spe.enumerator import (
-    Assignment,
     canonical_signature,
     enumerate_assignments,
     plan,
@@ -53,7 +52,7 @@ from oracles import realize_source as oracle_realize_source
 
 
 def stream_vectors(skel, mode=Mode.COMPLETE, granularity=Granularity.INTRA):
-    return [a.values for a in enumerate_assignments(skel, mode, granularity)]
+    return list(enumerate_assignments(skel, mode, granularity))
 
 
 def programs_alpha_equivalent(p: Program, q: Program) -> bool:
@@ -97,26 +96,26 @@ class TestLoop:
         assert check_orbit_bijection(loop_skel) == 32
 
     def test_origin_rgs(self, loop_skel):
-        sig = canonical_signature(loop_skel, Assignment(loop_skel.origin_vector))
-        ((unit, type_, config, rgs),) = sig.parts
+        sig = canonical_signature(loop_skel, loop_skel.origin_vector)
+        ((unit, type_, config, rgs),) = sig
         assert unit == "main" and type_ == "int"
         assert config == (0, 0, 0, 0, 0, 0)
         assert rgs == ((0, 1, 0, 0, 0, 1),)
 
     def test_p2_rgs(self, loop_skel):
-        sig = canonical_signature(loop_skel, Assignment(("a", "b", "b", "b", "a", "b")))
-        assert sig.parts[0][3] == ((0, 1, 1, 1, 0, 1),)
+        sig = canonical_signature(loop_skel, ("a", "b", "b", "b", "a", "b"))
+        assert sig[0][3] == ((0, 1, 1, 1, 0, 1),)
 
     def test_alpha_equivalence(self, loop_skel):
         def sig(values):
-            return canonical_signature(loop_skel, Assignment(values), Granularity.INTER)
+            return canonical_signature(loop_skel, values, Granularity.INTER)
 
         origin = sig(("a", "b", "a", "a", "a", "b"))
         assert sig(("b", "a", "b", "b", "b", "a")) == origin
         assert sig(("a", "b", "b", "b", "a", "b")) != origin
 
     def test_realize_mirror_is_p1(self, loop_skel):
-        p1 = realize(loop_skel, Assignment(("b", "a", "b", "b", "b", "a")))
+        p1 = realize(loop_skel, ("b", "a", "b", "b", "b", "a"))
         src = render(p1)
         assert "b = 10;" in src
         assert "a = 1;" in src
@@ -181,8 +180,8 @@ class TestScoped:
         skel = extract(scoped, decl_holes=True)
         rows = list(variants(skel, mode, granularity))
         assert [v.seq for v in rows] == list(range(1, 513))
-        assert [v.assignment.values for v in rows] == list(naive_space(skel))
-        assert {v.signature.parts for v in rows} == {()}
+        assert [v.assignment for v in rows] == list(naive_space(skel))
+        assert {v.signature for v in rows} == {()}
         assert plan(skel, mode, granularity).selected_count == 512
 
 
@@ -216,19 +215,19 @@ class TestProgramEquivalence:
 
 class TestRealization:
     def test_origin_round_trip(self, loop, loop_skel):
-        p = realize(loop_skel, Assignment(loop_skel.origin_vector))
+        p = realize(loop_skel, loop_skel.origin_vector)
         assert structurally_equal(p, loop)
         assert render(p) == render(loop)
 
     def test_empty_skeleton_round_trip(self):
         src = "int main(void) { return 0; }"
         skel = extract(parse(src))
-        vals = [a.values for a in enumerate_assignments(skel)]
+        vals = list(enumerate_assignments(skel))
         assert vals == [()]
-        assert render(realize(skel, Assignment(()))) == render(parse(src))
+        assert render(realize(skel, ())) == render(parse(src))
 
     def test_source_matches_program(self, loop_skel):
-        a = Assignment(("a", "b", "b", "b", "a", "b"))
+        a = ("a", "b", "b", "b", "a", "b")
         assert realize_source(loop_skel, a) == render(realize(loop_skel, a))
 
     @given(st.integers(0, 3000))
@@ -251,8 +250,8 @@ class TestSignatureInvariance:
             image = list(pool)
             rng.shuffle(image)
             mapping.update(zip(pool, image))
-        a = Assignment(skel.origin_vector)
-        b = Assignment(tuple(mapping.get(v, v) for v in a.values))
+        a = skel.origin_vector
+        b = tuple(mapping.get(v, v) for v in a)
         for gran in Granularity:
             assert canonical_signature(skel, a, gran) == canonical_signature(skel, b, gran)
 
@@ -395,7 +394,7 @@ class TestVariantStream:
         assert not (tmp_path / "loop").exists()
 
     def test_limit_is_stream_prefix(self, loop_skel):
-        head = [v.assignment.values for v in variants(loop_skel, limit=5)]
+        head = [v.assignment for v in variants(loop_skel, limit=5)]
         full = stream_vectors(loop_skel)
         assert head == full[:5]
 

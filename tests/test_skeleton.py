@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spe.combinat import Family, Pool
-from spe.enumerator import Assignment
 from spe.minilang import parse
 from spe.minilang.ast import VarDecl
 from spe.skeleton import (
@@ -90,7 +89,7 @@ int main(void) {
 
 class TestCharacteristicVector:
     def test_origin_round_trip(self, loop_skel):
-        assert characteristic_vector(loop_skel, Assignment(loop_skel.origin_vector)) == loop_skel.origin_vector
+        assert characteristic_vector(loop_skel, loop_skel.origin_vector) == loop_skel.origin_vector
 
     def test_accepts_plain_sequences(self, loop_skel):
         v = ("b", "a", "b", "b", "b", "a")

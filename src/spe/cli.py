@@ -21,7 +21,9 @@ import click
 
 from . import __version__
 from .combinat import Mode
-from .enumerator import DEFAULT_THRESHOLD, ConfigError, check_unique_stems, plan, variant_files
+from .enumerator import (
+    DEFAULT_THRESHOLD, ConfigError, check_dirs, check_unique_stems, plan, variant_files,
+)
 from .minilang.parser import ParseError, parse
 from .skeleton import Granularity, ShadowingError, extract, to_json
 
@@ -332,6 +334,11 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
             )
             sys.exit(EXIT_THRESHOLD)
         planned.append((path, skel, pl))
+    try:
+        check_dirs(*(out_dir / path.stem for path, _, _ in planned))
+    except ConfigError as e:
+        click.echo(f"configuration error: {e}", err=True)
+        sys.exit(EXIT_CONFIG)
 
     for path, skel, pl in planned:
         stem = path.stem

@@ -58,6 +58,7 @@ __all__ = [
     "variant_files",
     "ConfigError",
     "check_unique_stems",
+    "check_dirs",
     "plan",
 ]
 
@@ -261,6 +262,18 @@ def check_unique_stems(corpus: Sequence[str | Path]) -> None:
         first = seen.setdefault(path.stem, path)
         if first is not path:
             raise ConfigError(f"{first} and {path} share the stem {path.stem!r}")
+
+
+def check_dirs(*dirs: Path) -> None:
+    """Each of `dirs` is a directory that output goes into, made when
+    missing; ConfigError names the first path at or above one of them
+    that exists and is not a directory."""
+    for d in dirs:
+        for p in (d, *d.parents):
+            if p.is_dir():
+                break
+            if p.exists():
+                raise ConfigError(f"{p} is not a directory")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,9 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .combinat import Mode
-from .enumerator import DEFAULT_THRESHOLD, ConfigError, check_unique_stems, plan, variant_files
+from .enumerator import (
+    DEFAULT_THRESHOLD, ConfigError, check_dirs, check_unique_stems, plan, variant_files,
+)
 from .minilang.interp import Status, interpret
 from .minilang.parser import ParseError, parse
 from .skeleton import Granularity, ShadowingError, extract
@@ -61,6 +63,9 @@ DEFAULT_TIMEOUT_S = 30
 # in a C int
 MAX_TIMEOUT_S = 2_147_483
 DEFAULT_WORKERS = 4
+# a campaign keeps _WINDOW x workers variants in memory and may run one
+# compiler per worker at once
+MAX_WORKERS = 1024
 # variants a campaign keeps in flight per worker: enough to keep the
 # pool busy while the main thread interprets, few enough that memory
 # does not grow with the number of variants
@@ -108,8 +113,8 @@ class ToolchainConfig:
             raise ConfigError("no compilers configured")
         if not 1 <= self.timeout_s <= MAX_TIMEOUT_S:
             raise ConfigError(f"timeout_s must be in 1..{MAX_TIMEOUT_S}, got {self.timeout_s}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must be in 1..{MAX_WORKERS}, got {self.workers}")
         if not self.flags:
             raise ConfigError("flag matrix is empty")
         # each cell is logged under its compiler's name and its joined flags
@@ -653,17 +658,21 @@ def run_campaign(
     out = Path(out_dir)
     variants_dir = out / "variants"
     reports_dir = out / "reports"
-    variants_dir.mkdir(parents=True, exist_ok=True)
-    reports_dir.mkdir(parents=True, exist_ok=True)
-    # what a run killed while writing a report left (see _write_report)
-    for leftover in reports_dir.glob(".*.tmp"):
-        shutil.rmtree(leftover, ignore_errors=True)
     # cell directories go under SPE_TMPDIR when it is set; a relative one
     # is made absolute, since each cell runs with its directory as cwd
     tmp_root = os.environ.get("SPE_TMPDIR") or None
+    made = [variants_dir, reports_dir]
     if tmp_root:
         tmp_root = os.path.abspath(tmp_root)
-        os.makedirs(tmp_root, exist_ok=True)
+        made.append(Path(tmp_root))
+    # each file's variants go to a directory of its own under variants_dir
+    check_dirs(*made, *(variants_dir / Path(p).stem for p in corpus))
+    for d in made:
+        d.mkdir(parents=True, exist_ok=True)
+    # what a run killed while writing a report left (see _write_report)
+    for leftover in reports_dir.glob(".*.tmp"):
+        shutil.rmtree(leftover, ignore_errors=True)
+
     by_name = {c.name: c for c in cfg.compilers}
     files: list[dict] = []
     appended = 0
@@ -691,10 +700,14 @@ def run_campaign(
                 wrong_new += 1
             entry["wrong_code_variants"] += 1
 
-    log_file = (out / "outcomes.jsonl").open("a+b")
+    try:
+        log_file = (out / "outcomes.jsonl").open("a+b")
+    except OSError as e:
+        raise ConfigError(f"cannot open the outcome log: {e}") from e
     with log_file, ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         log, end, unterminated = _scan_log(log_file)
-        # cut off what an interrupted append left torn
+        # cut off a line an interrupted append left torn, and end a kept
+        # row that lacks only its newline
         log_file.truncate(end)
         if unterminated:
             log_file.write(b"\n")

@@ -15,7 +15,6 @@ from typing import Optional, Union
 
 INT = "int"
 UINT = "uint"
-BASE_TYPES = (INT, UINT)
 
 INT_MIN = -(2 ** 31)
 INT_MAX = 2 ** 31 - 1
@@ -66,7 +65,6 @@ class VarDecl:
     type: str  # INT or UINT
     scope_id: int
     init: Optional[int] = None  # folded constant, already range-checked
-    is_param: bool = False
 
 
 @dataclass

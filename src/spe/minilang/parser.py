@@ -676,7 +676,7 @@ class _Parser:
                     param_types.append(ptype)
                     if self.cur().kind == "ident" and self.cur().text not in KEYWORDS:
                         pname = self.advance()
-                        params.append(VarDecl(pname.text, ptype, -1, is_param=True))
+                        params.append(VarDecl(pname.text, ptype, -1))
                     else:
                         named = False
                     if not self.take_punct(","):

@@ -264,7 +264,7 @@ def valid_binding_keys(program, limit: int = 40_000) -> set[str]:
 
 
 def _decl_key(d: VarDecl) -> tuple:
-    return (d.name, d.type, d.scope_id, d.init, d.is_param)
+    return (d.name, d.type, d.scope_id, d.init)
 
 
 def _expr_key(e: Expr) -> tuple:

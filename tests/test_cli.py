@@ -563,6 +563,35 @@ class TestTestCommand:
         assert res.output.startswith("configuration error: ") and "is configured twice" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,blocked,make",
+        [
+            ("enumerate", "o/loop", Path.touch),
+            ("test", "o/variants", Path.touch),
+            ("test", "o/reports", Path.touch),
+            ("test", "o/outcomes.jsonl", Path.mkdir),
+            ("test", "SPE_TMPDIR", Path.touch),
+        ],
+        ids=["enumerate-stem", "variants", "reports", "log", "tmpdir"],
+    )
+    def test_unusable_output_location_exits_config(
+        self, runner, corpus, tmp_path, monkeypatch, command, blocked, make
+    ):
+        blocked = tmp_path / blocked
+        blocked.parent.mkdir(exist_ok=True)
+        make(blocked)
+        monkeypatch.setenv("SPE_TMPDIR", str(tmp_path / "SPE_TMPDIR"))
+        # branch.c comes first, so an enumerate that wrote as it planned
+        # would write its variants before it reached loop.c
+        args = [command, str(corpus["branch"]), str(corpus["loop"]), "--out", str(tmp_path / "o")]
+        if command == "test":
+            args += ["--config", str(stub_config_file(tmp_path, ("okcc", OK_STUB)))]
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_CONFIG
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("configuration error: ") and str(blocked) in res.output
+        assert not list((tmp_path / "o").rglob("*.c"))
+
     @pytest.mark.parametrize("timeout,shown", [(2_147_484, "2147484"), (1e9, "1000000000")])
     def test_oversized_timeout_exits_config(self, runner, corpus, tmp_path, timeout, shown):
         # poll() waits at most 2**31 - 1 ms, so a longer timeout would

@@ -23,6 +23,7 @@ from spe.harness import (
     CompilerSpec,
     ConfigError,
     MAX_TIMEOUT_S,
+    MAX_WORKERS,
     ROW_KINDS,
     RUN_OUTCOMES,
     ToolchainConfig,
@@ -329,6 +330,18 @@ class TestToolchainConfig:
         )
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_workers_limit(self):
+        # a campaign keeps 4 x workers variants in memory and may run one
+        # compiler per worker at once
+        compilers = (CompilerSpec("sh", "/bin/sh {flags} -o {output} {input}"),)
+        ToolchainConfig(compilers=compilers, workers=MAX_WORKERS).validate()
+        for workers in (0, MAX_WORKERS + 1, 100_000):
+            with pytest.raises(ConfigError, match=f"^workers must be in 1..1024, got {workers}$"):
+                ToolchainConfig(compilers=compilers, workers=workers).validate()
+        doc = {"compilers": [{"name": "sh", "cmd": compilers[0].cmd}], "workers": 100_000}
+        with pytest.raises(ConfigError, match="^workers must be in 1..1024, got 100000$"):
+            ToolchainConfig.from_dict(doc).validate()
 
     def test_timeout_limit(self):
         # poll() waits at most 2**31 - 1 ms
@@ -753,6 +766,83 @@ class TestCampaign:
         rows = read_log(out / "outcomes.jsonl")
         assert len(rows) == 2
         assert {r["interp"]["verdict"] for r in rows.values()} == {"budget"}
+
+    def test_resume_from_any_cut_writes_the_uninterrupted_log(self, tmp_path, corpus):
+        # a campaign killed while it appends leaves its log cut anywhere:
+        # at a row's end, inside the row, or between the row and its newline
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB), workers=2)
+        run_campaign([corpus["straight"]], cfg, tmp_path / "clean")
+        clean = (tmp_path / "clean" / "outcomes.jsonl").read_bytes()
+        ends = [i + 1 for i, byte in enumerate(clean) if byte == ord("\n")]
+        assert len(ends) == 16
+        out = tmp_path / "out"
+        log = out / "outcomes.jsonl"
+        for row, (start, end) in enumerate(zip([0, *ends], ends)):
+            for cut, whole in ((end, row + 1), (end - 1, row + 1), ((start + end) // 2, row)):
+                out.mkdir(exist_ok=True)
+                log.write_bytes(clean[:cut])
+                summary = run_campaign([corpus["straight"]], cfg, out)
+                assert log.read_bytes() == clean, cut
+                assert summary["log_rows_appended"] == len(ends) - whole, cut
+
+    def test_campaign_opens_its_log_once_and_reads_it_only_in_its_scan(
+        self, tmp_path, corpus, monkeypatch
+    ):
+        import spe.harness
+
+        cfg = stub_config(tmp_path, ("okcc", OK_STUB))
+        out = tmp_path / "out"
+        run_campaign([corpus["straight"]], cfg, out)
+        log = out / "outcomes.jsonl"
+        clean = log.read_bytes()
+        # half a log: the rerun scans it, cuts its torn row and appends
+        log.write_bytes(clean[: len(clean) // 2])
+        events = []
+
+        class Recorded:
+            """A file whose reads are recorded."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __getattr__(self, name):
+                if name.startswith(("read", "peek")):
+                    events.append("read")
+                return getattr(self._fh, name)
+
+            def __iter__(self):
+                events.append("read")
+                return iter(self._fh)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self._fh.__exit__(*exc)
+
+        real_open, real_scan = Path.open, spe.harness._scan_log
+
+        def open_(self, *args, **kwargs):
+            fh = real_open(self, *args, **kwargs)
+            if self.name != "outcomes.jsonl":
+                return fh
+            events.append("open")
+            return Recorded(fh)
+
+        def scan(fh):
+            events.append("scan")
+            try:
+                return real_scan(fh)
+            finally:
+                events.append("scanned")
+
+        monkeypatch.setattr(Path, "open", open_)
+        monkeypatch.setattr(spe.harness, "_scan_log", scan)
+        summary = run_campaign([corpus["straight"]], cfg, out)
+        monkeypatch.undo()
+        assert summary["log_rows_appended"] > 0 and log.read_bytes() == clean
+        assert events[:2] == ["open", "scan"] and "read" in events[: events.index("scanned")]
+        assert events[events.index("scanned"):] == ["scanned"]
 
     def test_tmpdir_override(self, tmp_path, corpus, monkeypatch):
         scratch = tmp_path / "scratch"

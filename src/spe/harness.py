@@ -667,6 +667,9 @@ def run_campaign(
         made.append(Path(tmp_root))
     # each file's variants go to a directory of its own under variants_dir
     check_dirs(*made, *(variants_dir / Path(p).stem for p in corpus))
+    summary_path = out / "summary.json"
+    if summary_path.is_dir():
+        raise ConfigError(f"{summary_path} is a directory")
     for d in made:
         d.mkdir(parents=True, exist_ok=True)
     # what a run killed while writing a report left (see _write_report)
@@ -792,5 +795,5 @@ def run_campaign(
         "reports": report_dirs,
         "new_reports": {"crash": crash_new, "wrong_code": wrong_new},
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

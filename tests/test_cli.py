@@ -570,9 +570,10 @@ class TestTestCommand:
             ("test", "o/variants", Path.touch),
             ("test", "o/reports", Path.touch),
             ("test", "o/outcomes.jsonl", Path.mkdir),
+            ("test", "o/summary.json", Path.mkdir),
             ("test", "SPE_TMPDIR", Path.touch),
         ],
-        ids=["enumerate-stem", "variants", "reports", "log", "tmpdir"],
+        ids=["enumerate-stem", "variants", "reports", "log", "summary", "tmpdir"],
     )
     def test_unusable_output_location_exits_config(
         self, runner, corpus, tmp_path, monkeypatch, command, blocked, make

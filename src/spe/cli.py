@@ -22,10 +22,10 @@ import click
 from . import __version__
 from .combinat import Mode
 from .enumerator import (
-    DEFAULT_THRESHOLD, ConfigError, check_dirs, check_unique_stems, plan, variant_files,
+    DEFAULT_THRESHOLD, ConfigError, check_outputs, check_unique_stems, plan, variant_files,
 )
 from .minilang.parser import ParseError, parse
-from .skeleton import Granularity, ShadowingError, extract, to_json
+from .skeleton import Granularity, ShadowingError, Skeleton, extract, to_json
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -33,31 +33,31 @@ EXIT_CONFIG = 2
 EXIT_THRESHOLD = 3
 
 
-def _mode_option(f):
+def _decl_holes_option(f):
     return click.option(
-        "--mode",
-        type=click.Choice(["paper", "complete"]),
-        default="complete",
-        show_default=True,
-        help="Partition semantics: the flat two-level procedure or the full scoped solution.",
+        "--decl-holes",
+        is_flag=True,
+        help="Enumerate every filling of the holes, declarations at their source names.",
     )(f)
 
 
-def _granularity_option(f):
-    return click.option(
+def _stream_options(f):
+    """--mode, --granularity and --decl-holes: which stream a command
+    counts, writes or tests."""
+    f = _decl_holes_option(f)
+    f = click.option(
         "--granularity",
         type=click.Choice(["intra", "inter"]),
         default="intra",
         show_default=True,
         help="Combine per-function streams by product, or solve one program-wide problem.",
     )(f)
-
-
-def _decl_holes_option(f):
     return click.option(
-        "--decl-holes",
-        is_flag=True,
-        help="Enumerate every filling of the holes, declarations at their source names.",
+        "--mode",
+        type=click.Choice(["paper", "complete"]),
+        default="complete",
+        show_default=True,
+        help="Partition semantics: the flat two-level procedure or the full scoped solution.",
     )(f)
 
 
@@ -93,22 +93,34 @@ def _plan(path: Path, skel, *args):
         sys.exit(EXIT_CONFIG)
 
 
-def _parse_corpus(paths: tuple[str, ...]) -> tuple[list[tuple[Path, object]], bool]:
-    """Parse every path; diagnostics go to stderr. Returns (parsed list,
-    had_errors)."""
-    parsed = []
-    bad = False
-    for p in paths:
-        path = Path(p)
+def _skeletons(paths: tuple[str, ...], decl_holes: bool) -> list[tuple[Path, Skeleton]]:
+    """Each path with its file's skeleton, extracted once per file in
+    argument order. Every file is read and parsed first; each one that
+    fails is named on stderr, and then the command exits 2."""
+    programs = []
+    for path in map(Path, paths):
         try:
-            parsed.append((path, parse(path.read_text(encoding="utf-8"))))
+            programs.append((path, parse(path.read_text(encoding="utf-8"))))
         except (OSError, UnicodeDecodeError, ParseError) as e:
             click.echo(f"{path}: {e}", err=True)
-            bad = True
-    return parsed, bad
+    if len(programs) < len(paths):
+        sys.exit(EXIT_CONFIG)
+    return [(path, extract(program, decl_holes=decl_holes)) for path, program in programs]
 
 
-@click.group()
+class _Spe(click.Group):
+    """The command group; a ConfigError from any subcommand is one
+    `configuration error:` line on stderr and exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as e:
+            click.echo(f"configuration error: {e}", err=True)
+            sys.exit(EXIT_CONFIG)
+
+
+@click.group(cls=_Spe)
 @click.version_option(version=__version__)
 def main() -> None:
     """Skeletal program enumeration for compiler testing."""
@@ -117,11 +129,17 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 # count
 
+def _row(*cells) -> str:
+    """One line of count's table; None is shown as "-", and a float,
+    a reduction, as "<ratio>x"."""
+    widths = ("<40", ">5", ">12", ">12", ">12", ">9")
+    shown = ("-" if c is None else f"{c:.1f}x" if isinstance(c, float) else c for c in cells)
+    return " ".join(format(c, w) for c, w in zip(shown, widths))
+
+
 @main.command("count")
 @click.argument("paths", nargs=-1, type=click.Path())
-@_mode_option
-@_granularity_option
-@_decl_holes_option
+@_stream_options
 @click.option(
     "--format",
     "fmt",
@@ -132,15 +150,10 @@ def main() -> None:
 def cmd_count(paths, mode, granularity, decl_holes, fmt) -> None:
     """Per-file and corpus-wide variant counts with the size reduction
     relative to naive enumeration."""
-    parsed, bad = _parse_corpus(paths)
-    if bad:
-        sys.exit(EXIT_CONFIG)
-
     m = Mode(mode)
     gran = Granularity(granularity)
     rows = []
-    for path, program in parsed:
-        skel = extract(program, decl_holes=decl_holes)
+    for path, skel in _skeletons(paths, decl_holes):
         pl = _plan(path, skel, m, gran)
         report, selected = pl.report, pl.selected_count
         rows.append(
@@ -169,22 +182,14 @@ def cmd_count(paths, mode, granularity, decl_holes, fmt) -> None:
         click.echo(json.dumps({"schema": 1, "files": rows, "totals": totals}, indent=2))
         return
 
-    header = f"{'file':<40} {'holes':>5} {'naive':>12} {'paper':>12} {'complete':>12} {'reduction':>9}"
+    header = _row("file", "holes", "naive", "paper", "complete", "reduction")
     click.echo(header)
     click.echo("-" * len(header))
     for r in rows:
-        paper = "-" if r["paper"] is None else str(r["paper"])
-        red = "-" if r["reduction"] is None else f"{r['reduction']:.1f}x"
-        click.echo(
-            f"{r['file']:<40} {r['holes']:>5} {r['naive']:>12} {paper:>12} {r['complete']:>12} {red:>9}"
-        )
+        click.echo(_row(r["file"], r["holes"], r["naive"], r["paper"], r["complete"], r["reduction"]))
     if rows:
         click.echo("-" * len(header))
-        red = "-" if totals["reduction"] is None else f"{totals['reduction']:.1f}x"
-        enum_s = "-" if total_enum is None else str(total_enum)
-        click.echo(
-            f"{'total':<40} {'':>5} {total_naive:>12} {'':>12} {enum_s:>12} {red:>9}"
-        )
+        click.echo(_row("total", "", total_naive, "", total_enum, totals["reduction"]))
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +200,9 @@ def cmd_count(paths, mode, granularity, decl_holes, fmt) -> None:
 @_decl_holes_option
 def cmd_skeleton(paths, decl_holes) -> None:
     """Dump each file's skeleton (holes, variable sets, scopes) as JSON."""
-    parsed, bad = _parse_corpus(paths)
-    if bad:
-        sys.exit(EXIT_CONFIG)
     docs = []
-    for path, program in parsed:
-        doc = to_json(extract(program, decl_holes=decl_holes))
+    for path, skel in _skeletons(paths, decl_holes):
+        doc = to_json(skel)
         doc["file"] = str(path)
         docs.append(doc)
     click.echo(json.dumps({"schema": 1, "skeletons": docs}, indent=2))
@@ -287,9 +289,7 @@ def _write_manifest(path: Path, fields: dict, entries: Iterable[str]) -> None:
 
 @main.command("enumerate")
 @click.argument("paths", nargs=-1, type=click.Path())
-@_mode_option
-@_granularity_option
-@_decl_holes_option
+@_stream_options
 @_budget_options
 @click.option(
     "--out",
@@ -303,23 +303,14 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
     run left in the stem directory are removed once the new manifest is
     in place."""
     threshold, cap = _resolve_budget(threshold, cap)
-    try:
-        check_unique_stems(paths)
-    except ConfigError as e:
-        click.echo(f"configuration error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    parsed, bad = _parse_corpus(paths)
-    if bad:
-        sys.exit(EXIT_CONFIG)
-
+    check_unique_stems(paths)
     m = Mode(mode)
     gran = Granularity(granularity)
     out_dir = Path(out)
 
     # every file is planned before any is written, so a refusal leaves no output
     planned = []
-    for path, program in parsed:
-        skel = extract(program, decl_holes=decl_holes)
+    for path, skel in _skeletons(paths, decl_holes):
         pl = _plan(path, skel, m, gran, threshold, cap)
         if pl.refusal == "unsupported":
             click.echo(
@@ -334,11 +325,8 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
             )
             sys.exit(EXIT_THRESHOLD)
         planned.append((path, skel, pl))
-    try:
-        check_dirs(*(out_dir / path.stem for path, _, _ in planned))
-    except ConfigError as e:
-        click.echo(f"configuration error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
+    vdirs = [out_dir / path.stem for path, _, _ in planned]
+    check_outputs(vdirs, [vdir / "manifest.json" for vdir in vdirs])
 
     for path, skel, pl in planned:
         stem = path.stem
@@ -368,9 +356,7 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
 
 @main.command("test")
 @click.argument("paths", nargs=-1, type=click.Path())
-@_mode_option
-@_granularity_option
-@_decl_holes_option
+@_stream_options
 @_budget_options
 @click.option("--config", type=click.Path(dir_okay=False), default=None,
               help="Toolchain JSON; defaults to gcc/clang found on PATH.")
@@ -381,21 +367,17 @@ def cmd_test(paths, mode, granularity, decl_holes, threshold, cap, config, out) 
     from .harness import ToolchainConfig, run_campaign
 
     threshold, cap = _resolve_budget(threshold, cap)
-    try:
-        cfg = ToolchainConfig.from_file(config) if config else ToolchainConfig.detect()
-        summary = run_campaign(
-            corpus=list(paths),
-            cfg=cfg,
-            out_dir=out,
-            threshold=threshold,
-            cap=cap,
-            mode=Mode(mode),
-            granularity=Granularity(granularity),
-            decl_holes=decl_holes,
-        )
-    except ConfigError as e:
-        click.echo(f"configuration error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = ToolchainConfig.from_file(config) if config else ToolchainConfig.detect()
+    summary = run_campaign(
+        corpus=list(paths),
+        cfg=cfg,
+        out_dir=out,
+        threshold=threshold,
+        cap=cap,
+        mode=Mode(mode),
+        granularity=Granularity(granularity),
+        decl_holes=decl_holes,
+    )
 
     t = summary["totals"]
     click.echo(
@@ -422,12 +404,7 @@ def cmd_stats(log) -> None:
     signatures."""
     from .harness import log_stats
 
-    try:
-        doc = log_stats(log)
-    except ConfigError as e:
-        click.echo(f"configuration error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    click.echo(json.dumps(doc, indent=2))
+    click.echo(json.dumps(log_stats(log), indent=2))
 
 
 if __name__ == "__main__":

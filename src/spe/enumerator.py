@@ -58,7 +58,7 @@ __all__ = [
     "variant_files",
     "ConfigError",
     "check_unique_stems",
-    "check_dirs",
+    "check_outputs",
     "plan",
 ]
 
@@ -264,16 +264,21 @@ def check_unique_stems(corpus: Sequence[str | Path]) -> None:
             raise ConfigError(f"{first} and {path} share the stem {path.stem!r}")
 
 
-def check_dirs(*dirs: Path) -> None:
-    """Each of `dirs` is a directory that output goes into, made when
-    missing; ConfigError names the first path at or above one of them
-    that exists and is not a directory."""
+def check_outputs(dirs: Sequence[Path] = (), files: Sequence[Path] = ()) -> None:
+    """`dirs` are directories that output goes into, made when missing,
+    and `files` are files written into them or above them. ConfigError
+    names the first path at or above one of the directories that exists
+    and is not a directory, then the first of the files that is a
+    directory."""
     for d in dirs:
         for p in (d, *d.parents):
             if p.is_dir():
                 break
             if p.exists():
                 raise ConfigError(f"{p} is not a directory")
+    for f in files:
+        if f.is_dir():
+            raise ConfigError(f"{f} is a directory")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence
 
 from .combinat import Mode
 from .enumerator import (
-    DEFAULT_THRESHOLD, ConfigError, check_dirs, check_unique_stems, plan, variant_files,
+    DEFAULT_THRESHOLD, ConfigError, check_outputs, check_unique_stems, plan, variant_files,
 )
 from .minilang.interp import Status, interpret
 from .minilang.parser import ParseError, parse
@@ -665,11 +665,9 @@ def run_campaign(
     if tmp_root:
         tmp_root = os.path.abspath(tmp_root)
         made.append(Path(tmp_root))
-    # each file's variants go to a directory of its own under variants_dir
-    check_dirs(*made, *(variants_dir / Path(p).stem for p in corpus))
     summary_path = out / "summary.json"
-    if summary_path.is_dir():
-        raise ConfigError(f"{summary_path} is a directory")
+    # each file's variants go to a directory of its own under variants_dir
+    check_outputs([*made, *(variants_dir / Path(p).stem for p in corpus)], [summary_path])
     for d in made:
         d.mkdir(parents=True, exist_ok=True)
     # what a run killed while writing a report left (see _write_report)

@@ -71,7 +71,6 @@ class VarDecl:
 class ScopeNode:
     id: int
     parent: Optional[int]  # None only for the global scope
-    kind: str  # "global" | "function" | "block"
     decls: list[VarDecl] = field(default_factory=list)
 
 

@@ -199,7 +199,7 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.scopes: dict[int, ScopeNode] = {
-            GLOBAL_SCOPE: ScopeNode(GLOBAL_SCOPE, None, "global")
+            GLOBAL_SCOPE: ScopeNode(GLOBAL_SCOPE, None)
         }
         self._next_scope = GLOBAL_SCOPE + 1
         self.sigs: dict[str, _FuncSig] = {}
@@ -269,8 +269,8 @@ class _Parser:
 
     # -- scopes and resolution -----------------------------------------
 
-    def new_scope(self, parent: int, kind: str) -> ScopeNode:
-        node = ScopeNode(self._next_scope, parent, kind)
+    def new_scope(self, parent: int) -> ScopeNode:
+        node = ScopeNode(self._next_scope, parent)
         self._next_scope += 1
         self.scopes[node.id] = node
         return node
@@ -517,7 +517,7 @@ class _Parser:
     def parse_stmt(self):
         t = self.cur()
         if self.at_punct("{"):
-            scope = self.new_scope(self.env[-1][0], "block")
+            scope = self.new_scope(self.env[-1][0])
             return self.parse_block_body(scope, {})
         if self.at_word("if"):
             self.advance()
@@ -576,9 +576,8 @@ class _Parser:
         """Body of if/else/while: a block, or a single statement wrapped
         in a fresh (declaration-free) block."""
         if self.at_punct("{"):
-            scope = self.new_scope(self.env[-1][0], "block")
-            return self.parse_block_body(scope, {})
-        scope = self.new_scope(self.env[-1][0], "block")
+            return self.parse_stmt()
+        scope = self.new_scope(self.env[-1][0])
         self.env.append((scope.id, {}))
         self.nest()
         stmt = self.parse_stmt()
@@ -708,7 +707,7 @@ class _Parser:
             self.fail(E_SYNTAX, "parameter names are required in a definition", name_tok)
         sig.defined = True
 
-        scope = self.new_scope(GLOBAL_SCOPE, "function")
+        scope = self.new_scope(GLOBAL_SCOPE)
         frame: dict[str, VarDecl] = {}
         for p in params:
             if p.name in frame:

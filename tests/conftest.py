@@ -8,6 +8,7 @@ skeleton is shadowing-free and every run terminates.
 
 from __future__ import annotations
 
+import os
 import random
 import stat
 from pathlib import Path
@@ -320,3 +321,13 @@ def write_stub(dir_: Path, name: str, body: str) -> Path:
     path.write_text(body)
     path.chmod(path.stat().st_mode | stat.S_IXUSR)
     return path
+
+
+def spe_env() -> dict:
+    """The environment for a `python -m spe.cli` child: the spe package
+    these tests import comes first on its path, so a plain `pytest` in a
+    checkout runs the child from the checkout too."""
+    import spe
+
+    src = str(Path(spe.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -26,6 +26,7 @@ from conftest import (
     SHADOW_SRC,
     STRAIGHT_SRC,
     random_source,
+    spe_env,
     write_stub,
 )
 from oracles import reference_manifest
@@ -243,6 +244,61 @@ class TestSkeleton:
         # the four use holes: declarations are never holes
         assert doc["skeletons"][0]["n"] == 4
         assert doc["skeletons"][0]["decl_holes"] is True
+
+
+class TestCorpusFrontEnd:
+    """count, skeleton and enumerate read their corpus through one
+    loader, and count, enumerate and test share one set of stream
+    options."""
+
+    @pytest.mark.parametrize("command", ["count", "skeleton", "enumerate"])
+    @pytest.mark.parametrize("latin_first", [False, True])
+    def test_every_bad_file_is_named_in_argument_order(
+        self, runner, corpus, tmp_path, command, latin_first
+    ):
+        deep = tmp_path / "deep.c"
+        deep.write_text(DEEP_SRC)
+        latin = tmp_path / "latin.c"
+        latin.write_bytes(NON_UTF8_SRC)
+        with pytest.raises(ParseError) as parse_error:
+            parse(DEEP_SRC)
+        with pytest.raises(UnicodeDecodeError) as decode_error:
+            NON_UTF8_SRC.decode("utf-8")
+        bad = [(deep, parse_error.value), (latin, decode_error.value)]
+        if latin_first:
+            bad.reverse()
+        args = [command, str(bad[0][0]), str(corpus["loop"]), str(bad[1][0])]
+        out = tmp_path / "out"
+        if command == "enumerate":
+            args += ["--out", str(out)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == EXIT_CONFIG
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.splitlines() == [f"{path}: {e}" for path, e in bad]
+        assert not out.exists()
+
+    STREAM_OPTIONS = (
+        "--mode [paper|complete] Partition semantics: the flat two-level procedure"
+        " or the full scoped solution. [default: complete]",
+        "--granularity [intra|inter] Combine per-function streams by product,"
+        " or solve one program-wide problem. [default: intra]",
+        "--decl-holes Enumerate every filling of the holes, declarations at their source names.",
+    )
+
+    @pytest.mark.parametrize("command", ["count", "enumerate", "test"])
+    def test_stream_options_in_help(self, runner, command):
+        res = runner.invoke(main, [command, "--help"])
+        assert res.exit_code == EXIT_OK
+        text = " ".join(res.output.split())
+        for option in self.STREAM_OPTIONS:
+            assert option in text
+
+    def test_skeleton_takes_only_decl_holes(self, runner):
+        res = runner.invoke(main, ["skeleton", "--help"])
+        assert res.exit_code == EXIT_OK
+        text = " ".join(res.output.split())
+        assert self.STREAM_OPTIONS[2] in text
+        assert "--mode" not in text and "--granularity" not in text
 
 
 class TestEnumerate:
@@ -567,19 +623,20 @@ class TestTestCommand:
         "command,blocked,make",
         [
             ("enumerate", "o/loop", Path.touch),
+            ("enumerate", "o/loop/manifest.json", Path.mkdir),
             ("test", "o/variants", Path.touch),
             ("test", "o/reports", Path.touch),
             ("test", "o/outcomes.jsonl", Path.mkdir),
             ("test", "o/summary.json", Path.mkdir),
             ("test", "SPE_TMPDIR", Path.touch),
         ],
-        ids=["enumerate-stem", "variants", "reports", "log", "summary", "tmpdir"],
+        ids=["enumerate-stem", "enumerate-manifest", "variants", "reports", "log", "summary", "tmpdir"],
     )
     def test_unusable_output_location_exits_config(
         self, runner, corpus, tmp_path, monkeypatch, command, blocked, make
     ):
         blocked = tmp_path / blocked
-        blocked.parent.mkdir(exist_ok=True)
+        blocked.parent.mkdir(parents=True, exist_ok=True)
         make(blocked)
         monkeypatch.setenv("SPE_TMPDIR", str(tmp_path / "SPE_TMPDIR"))
         # branch.c comes first, so an enumerate that wrote as it planned
@@ -1456,16 +1513,6 @@ class TestHotPath:
         assert len(calls) == 2
 
 
-def _spe_env() -> dict:
-    """The environment for a `python -m spe.cli` child: the spe package
-    these tests import comes first on its path, so a plain `pytest` in a
-    checkout runs the child from the checkout too."""
-    import spe
-
-    src = str(Path(spe.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 class TestEntryPoint:
     def test_module_invocation(self, corpus):
         proc = subprocess.run(
@@ -1473,7 +1520,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             timeout=60,
-            env=_spe_env(),
+            env=spe_env(),
         )
         assert proc.returncode == 0
         assert "loop.c" in proc.stdout
@@ -1484,7 +1531,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             timeout=60,
-            env=_spe_env(),
+            env=spe_env(),
         )
         assert proc.returncode == 0
         assert "0.1.0" in proc.stdout

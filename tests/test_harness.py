@@ -7,10 +7,14 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import shlex
 import shutil
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +46,7 @@ from conftest import (
     OK_STUB,
     SCOPED_SRC,
     STRAIGHT_SRC,
+    spe_env,
     write_stub,
 )
 
@@ -1119,7 +1124,10 @@ DIGEST_STUBS = {"okcc": OK_STUB, "crashcc": CRASH_STUB, "evilcc": EVIL_STUB}
 FIRST_SEEN = re.compile(rb'"first_seen": "[^"]*"')
 
 
-def campaign_digests(tmp_path: Path, monkeypatch) -> dict[str, str]:
+def digest_campaign_args(tmp_path: Path, monkeypatch) -> list[str]:
+    """Write the digest corpus, stubs and toolchain into tmp_path, put the
+    stubs on PATH and change into tmp_path; returns the arguments of the
+    campaign's `spe test` but its --out."""
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     for name, body in DIGEST_STUBS.items():
@@ -1134,11 +1142,13 @@ def campaign_digests(tmp_path: Path, monkeypatch) -> dict[str, str]:
         "workers": 2,
     }
     Path("toolchain.json").write_text(json.dumps(cfg))
-    runner = CliRunner()
     corpus = [f"{stem}.c" for stem in DIGEST_CORPUS]
-    res = runner.invoke(
-        main, ["test", *corpus, "--cap", str(DIGEST_CAP), "--config", "toolchain.json", "--out", "out"]
-    )
+    return ["test", *corpus, "--cap", str(DIGEST_CAP), "--config", "toolchain.json"]
+
+
+def campaign_digests(tmp_path: Path, monkeypatch) -> dict[str, str]:
+    runner = CliRunner()
+    res = runner.invoke(main, [*digest_campaign_args(tmp_path, monkeypatch), "--out", "out"])
     assert res.exit_code == 1, res.output
     stats = runner.invoke(main, ["stats", "out/outcomes.jsonl"])
     assert stats.exit_code == 0, stats.output
@@ -1153,3 +1163,92 @@ def campaign_digests(tmp_path: Path, monkeypatch) -> dict[str, str]:
 def test_campaign_matches_frozen_digests(tmp_path, monkeypatch):
     frozen = json.loads((Path(__file__).parent / "campaign_digests.json").read_text())
     assert campaign_digests(tmp_path, monkeypatch) == frozen
+
+
+# ---------------------------------------------------------------------------
+# Kill anywhere
+
+KILL_SEED = 0
+KILLS = 3
+
+
+def _running_in_group(stat: Path, pgid: int) -> bool:
+    """Whether the process whose /proc stat file this is belongs to the
+    group and has not exited."""
+    try:
+        state, _, pgrp = stat.read_text().rpartition(")")[2].split()[:3]
+    except (OSError, ValueError):
+        return False
+    return state != "Z" and int(pgrp) == pgid
+
+
+def _wait_for_group(pgid: int) -> None:
+    """Return once no process of the group runs. A killed campaign's
+    cells are reparented when it dies, and their new parent may reap
+    them late; an exited process that is not reaped yet runs no code,
+    so it counts as gone."""
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        if not any(_running_in_group(stat, pgid) for stat in Path("/proc").glob("[0-9]*/stat")):
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process group {pgid} still runs")
+
+
+def _campaign_tree(out: Path) -> dict[str, object]:
+    """Every file under a campaign's --out by relative path, first_seen
+    masked, and summary.json without its two per-run counters."""
+    tree: dict[str, object] = {
+        path.relative_to(out).as_posix(): FIRST_SEEN.sub(b'"first_seen": "#"', path.read_bytes())
+        for path in out.rglob("*")
+        if path.is_file()
+    }
+    summary = json.loads(tree.pop("summary.json"))
+    del summary["log_rows_appended"], summary["new_reports"]
+    tree["summary.json"] = summary
+    return tree
+
+
+def test_campaign_killed_anywhere_resumes_to_the_uninterrupted_tree(tmp_path, monkeypatch):
+    # the campaign and its cells run in a process group of their own,
+    # which SIGKILL ends at once, at seeded moments spread over the span
+    # of an uninterrupted run
+    argv = [sys.executable, "-m", "spe.cli", *digest_campaign_args(tmp_path, monkeypatch)]
+    monkeypatch.setenv("SPE_TMPDIR", str(tmp_path / "cells"))
+    env = spe_env()
+    procs = []
+
+    def spe(out: str) -> subprocess.Popen:
+        proc = subprocess.Popen(
+            [*argv, "--out", out], env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        procs.append(proc)
+        return proc
+
+    try:
+        start = time.monotonic()
+        assert spe("clean").wait(timeout=60) == 1
+        span = time.monotonic() - start
+        clean = _campaign_tree(Path("clean"))
+        rng = random.Random(KILL_SEED)
+        killed = 0
+        for i in range(KILLS):
+            out = f"killed{i}"
+            proc = spe(out)
+            time.sleep(span * (i + rng.random()) / KILLS)
+            os.killpg(proc.pid, signal.SIGKILL)
+            killed += proc.wait(timeout=60) == -signal.SIGKILL
+            _wait_for_group(proc.pid)
+            assert spe(out).wait(timeout=60) == 1
+            assert _campaign_tree(Path(out)) == clean, i
+        assert killed
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()

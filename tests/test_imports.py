@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import spe
-from test_cli import _spe_env
+from conftest import spe_env
 
 PUBLIC_MODULES = [
     name
@@ -29,7 +29,7 @@ def _loaded_by(modules: str) -> set[str]:
         capture_output=True,
         text=True,
         timeout=60,
-        env=_spe_env(),
+        env=spe_env(),
         check=True,
     )
     return set(proc.stdout.split())
@@ -68,7 +68,7 @@ report = count_plan(SimpleNamespace(holes=[hole] * 3), (fam,))
 print(report.naive_count, report.paper_mode_count, report.complete_mode_count, *sys.modules)
 """
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_spe_env(), check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=spe_env(), check=True
     )
     naive, paper, complete, *loaded = proc.stdout.split()
     assert (naive, paper, complete) == ("8", "4", "4")

@@ -326,7 +326,7 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
             sys.exit(EXIT_THRESHOLD)
         planned.append((path, skel, pl))
     vdirs = [out_dir / path.stem for path, _, _ in planned]
-    check_outputs(vdirs, [vdir / "manifest.json" for vdir in vdirs])
+    check_outputs(files=[vdir / "manifest.json" for vdir in vdirs], variant_dirs=vdirs)
 
     for path, skel, pl in planned:
         stem = path.stem

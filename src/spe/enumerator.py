@@ -220,6 +220,12 @@ def variants(
         yield Variant(seq, a, sig, template.format(*a))
 
 
+def _variant_name(stem: str) -> re.Pattern:
+    """The name of a variant file of `stem`, whatever its seq's width;
+    group 1 is the seq."""
+    return re.compile(re.escape(stem) + r"__v([0-9]+)\.c")
+
+
 @contextmanager
 def variant_files(
     vdir: Path, skel: Skeleton, plan: EnumerationPlan, stem: str
@@ -245,7 +251,7 @@ def variant_files(
             yield path, v
 
     yield stream()
-    name = re.compile(re.escape(stem) + r"__v([0-9]+)\.c")
+    name = _variant_name(stem)
     with os.scandir(vdir) as entries:
         for e in entries:
             m = name.fullmatch(e.name)
@@ -264,13 +270,18 @@ def check_unique_stems(corpus: Sequence[str | Path]) -> None:
             raise ConfigError(f"{first} and {path} share the stem {path.stem!r}")
 
 
-def check_outputs(dirs: Sequence[Path] = (), files: Sequence[Path] = ()) -> None:
+def check_outputs(
+    dirs: Sequence[Path] = (), files: Sequence[Path] = (), variant_dirs: Sequence[Path] = ()
+) -> None:
     """`dirs` are directories that output goes into, made when missing,
-    and `files` are files written into them or above them. ConfigError
-    names the first path at or above one of the directories that exists
-    and is not a directory, then the first of the files that is a
-    directory."""
-    for d in dirs:
+    `variant_dirs` are more such directories, each one `variant_files`
+    fills and named after its stem, and `files` are files written into
+    them or above them. ConfigError names the first path at or above
+    one of the directories that exists and is not a directory, then the
+    first of the files that is a directory, then the first directory in
+    a variant directory that has a variant file's name, which no run
+    could write or remove."""
+    for d in (*dirs, *variant_dirs):
         for p in (d, *d.parents):
             if p.is_dir():
                 break
@@ -279,6 +290,14 @@ def check_outputs(dirs: Sequence[Path] = (), files: Sequence[Path] = ()) -> None
     for f in files:
         if f.is_dir():
             raise ConfigError(f"{f} is a directory")
+    for d in variant_dirs:
+        if not d.is_dir():
+            continue
+        name = _variant_name(d.name)
+        with os.scandir(d) as entries:
+            blocked = sorted(e.path for e in entries if name.fullmatch(e.name) and e.is_dir())
+        if blocked:
+            raise ConfigError(f"{blocked[0]} is a directory")
 
 
 # ---------------------------------------------------------------------------

@@ -552,10 +552,14 @@ def _write_report(
     so first-seen data survives re-runs. Returns True when new. The
     files are written into the temporary sibling `.<dirname>.<pid>.tmp`,
     which is renamed into place once complete, so a report directory
-    holds all of its files or does not exist."""
+    holds all of its files or does not exist. ConfigError when something
+    other than a directory holds the report's name: the variant's rows
+    are already logged, so a rerun once it is gone writes the report."""
     d = reports_dir / dirname
-    if d.exists():
+    if d.is_dir():
         return False
+    if os.path.lexists(d):
+        raise ConfigError(f"{d} is not a directory")
     tmp = reports_dir / f".{dirname}.{os.getpid()}.tmp"
     tmp.mkdir(parents=True, exist_ok=True)  # a killed run of a reused pid may have left it
     try:
@@ -667,7 +671,7 @@ def run_campaign(
         made.append(Path(tmp_root))
     summary_path = out / "summary.json"
     # each file's variants go to a directory of its own under variants_dir
-    check_outputs([*made, *(variants_dir / Path(p).stem for p in corpus)], [summary_path])
+    check_outputs(made, [summary_path], [variants_dir / Path(p).stem for p in corpus])
     for d in made:
         d.mkdir(parents=True, exist_ok=True)
     # what a run killed while writing a report left (see _write_report)

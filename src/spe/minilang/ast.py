@@ -1,4 +1,9 @@
-"""AST and scope structures for MiniC.
+"""AST for MiniC.
+
+Declarations are stated once, in the tree: the globals make up scope
+GLOBAL_SCOPE, each Block holds its own scope's declarations and carries
+that scope's id, a function's parameters share its body's scope, and
+every VarDecl records the id of the scope that declares it.
 
 Nodes use identity equality so they can serve as dictionary keys (the
 interpreter keys frames by VarDecl, the renderer accepts per-node name
@@ -10,7 +15,7 @@ model both walk the tree through it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 INT = "int"
@@ -20,7 +25,7 @@ INT_MIN = -(2 ** 31)
 INT_MAX = 2 ** 31 - 1
 UINT_MAX = 2 ** 32 - 1
 
-#: Scope id of the file-level (global) scope; always the root of the tree.
+#: Scope id of the file-level (global) scope, which encloses every other.
 GLOBAL_SCOPE = 0
 
 #: Binary operator precedence, one row per level, loosest first; every
@@ -65,31 +70,6 @@ class VarDecl:
     type: str  # INT or UINT
     scope_id: int
     init: Optional[int] = None  # folded constant, already range-checked
-
-
-@dataclass
-class ScopeNode:
-    id: int
-    parent: Optional[int]  # None only for the global scope
-    decls: list[VarDecl] = field(default_factory=list)
-
-
-@dataclass
-class ScopeTree:
-    nodes: dict[int, ScopeNode]
-
-    def node(self, scope_id: int) -> ScopeNode:
-        return self.nodes[scope_id]
-
-    def chain(self, scope_id: int) -> list[int]:
-        """Scope ids from the global root down to scope_id, inclusive."""
-        path = []
-        cur: Optional[int] = scope_id
-        while cur is not None:
-            path.append(cur)
-            cur = self.nodes[cur].parent
-        path.reverse()
-        return path
 
 
 # --- Expressions ---------------------------------------------------------
@@ -191,18 +171,16 @@ Stmt = Union[Assign, If, While, Return, Printf, CallStmt, Block]
 class Function:
     name: str
     ret_type: str
-    params: list[VarDecl]
-    body: Block
     # Parameters share the body's scope, as in C: `int f(int x) { int x; }`
     # is a redeclaration error.
-    scope_id: int
+    params: list[VarDecl]
+    body: Block
 
 
 @dataclass(eq=False)
 class Program:
     globals: list[VarDecl]
     functions: list[Function]
-    scopes: ScopeTree
 
     def main_function(self) -> Function:
         for f in self.functions:

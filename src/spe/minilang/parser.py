@@ -22,6 +22,7 @@ and checked for consistency but not stored in the AST.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -46,8 +47,6 @@ from .ast import (
     Printf,
     Program,
     Return,
-    ScopeNode,
-    ScopeTree,
     Unary,
     Var,
     VarDecl,
@@ -198,14 +197,11 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.toks = tokens
         self.pos = 0
-        self.scopes: dict[int, ScopeNode] = {
-            GLOBAL_SCOPE: ScopeNode(GLOBAL_SCOPE, None)
-        }
-        self._next_scope = GLOBAL_SCOPE + 1
+        self.scope_ids = itertools.count(GLOBAL_SCOPE + 1)
         self.sigs: dict[str, _FuncSig] = {}
         self.called: dict[str, _Token] = {}
-        # Environment: stack of (scope_id, {name: decl}), innermost last.
-        self.env: list[tuple[int, dict[str, VarDecl]]] = []
+        # Environment: stack of {name: decl} frames, innermost last.
+        self.env: list[dict[str, VarDecl]] = []
         self.cur_ret: Optional[str] = None
         self.depth = 0  # nesting levels entered; see MAX_NESTING
         self.heights: dict[Expr, int] = {}  # operator and call nodes only
@@ -267,16 +263,10 @@ class _Parser:
             self.fail(E_SYNTAX, f"keyword {t.text!r} cannot be used as {what}")
         return self.advance()
 
-    # -- scopes and resolution -----------------------------------------
-
-    def new_scope(self, parent: int) -> ScopeNode:
-        node = ScopeNode(self._next_scope, parent)
-        self._next_scope += 1
-        self.scopes[node.id] = node
-        return node
+    # -- name resolution -----------------------------------------------
 
     def resolve(self, tok: _Token) -> VarDecl:
-        for _, frame in reversed(self.env):
+        for frame in reversed(self.env):
             d = frame.get(tok.text)
             if d is not None:
                 return d
@@ -297,7 +287,7 @@ class _Parser:
         self.fail(E_SYNTAX, f"expected a type, found {t.text or t.kind!r}")
         raise AssertionError
 
-    def parse_declarators(self, base: str, scope: ScopeNode, first: _Token) -> list[VarDecl]:
+    def parse_declarators(self, base: str, scope_id: int, first: _Token) -> list[VarDecl]:
         """Parse `name [= const] (, name [= const])* ;` after the type."""
         decls = []
         name_tok = first
@@ -305,16 +295,15 @@ class _Parser:
             init = None
             if self.take_punct("="):
                 init = self.fold_const(base, name_tok)
-            frame = self.env[-1][1]
+            frame = self.env[-1]
             if name_tok.text in frame:
                 self.fail(
                     E_DUPLICATE,
                     f"{name_tok.text!r} already declared in this scope",
                     name_tok,
                 )
-            d = VarDecl(name_tok.text, base, scope.id, init)
+            d = VarDecl(name_tok.text, base, scope_id, init)
             frame[name_tok.text] = d
-            scope.decls.append(d)
             decls.append(d)
             if self.take_punct(","):
                 name_tok = self.expect_name("a variable name")
@@ -461,7 +450,7 @@ class _Parser:
     def _parse_call(self, name_tok: _Token) -> Call:
         sig = self.sigs.get(name_tok.text)
         if sig is None:
-            kind = E_TYPE if any(name_tok.text in f for _, f in self.env) else E_UNDECLARED
+            kind = E_TYPE if any(name_tok.text in f for f in self.env) else E_UNDECLARED
             what = "variable used as a function" if kind == E_TYPE else "undeclared function"
             self.fail(kind, f"{what}: {name_tok.text!r}", name_tok)
         self.expect_punct("(")
@@ -491,16 +480,16 @@ class _Parser:
 
     # -- statements -------------------------------------------------------
 
-    def parse_block_body(self, scope: ScopeNode, frame: dict) -> Block:
+    def parse_block_body(self, scope_id: int, frame: dict) -> Block:
         """Parse `{ decls* stmts* }`; frame may be pre-seeded with params."""
         self.nest()
         self.expect_punct("{")
-        self.env.append((scope.id, frame))
+        self.env.append(frame)
         decls: list[VarDecl] = []
         while self.at_type():
             base = self.parse_type()
             name_tok = self.expect_name("a variable name")
-            decls.extend(self.parse_declarators(base, scope, name_tok))
+            decls.extend(self.parse_declarators(base, scope_id, name_tok))
         stmts = []
         while not self.at_punct("}"):
             if self.at_type():
@@ -512,13 +501,12 @@ class _Parser:
         self.expect_punct("}")
         self.env.pop()
         self.depth -= 1
-        return Block(scope.id, decls, stmts)
+        return Block(scope_id, decls, stmts)
 
     def parse_stmt(self):
         t = self.cur()
         if self.at_punct("{"):
-            scope = self.new_scope(self.env[-1][0])
-            return self.parse_block_body(scope, {})
+            return self.parse_block_body(next(self.scope_ids), {})
         if self.at_word("if"):
             self.advance()
             self.expect_punct("(")
@@ -577,13 +565,13 @@ class _Parser:
         in a fresh (declaration-free) block."""
         if self.at_punct("{"):
             return self.parse_stmt()
-        scope = self.new_scope(self.env[-1][0])
-        self.env.append((scope.id, {}))
+        scope_id = next(self.scope_ids)
+        self.env.append({})
         self.nest()
         stmt = self.parse_stmt()
         self.depth -= 1
         self.env.pop()
-        return Block(scope.id, [], [stmt])
+        return Block(scope_id, [], [stmt])
 
     def _parse_printf(self) -> Printf:
         t = self.advance()  # 'printf'
@@ -611,9 +599,9 @@ class _Parser:
     def parse_program(self) -> Program:
         globals_: list[VarDecl] = []
         functions: list[Function] = []
-        pending: list[tuple[Function, int, dict]] = []
+        pending: list[tuple[Function, int, int, dict]] = []
         seen_definition = False
-        self.env.append((GLOBAL_SCOPE, {}))
+        self.env.append({})
 
         while self.cur().kind != "eof":
             start = self.cur()
@@ -622,9 +610,8 @@ class _Parser:
             if self.at_punct("("):
                 item = self._parse_function_header(base, name_tok)
                 if item is not None:
-                    fn, body_start, frame = item
-                    functions.append(fn)
-                    pending.append((fn, body_start, frame))
+                    functions.append(item[0])
+                    pending.append(item)
                     seen_definition = True
             else:
                 if seen_definition:
@@ -633,14 +620,12 @@ class _Parser:
                         "global declarations must precede all function definitions",
                         start,
                     )
-                globals_.extend(
-                    self.parse_declarators(base, self.scopes[GLOBAL_SCOPE], name_tok)
-                )
+                globals_.extend(self.parse_declarators(base, GLOBAL_SCOPE, name_tok))
 
-        for fn, body_start, frame in pending:
+        for fn, body_start, scope_id, frame in pending:
             self.pos = body_start
             self.cur_ret = fn.ret_type
-            fn.body = self.parse_block_body(self.scopes[fn.scope_id], frame)
+            fn.body = self.parse_block_body(scope_id, frame)
             if not fn.body.stmts or not isinstance(fn.body.stmts[-1], Return):
                 self.fail(
                     E_MISSING_RETURN,
@@ -656,11 +641,12 @@ class _Parser:
                     f"function {name!r} is declared but never defined",
                     tok,
                 )
-        return Program(globals_, functions, ScopeTree(self.scopes))
+        return Program(globals_, functions)
 
     def _parse_function_header(self, ret_type: str, name_tok: _Token):
         """Parse params and either a prototype (returns None) or a
-        definition (returns (Function, body-start token index, frame))."""
+        definition (returns (Function, body-start token index, the
+        body's scope id, frame))."""
         self.expect_punct("(")
         params: list[VarDecl] = []
         param_types: list[str] = []
@@ -707,19 +693,18 @@ class _Parser:
             self.fail(E_SYNTAX, "parameter names are required in a definition", name_tok)
         sig.defined = True
 
-        scope = self.new_scope(GLOBAL_SCOPE)
+        scope_id = next(self.scope_ids)
         frame: dict[str, VarDecl] = {}
         for p in params:
             if p.name in frame:
                 self.fail(E_DUPLICATE, f"duplicate parameter {p.name!r}", name_tok)
-            p.scope_id = scope.id
+            p.scope_id = scope_id
             frame[p.name] = p
-            scope.decls.append(p)
 
         body_start = self.pos
         self._skip_braces()
-        fn = Function(name_tok.text, ret_type, params, None, scope.id)  # type: ignore[arg-type]
-        return fn, body_start, frame
+        fn = Function(name_tok.text, ret_type, params, None)  # type: ignore[arg-type]
+        return fn, body_start, scope_id, frame
 
     def _skip_braces(self) -> None:
         depth = 0

@@ -4,15 +4,18 @@ A skeleton is a program with every variable occurrence replaced by a
 hole. Each hole carries its scope path, its type, and its variable set:
 the same-type variables visible at that position (all of them, because
 MiniC puts declarations before statements, so visibility is uniform
-across a block). Declarations are never holes: under `decl_holes` the
-skeleton only records the flag, and the enumerator fills these same
-holes by the naive product, declarations at their source names.
+across a block). Extraction reads these off the chain of enclosing
+scopes' declarations as it walks the AST. Declarations are never holes:
+under `decl_holes` the skeleton only records the flag, and the
+enumerator fills these same holes by the naive product, declarations at
+their source names.
 
 `normal_forms` turns a skeleton into one flat tuple of the
-pool-structured (unit, type) families the partition machinery consumes.
-One builder serves every unit: given the unit's holes and its root
-scopes, it makes per type a root pool of those scopes' declarations,
-then one pool per other variable-declaring scope in source order. At
+pool-structured (unit, type) families the partition machinery consumes,
+from the holes alone. One builder serves every unit: given the unit's
+holes and how many leading scopes of their paths are its roots, it
+makes per type a root pool of those scopes' declarations, then one pool
+per other variable-declaring scope in source order. At
 intra granularity the units are the functions, each rooted at the
 global scope and its own, so globals, parameters and top-level locals
 merge; at inter granularity the whole program is one unit rooted at the
@@ -92,23 +95,23 @@ class Skeleton:
 # Extraction
 
 
-def _visible_vars(
-    program: Program, path: tuple[int, ...], type_: str
-) -> tuple[tuple[VarDecl, ...], bool]:
-    """Same-type declarations visible from a scope path, nearest decl
-    wins, ordered by (scope depth, declaration order).
+#: The scopes enclosing a position, outermost first, each as (scope id,
+#: its declarations).
+Chain = tuple[tuple[int, Sequence[VarDecl]], ...]
+
+
+def _visible_vars(chain: Chain, type_: str) -> tuple[tuple[VarDecl, ...], bool]:
+    """Same-type declarations visible at the end of a scope chain,
+    nearest decl wins, ordered by (scope depth, declaration order).
 
     Returns (decls, hidden): hidden is True when a same-type decl on
-    the path lost its name to a deeper redeclaration of any type.
+    the chain lost its name to a deeper redeclaration of any type.
     """
-    binding: dict[str, VarDecl] = {}
-    for sid in path:
-        for d in program.scopes.node(sid).decls:
-            binding[d.name] = d
+    binding = {d.name: d for _, decls in chain for d in decls}
     visible = []
     hidden = False
-    for sid in path:
-        for d in program.scopes.node(sid).decls:
+    for _, decls in chain:
+        for d in decls:
             if d.type != type_:
                 continue
             if binding[d.name] is d:
@@ -118,22 +121,21 @@ def _visible_vars(
     return tuple(visible), hidden
 
 
-class _Extractor:
-    def __init__(self, program: Program):
-        self.program = program
-        self.holes: list[Hole] = []
+def extract(program: Program, decl_holes: bool = False) -> Skeleton:
+    """Turn every variable occurrence into a hole, in source order.
+    decl_holes is recorded for the enumerator; it adds no hole."""
+    holes: list[Hole] = []
 
-    def walk(self, node, scope_id: int, unit: str) -> None:
-        """Add the holes under node in source order; scope_id is the
-        innermost enclosing block's scope, unit the enclosing function."""
+    def walk(node, chain: Chain, unit: str) -> None:
+        """Add the holes under node in source order; chain holds the
+        scopes enclosing node, unit is the enclosing function."""
         if isinstance(node, Var):
-            path = tuple(self.program.scopes.chain(scope_id))
-            decls, hidden = _visible_vars(self.program, path, node.type)
+            decls, hidden = _visible_vars(chain, node.type)
             assert decls, "a hole always sees at least its own variable"
-            self.holes.append(
+            holes.append(
                 Hole(
-                    index=len(self.holes) + 1,
-                    scope_path=path,
+                    index=len(holes) + 1,
+                    scope_path=tuple(sid for sid, _ in chain),
                     type=node.type,
                     var_set=tuple((d.name, d.scope_id) for d in decls),
                     unit=unit,
@@ -142,26 +144,24 @@ class _Extractor:
                 )
             )
         elif isinstance(node, Block):
-            scope_id = node.scope_id
+            chain += ((node.scope_id, node.decls),)
         for kid in children(node):
-            self.walk(kid, scope_id, unit)
+            walk(kid, chain, unit)
 
-
-def extract(program: Program, decl_holes: bool = False) -> Skeleton:
-    """Turn every variable occurrence into a hole, in source order.
-    decl_holes is recorded for the enumerator; it adds no hole."""
-    ex = _Extractor(program)
     ranges: dict[str, Optional[tuple[int, int]]] = {}
     for f in program.functions:
-        first = len(ex.holes) + 1
-        ex.walk(f, GLOBAL_SCOPE, f.name)
-        ranges[f.name] = (first, len(ex.holes)) if len(ex.holes) >= first else None
+        first = len(holes) + 1
+        # the parameters open the body's scope, before its declarations
+        scope = (f.body.scope_id, [*f.params, *f.body.decls])
+        for kid in children(f.body):
+            walk(kid, ((GLOBAL_SCOPE, program.globals), scope), f.name)
+        ranges[f.name] = (first, len(holes)) if len(holes) >= first else None
 
     return Skeleton(
         program=program,
-        holes=ex.holes,
+        holes=holes,
         per_function_ranges=ranges,
-        origin_vector=tuple(h.node.name for h in ex.holes),
+        origin_vector=tuple(h.node.name for h in holes),
         decl_holes=decl_holes,
     )
 
@@ -185,18 +185,15 @@ def characteristic_vector(skel: Skeleton, assignment: Sequence[str]) -> tuple[st
 # Families
 
 
-def _scope_vars(program: Program, sid: int, type_: str) -> tuple[str, ...]:
-    return tuple(d.name for d in program.scopes.node(sid).decls if d.type == type_)
-
-
-def _unit_families(
-    program: Program, unit: str, holes: Sequence[Hole], root_scopes: tuple[int, ...]
-) -> Iterator[Family]:
-    """One unit's families, one per hole type in type-name order. The
-    root pool holds the type's declarations of root_scopes, in order;
-    every other scope on a hole's path that declares the type is a local
-    pool under its nearest enclosing pool, in source order. Holes are
-    grouped by their deepest eligible pool."""
+def _unit_families(unit: str, holes: Sequence[Hole], n_roots: int) -> Iterator[Family]:
+    """One unit's families, one per hole type in type-name order, from
+    the holes alone. The root pool holds the type's declarations of the
+    first n_roots scopes of the holes' paths, in order; every other
+    scope on a hole's path that declares the type is a local pool under
+    its nearest enclosing pool, in source order. Holes are grouped by
+    their deepest eligible pool. A scope's declarations of the type are
+    the var_set entries that carry its id: with no name hidden, every
+    hole below the scope sees them all."""
     bad = [h.index for h in holes if h.hidden_conflict]
     if bad:
         raise ShadowingError(
@@ -205,28 +202,24 @@ def _unit_families(
         )
     for t in sorted({h.type for h in holes}):
         t_holes = [h for h in holes if h.type == t]
-        local_sids = sorted(
-            {
-                sid
-                for h in t_holes
-                for sid in h.scope_path
-                if sid not in root_scopes and _scope_vars(program, sid, t)
-            }
-        )
-        root_vars = tuple(name for sid in root_scopes for name in _scope_vars(program, sid, t))
+        root_scopes = t_holes[0].scope_path[:n_roots]
+        # (name, scope id) of every declaration of t on a hole's path
+        decls = dict.fromkeys(d for h in t_holes for d in h.var_set)
+        root_vars = tuple(name for name, sid in decls if sid in root_scopes)
         assert len(set(root_vars)) == len(root_vars), "root pool names collide"
+        local_sids = sorted({sid for _, sid in decls if sid not in root_scopes})
         pool_idx = {sid: i for i, sid in enumerate(local_sids, start=1)}
-        pools = [Pool(vars=root_vars, parent=None)]
-        for sid in local_sids:
-            enclosing = reversed(program.scopes.chain(sid)[:-1])
-            parent = next((pool_idx[a] for a in enclosing if a in pool_idx), 0)
-            pools.append(Pool(vars=_scope_vars(program, sid, t), parent=parent))
+        # each hole's pools, outermost first, behind the root pool
+        paths = [(0, *(pool_idx[sid] for sid in h.scope_path if sid in pool_idx)) for h in t_holes]
+        parent = {p: path[k - 1] for path in paths for k, p in enumerate(path) if k}
+        pools = [Pool(vars=root_vars, parent=None)] + [
+            Pool(vars=tuple(name for name, s in decls if s == sid), parent=parent[i])
+            for sid, i in pool_idx.items()
+        ]
 
         groups: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in pools]
-        for h in t_holes:
-            elig = ((0,) if root_vars else ()) + tuple(
-                pool_idx[sid] for sid in h.scope_path if sid in pool_idx
-            )
+        for h, path in zip(t_holes, paths):
+            elig = path if root_vars else path[1:]
             groups[elig[-1]].append((h.index, elig))
         ordered = [pair for grp in groups for pair in grp]
         yield Family(
@@ -244,22 +237,16 @@ def normal_forms(skel: Skeleton, granularity: Granularity) -> tuple[Family, ...]
     rooted at the global scope and its own, so globals, parameters and
     top-level locals share the root pool. At
     INTER the whole program is one unit rooted at the global scope, and
-    every variable-declaring function or block scope is a local pool."""
-    program = skel.program
+    every variable-declaring function or block scope is a local pool.
+    Only the holes are read, never skel.program."""
     if granularity is Granularity.INTER:
-        units = [(PROGRAM_UNIT, skel.holes, (GLOBAL_SCOPE,))]
+        units = [(PROGRAM_UNIT, skel.holes, 1)]
     else:
         units = [
-            (
-                unit,
-                skel.holes[rng[0] - 1 : rng[1]] if rng else [],
-                (GLOBAL_SCOPE, program.function(unit).scope_id),
-            )
+            (unit, skel.holes[rng[0] - 1 : rng[1]] if rng else [], 2)
             for unit, rng in skel.per_function_ranges.items()
         ]
-    return tuple(
-        fam for unit, holes, roots in units for fam in _unit_families(program, unit, holes, roots)
-    )
+    return tuple(fam for unit, holes, n_roots in units for fam in _unit_families(unit, holes, n_roots))
 
 
 # ---------------------------------------------------------------------------

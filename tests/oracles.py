@@ -149,7 +149,7 @@ def pools_of_program(program) -> list[tuple[str, ...]]:
         if fn.body is None:
             continue
         for p in fn.params:
-            by_scope_type.setdefault((fn.scope_id, p.type), []).append(p.name)
+            by_scope_type.setdefault((fn.body.scope_id, p.type), []).append(p.name)
         walk(fn.body)
     return [tuple(v) for _, v in sorted(by_scope_type.items())]
 
@@ -217,18 +217,23 @@ def name_sites(program) -> tuple[list, list[tuple[str, ...]]]:
     first. Their product is the declaration-hole space."""
     sites, choices = [], []
 
-    def walk(node, scope_id):
+    def walk(node, decls):
+        # decls: the declarations of the scopes on node's path
         if isinstance(node, (Var, VarDecl)):
-            chain = program.scopes.chain(node.scope_id if isinstance(node, VarDecl) else scope_id)
-            decls = [d for sid in chain for d in program.scopes.node(sid).decls]
             sites.append(node)
             choices.append(tuple(dict.fromkeys(d.name for d in decls if d.type == node.type)))
+        elif isinstance(node, Program):
+            decls = node.globals
+        elif isinstance(node, Function):
+            # parameters share the body's scope; the body adds its
+            # declarations again, which dict.fromkeys drops
+            decls = [*decls, *node.params, *node.body.decls]
         elif isinstance(node, Block):
-            scope_id = node.scope_id
+            decls = [*decls, *node.decls]
         for kid in children(node):
-            walk(kid, scope_id)
+            walk(kid, decls)
 
-    walk(program, GLOBAL_SCOPE)
+    walk(program, [])
     return sites, choices
 
 

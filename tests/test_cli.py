@@ -624,13 +624,19 @@ class TestTestCommand:
         [
             ("enumerate", "o/loop", Path.touch),
             ("enumerate", "o/loop/manifest.json", Path.mkdir),
+            ("enumerate", "o/loop/loop__v03.c", Path.mkdir),
             ("test", "o/variants", Path.touch),
             ("test", "o/reports", Path.touch),
             ("test", "o/outcomes.jsonl", Path.mkdir),
             ("test", "o/summary.json", Path.mkdir),
             ("test", "SPE_TMPDIR", Path.touch),
+            # a variant file's name at a width no run of loop.c writes
+            ("test", "o/variants/loop/loop__v0003.c", Path.mkdir),
         ],
-        ids=["enumerate-stem", "enumerate-manifest", "variants", "reports", "log", "summary", "tmpdir"],
+        ids=[
+            "enumerate-stem", "enumerate-manifest", "enumerate-variant",
+            "variants", "reports", "log", "summary", "tmpdir", "variant",
+        ],
     )
     def test_unusable_output_location_exits_config(
         self, runner, corpus, tmp_path, monkeypatch, command, blocked, make
@@ -648,7 +654,31 @@ class TestTestCommand:
         assert res.exit_code == EXIT_CONFIG
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("configuration error: ") and str(blocked) in res.output
-        assert not list((tmp_path / "o").rglob("*.c"))
+        # no variant written and no cell run
+        assert not [p for p in (tmp_path / "o").rglob("*.c") if p.is_file()]
+        assert not (tmp_path / "o" / "outcomes.jsonl").is_file()
+
+    def test_report_path_held_by_a_file_exits_config(self, runner, corpus, tmp_path):
+        cfg = stub_config_file(tmp_path, ("crashcc", CRASH_STUB))
+        args = ["test", str(corpus["straight"]), "--config", str(cfg)]
+        clean = runner.invoke(main, [*args, "--out", str(tmp_path / "clean")])
+        assert clean.exit_code == EXIT_FINDINGS
+        reports = json.loads((tmp_path / "clean" / "summary.json").read_text())["reports"]
+        (name,) = [r for r in reports if r.startswith("crash-")]
+        out = tmp_path / "campaign"
+        (out / "reports").mkdir(parents=True)
+        (out / "reports" / name).touch()
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert isinstance(res.exception, SystemExit) and res.exit_code == EXIT_CONFIG
+        assert res.output == f"configuration error: {out / 'reports' / name} is not a directory\n"
+        # the variant's rows were logged first, so a rerun writes the report
+        (out / "reports" / name).unlink()
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == EXIT_FINDINGS
+        assert f"\n  {name}\n" in res.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["reports"] == reports and summary["new_reports"]["crash"] == 1
+        assert (out / "reports" / name / "witness.c").is_file()
 
     @pytest.mark.parametrize("timeout,shown", [(2_147_484, "2147484"), (1e9, "1000000000")])
     def test_oversized_timeout_exits_config(self, runner, corpus, tmp_path, timeout, shown):

@@ -1129,9 +1129,8 @@ int main(void) {
 }
 
 
-# Fields that hold a node but not a child: a variable's declaration and
-# the program's scope tree
-_NOT_CHILDREN = {(ast.Var, "decl"), (ast.Program, "scopes")}
+# Fields that hold a node but not a child: a variable's declaration
+_NOT_CHILDREN = {(ast.Var, "decl")}
 
 
 def _field_nodes(node) -> list:
@@ -1180,7 +1179,7 @@ class TestChildren:
             c for c in vars(ast).values()
             if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == ast.__name__
         }
-        assert {type(node) for node in nodes} == classes - {ast.ScopeNode, ast.ScopeTree}
+        assert {type(node) for node in nodes} == classes
         assert any(isinstance(node, ast.If) and node.orelse is not None for node in nodes)
 
 

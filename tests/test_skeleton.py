@@ -1,10 +1,16 @@
 """Hole extraction, variable-set computation, and the families built from them."""
 
+import dataclasses
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spe.combinat import Family, Pool
+from spe.combinat import Family, Pool, count_plan
 from spe.minilang import parse
 from spe.minilang.ast import VarDecl
 from spe.skeleton import (
@@ -18,6 +24,8 @@ from spe.skeleton import (
 )
 
 from conftest import SHADOW_SRC, TWO_FUNCTIONS_SRC, random_skeleton
+from test_combinat import DIGEST_SOURCES
+from test_minilang import REFERENCE_PROGRAMS
 
 
 class TestExtraction:
@@ -289,3 +297,54 @@ class TestRandomSkeletons:
             skel = extract(s.program, decl_holes)
             for granularity in Granularity:
                 assert_families_cover_holes(skel, granularity)
+
+
+# Every skeleton fact of these sources: its JSON document and the full
+# repr of every family (pools with their names and parents, holes,
+# eligible pools), or the shadowing refusal, at both granularities.
+# `skeleton_digests.json` holds the digests as first written, so a change
+# to how holes or families are built that moves any of them shows here.
+SKELETON_SOURCES = {
+    **DIGEST_SOURCES,
+    "two_functions": TWO_FUNCTIONS_SRC,
+    "shadow": SHADOW_SRC,
+    **{f"reference:{name}": src for name, src in REFERENCE_PROGRAMS.items()},
+}
+
+
+def skeleton_facts(skel) -> str:
+    lines = [json.dumps(to_json(skel), sort_keys=True)]
+    for granularity in Granularity:
+        try:
+            lines.append(repr(normal_forms(skel, granularity)))
+        except ShadowingError as e:
+            lines.append(f"ShadowingError: {e}")
+    return "\n".join(lines)
+
+
+def test_skeleton_facts_match_frozen_digests():
+    frozen = json.loads((Path(__file__).parent / "skeleton_digests.json").read_text())
+    digests = {
+        name: hashlib.sha256(skeleton_facts(extract(parse(src))).encode()).hexdigest()[:16]
+        for name, src in SKELETON_SOURCES.items()
+    }
+    assert digests == frozen
+
+
+def test_families_come_from_the_holes_alone():
+    # normal_forms reads only the holes, so a skeleton without its
+    # program yields the same families and counts
+    for name, src in SKELETON_SOURCES.items():
+        skel = extract(parse(src))
+        bare = dataclasses.replace(skel, program=None)
+        for granularity in Granularity:
+            try:
+                families = normal_forms(skel, granularity)
+            except ShadowingError as e:
+                with pytest.raises(ShadowingError, match=f"^{re.escape(str(e))}$"):
+                    normal_forms(bare, granularity)
+                continue
+            assert normal_forms(bare, granularity) == families, (name, granularity)
+            assert count_plan(bare, families) == count_plan(skel, families), name
+        if not any(h.hidden_conflict for h in skel.holes):
+            assert count_plan(bare) == count_plan(skel), name

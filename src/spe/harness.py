@@ -537,24 +537,23 @@ def log_stats(path: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 # Bug reports
 
-def _now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-
-
 def _write_report(
     reports_dir: Path,
-    dirname: str,
+    key: str,
     witness_source: str,
     metadata: dict,
-    repro_lines: list[str],
+    replay: list[str],
 ) -> bool:
-    """Create one report directory; an existing one is left untouched
+    """Create the report directory `<kind>-<sha1(key)[:12]>`, its
+    metadata stamped `first_seen` and its repro.sh running the replay
+    lines from the directory itself; an existing one is left untouched
     so first-seen data survives re-runs. Returns True when new. The
     files are written into the temporary sibling `.<dirname>.<pid>.tmp`,
     which is renamed into place once complete, so a report directory
     holds all of its files or does not exist. ConfigError when something
     other than a directory holds the report's name: the variant's rows
     are already logged, so a rerun once it is gone writes the report."""
+    dirname = f"{metadata['kind']}-{hashlib.sha1(key.encode()).hexdigest()[:12]}"
     d = reports_dir / dirname
     if d.is_dir():
         return False
@@ -562,10 +561,12 @@ def _write_report(
         raise ConfigError(f"{d} is not a directory")
     tmp = reports_dir / f".{dirname}.{os.getpid()}.tmp"
     tmp.mkdir(parents=True, exist_ok=True)  # a killed run of a reused pid may have left it
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    metadata = {**metadata, "first_seen": stamp}
     try:
         (tmp / "witness.c").write_text(witness_source)
         (tmp / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
-        script = "#!/bin/sh\nset -x\n" + "\n".join(repro_lines) + "\n"
+        script = "#!/bin/sh\nset -x\n" + "\n".join(['cd "$(dirname "$0")"', *replay]) + "\n"
         repro = tmp / "repro.sh"
         repro.write_text(script)
         repro.chmod(repro.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
@@ -580,7 +581,6 @@ def _crash_report(
     reports_dir: Path, row: dict, spec: CompilerSpec, witness_source: str
 ) -> bool:
     sig = row["compile"]["signature"]
-    slug = hashlib.sha1(sig.encode()).hexdigest()[:12]
     argv = _compile_argv(spec, row, "witness.c", "repro.out")
     meta = {
         "kind": "crash",
@@ -588,10 +588,8 @@ def _crash_report(
         "variant": row["variant"],
         "compiler": row["compiler"],
         "flags": row["flags"],
-        "first_seen": _now(),
     }
-    lines = ['cd "$(dirname "$0")"', shlex.join(argv)]
-    return _write_report(reports_dir, f"crash-{slug}", witness_source, meta, lines)
+    return _write_report(reports_dir, sig, witness_source, meta, [shlex.join(argv)])
 
 
 def _wrong_code_report(
@@ -602,8 +600,6 @@ def _wrong_code_report(
     by_name: dict[str, CompilerSpec],
     witness_source: str,
 ) -> bool:
-    blob = variant_id + "|" + ",".join(verdict["cells"])
-    slug = hashlib.sha1(blob.encode()).hexdigest()[:12]
     ran = [r for r in rows if run_outcome(r) == "ok"]
     meta = {
         "kind": "wrong-code",
@@ -614,15 +610,15 @@ def _wrong_code_report(
             {"cell": _cell(r), "exit": r["run"]["exit"], "stdout_sha256": r["run"]["stdout_sha256"]}
             for r in ran
         ],
-        "first_seen": _now(),
     }
     # replay each disagreeing cell with the compiler and flags it ran
-    lines = ['cd "$(dirname "$0")"']
+    lines = []
     for r in sorted(ran, key=_cell):
         if _cell(r) in verdict["cells"]:
             argv = _compile_argv(by_name[r["compiler"]], r, "witness.c", "repro.out")
             lines += [shlex.join(argv), './repro.out; echo "exit: $?"']
-    return _write_report(reports_dir, f"wrong-code-{slug}", witness_source, meta, lines)
+    key = variant_id + "|" + ",".join(verdict["cells"])
+    return _write_report(reports_dir, key, witness_source, meta, lines)
 
 
 # ---------------------------------------------------------------------------

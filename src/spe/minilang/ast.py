@@ -25,6 +25,9 @@ INT_MIN = -(2 ** 31)
 INT_MAX = 2 ** 31 - 1
 UINT_MAX = 2 ** 32 - 1
 
+#: Each integer type's least and greatest value.
+RANGE = {INT: (INT_MIN, INT_MAX), UINT: (0, UINT_MAX)}
+
 #: Scope id of the file-level (global) scope, which encloses every other.
 GLOBAL_SCOPE = 0
 
@@ -181,18 +184,6 @@ class Function:
 class Program:
     globals: list[VarDecl]
     functions: list[Function]
-
-    def main_function(self) -> Function:
-        for f in self.functions:
-            if f.name == "main":
-                return f
-        raise LookupError("program has no main function")
-
-    def function(self, name: str) -> Function:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise LookupError(f"no function named {name!r}")
 
 
 #: Each node class's children, in source order.

@@ -88,11 +88,10 @@ from typing import Callable, Optional
 from .ast import (
     BINARY_OPS,
     GLOBAL_SCOPE,
-    INT,
     INT_MAX,
     INT_MIN,
+    RANGE,
     UINT,
-    UINT_MAX,
     Assign,
     Binary,
     Block,
@@ -131,7 +130,6 @@ MAX_FRAMES = 600
 CYCLE_SAMPLE_STEPS = 2048
 
 _UINT_MASK = 0xFFFFFFFF
-_RANGE = {INT: (INT_MIN, INT_MAX), UINT: (0, UINT_MAX)}
 _SUMS = (operator.add, operator.sub)
 _COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -219,7 +217,7 @@ def _exact(e: Expr, values: dict) -> Optional[int]:
     if l is None or r is None:
         return None
     v = BINARY_OPS[e.op](l, r)
-    lo, hi = _RANGE[e.type]
+    lo, hi = RANGE[e.type]
     return v if lo <= v <= hi else None
 
 
@@ -580,7 +578,7 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
             end = {d: v + k * (v - was[d]) for d, v in now.items()}
             # every value is affine in the iteration, so what holds at `was`
             # and at `end` holds at every head between
-            if not all(_RANGE[d.type][0] <= v <= _RANGE[d.type][1] for d, v in end.items()):
+            if not all(RANGE[d.type][0] <= v <= RANGE[d.type][1] for d, v in end.items()):
                 return False
             g0, g1 = gap(was), gap(end)
             if g0 is None or g1 is None or not (g0 == g1 or g0 * g1 > 0):
@@ -634,7 +632,6 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
 
     for fn in program.functions:
         entries[fn.name] = function(fn)
-    main = program.main_function().name
 
     def run(step_budget: int) -> ExecResult:
         nonlocal steps, budget
@@ -643,9 +640,9 @@ def _compile(program: Program) -> Callable[[int], ExecResult]:
         gvals[:] = ginit
         status, ret, kind = Status.STEP_BUDGET_EXHAUSTED, 0, None
         try:
-            if cost[main] > MAX_FRAMES:
+            if cost["main"] > MAX_FRAMES:
                 raise _OutOfSteps
-            status, ret = Status.OK, entries[main]([0]) & 0xFF
+            status, ret = Status.OK, entries["main"]([0]) & 0xFF
         except _UB as ub:
             status, kind = Status.UNDEFINED_BEHAVIOR, ub.kind
         except _OutOfSteps:

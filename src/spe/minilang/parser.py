@@ -6,8 +6,10 @@ compiler without diagnostics:
 
 - declarations precede statements in every block (C89), and global
   declarations precede the first function definition;
-- initializers are constant expressions, folded here with exact big-int
-  arithmetic and range-checked against the declared type;
+- initializers are constant expressions, folded here by the rules of
+  expressions: each operator's operands share a type and its exact
+  value lies in that type's range, and the folded value is range-checked
+  against the declared type;
 - no implicit int/unsigned mixing: both operands of an arithmetic or
   comparison operator, and both sides of an assignment, must have the
   same type (conditions and logical operators accept either type);
@@ -32,7 +34,7 @@ from .ast import (
     BINARY_PREC,
     GLOBAL_SCOPE,
     INT,
-    INT_MAX,
+    RANGE,
     UINT,
     UINT_MAX,
     Assign,
@@ -312,39 +314,43 @@ class _Parser:
             return decls
 
     def fold_const(self, target_type: str, name_tok: _Token) -> int:
-        value = self.const_expr()
-        lo, hi = (0, UINT_MAX) if target_type == UINT else (-(INT_MAX + 1), INT_MAX)
-        if not lo <= value <= hi:
-            self.fail(
-                E_RANGE,
-                f"initializer value {value} out of range for {target_type!r}",
-                name_tok,
-            )
-        return value
+        return self._in_range(name_tok, self.const_expr()[0], target_type, "initializer value")[0]
 
-    def const_expr(self) -> int:
+    def const_expr(self) -> tuple[int, str]:
+        """A constant expression's value and type."""
         self.nest()
         value = self._climb(self._const_unary, self._fold, _ARITH)
         self.depth -= 1
         return value
 
-    def _fold(self, op: _Token, left: int, right: int) -> int:
-        if right == 0 and op.text in ("/", "%"):
+    def _fold(self, op: _Token, left: tuple[int, str], right: tuple[int, str]) -> tuple[int, str]:
+        (a, type_), (b, right_type) = left, right
+        self._same_type(op, type_, right_type)
+        if b == 0 and op.text in ("/", "%"):
             self.fail(E_RANGE, "division by zero in constant initializer", op)
-        return BINARY_OPS[op.text](left, right)
+        return self._in_range(op, BINARY_OPS[op.text](a, b), type_, f"{op.text!r} result")
 
-    def _const_unary(self) -> int:
+    def _in_range(self, tok: _Token, value: int, type_: str, what: str) -> tuple[int, str]:
+        """(value, type_), where type_ must hold value; the error names
+        what value is and points at tok."""
+        lo, hi = RANGE[type_]
+        if not lo <= value <= hi:
+            self.fail(E_RANGE, f"{what} {value} out of range for {type_!r}", tok)
+        return value, type_
+
+    def _const_unary(self) -> tuple[int, str]:
         if self.at_punct("-"):
-            self.nest(self.advance())
-            value = -self._const_unary()
+            op = self.advance()
+            self.nest(op)
+            value, type_ = self._const_unary()
             self.depth -= 1
-            return value
+            return self._in_range(op, -value, type_, f"{op.text!r} result")
         return self._const_primary()
 
-    def _const_primary(self) -> int:
+    def _const_primary(self) -> tuple[int, str]:
         t = self.cur()
         if t.kind == "num":
-            return self._literal(t)[0]
+            return self._literal(t)
         if self.take_punct("("):
             v = self.const_expr()
             self.expect_punct(")")
@@ -392,14 +398,14 @@ class _Parser:
         self.heights[e] = 2 + max([self.heights.get(c, 0) for c in children], default=0)
         return e
 
+    def _same_type(self, op: _Token, left: str, right: str) -> None:
+        """Rule 4: op's operands, of types left and right, share a type
+        unless op is logical."""
+        if left != right and op.text not in ("&&", "||"):
+            self.fail(E_TYPE, f"operands of {op.text!r} must have the same type ({left} vs {right})", op)
+
     def _binary(self, op: _Token, left: Expr, right: Expr) -> Binary:
-        if left.type != right.type and op.text not in ("&&", "||"):
-            self.fail(
-                E_TYPE,
-                f"operands of {op.text!r} must have the same type "
-                f"({left.type} vs {right.type})",
-                op,
-            )
+        self._same_type(op, left.type, right.type)
         arithmetic = BINARY_PREC[op.text] >= _ARITH
         return self._node(
             Binary(op.text, left, right, left.type if arithmetic else INT), left, right
@@ -443,9 +449,10 @@ class _Parser:
         initializers alike."""
         self.advance()
         value, unsigned = t.value
-        if value > (UINT_MAX if unsigned else INT_MAX):
+        type_ = UINT if unsigned else INT
+        if value > RANGE[type_][1]:
             self.fail(E_RANGE, f"{'unsigned' if unsigned else 'int'} literal {t.text} out of range", t)
-        return value, UINT if unsigned else INT
+        return value, type_
 
     def _parse_call(self, name_tok: _Token) -> Call:
         sig = self.sigs.get(name_tok.text)
@@ -721,11 +728,7 @@ class _Parser:
                     return
 
     def _check_main(self, functions: list[Function]) -> None:
-        main = None
-        for f in functions:
-            if f.name == "main":
-                main = f
-                break
+        main = next((f for f in functions if f.name == "main"), None)
         if main is None:
             raise ParseError(E_NO_MAIN, "program has no main function")
         if main.ret_type != INT or main.params:

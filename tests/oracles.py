@@ -8,13 +8,15 @@ result types and frame-cost model (`_frames`, `MAX_FRAMES`) that
 `reference_interpret` must share with it for budget verdicts to agree.
 `structurally_equal` compares two parsed programs node by node.
 `reference_manifest` builds a manifest as one in-memory document and
-encodes it with the standard library."""
+encodes it with the standard library. `c_constant` evaluates a constant
+expression's text as C does."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import re
 from typing import Iterable, Iterator, Sequence
 
 from spe.minilang import ParseError, parse, render
@@ -577,7 +579,8 @@ def reference_interpret(program, step_budget: int = DEFAULT_STEP_BUDGET) -> Exec
         raise ValueError("step_budget must be at least 1")
     it = _Walker(program, step_budget)
     try:
-        ret = it.call(program.main_function(), [])
+        main = next(f for f in program.functions if f.name == "main")
+        ret = it.call(main, [])
         return ExecResult(Status.OK, ret & 0xFF, it.output(), it.steps)
     except _UB as ub:
         return ExecResult(
@@ -585,3 +588,67 @@ def reference_interpret(program, step_budget: int = DEFAULT_STEP_BUDGET) -> Exec
         )
     except _OutOfSteps:
         return ExecResult(Status.STEP_BUDGET_EXHAUSTED, 0, it.output(), it.steps)
+
+
+def c_constant(text: str) -> tuple[str, int | None, bool]:
+    """What C makes of a constant expression over decimal literals that
+    fit their type (plain or "u"-suffixed), "+ - * / %", unary minus and
+    parentheses: its type, "int" or "unsigned"; its value, None where C
+    leaves it undefined (a zero divisor, or an int result outside int's
+    range); and whether every step kept its exact mathematical value with
+    operands of one type, so nothing wrapped or was converted. Read off
+    the C standard: an unsigned operand converts the other one to
+    unsigned, unsigned arithmetic is modulo 2**32, division truncates
+    toward zero and a % b is a - (a / b) * b."""
+    tokens = re.findall(r"\d+u?|\S", text)[::-1]  # next token last
+
+    def operation(op, x, y):
+        (tx, a, clean_x), (ty, b, clean_y) = x, y
+        type_ = "unsigned" if "unsigned" in (tx, ty) else "int"
+        if type_ == "unsigned" and a is not None and b is not None:
+            a, b = a % 2 ** 32, b % 2 ** 32
+        if a is None or b is None or (op in ("/", "%") and b == 0):
+            return type_, None, False
+        if op in ("/", "%"):
+            q = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+            exact = q if op == "/" else a - q * b
+        else:
+            exact = {"+": a + b, "-": a - b, "*": a * b}[op]
+        if type_ == "int":
+            if not INT_MIN <= exact <= INT_MAX:
+                return type_, None, False
+            return type_, exact, clean_x and clean_y
+        value = exact % 2 ** 32
+        return type_, value, clean_x and clean_y and tx == ty and value == exact
+
+    def primary():
+        tok = tokens.pop()
+        if tok == "(":
+            x = additive()
+            if tokens.pop() != ")":
+                raise ValueError(f"unbalanced parentheses in {text!r}")
+            return x
+        if tok == "-":
+            x = primary()
+            return operation("-", (x[0], 0, True), x)
+        if not tok.endswith("u") and int(tok) > INT_MAX:
+            raise ValueError(f"{tok} is not an int literal")
+        return "unsigned" if tok.endswith("u") else "int", int(tok.rstrip("u")), True
+
+    def left_assoc(operand, ops):
+        x = operand()
+        while tokens and tokens[-1] in ops:
+            op = tokens.pop()
+            x = operation(op, x, operand())
+        return x
+
+    def multiplicative():
+        return left_assoc(primary, ("*", "/", "%"))
+
+    def additive():
+        return left_assoc(multiplicative, ("+", "-"))
+
+    result = additive()
+    if tokens:
+        raise ValueError(f"trailing {tokens[-1]!r} in {text!r}")
+    return result

@@ -37,7 +37,7 @@ from spe.skeleton import extract
 
 import conftest
 from conftest import LOOP_SRC, SCOPED_SRC, BRANCH_SRC, random_source
-from oracles import program_key, reference_interpret, structurally_equal
+from oracles import c_constant, program_key, reference_interpret, structurally_equal
 
 
 def wrap(body: str) -> str:
@@ -206,6 +206,11 @@ int helper(int x) {
             # an arithmetic result keeps its operands' type
             (wrap("    int x;\n    unsigned u;\n    x = u + u == x;"), E_TYPE, 4, 15),
             ("int g = 1 / (2 - 2);\n" + wrap(""), E_RANGE, 1, 11),
+            # an initializer folds by the rules of expressions, so no
+            # constant wraps, overflows or mixes the types on the way
+            ("unsigned u = (0u - 2u) / 2u + 1u;\n" + wrap(""), E_RANGE, 1, 18),
+            ("int x = (2147483647 + 1) / 2;\n" + wrap(""), E_RANGE, 1, 21),
+            ("unsigned u = 3u - 2;\n" + wrap(""), E_TYPE, 1, 17),
             # initializers take the arithmetic operators only
             ("int g = 1 == 1;\n" + wrap(""), E_SYNTAX, 1, 11),
         ],
@@ -286,9 +291,12 @@ int helper(int x) {
         p = parse(wrap(f"    int x = 1;\n    unsigned u = 2u;\n    x = {expr};"))
         assert interpret(p).status is Status.OK
 
-    def test_initializer_folds_past_int_max(self):
-        p = parse("int g = 2147483647 + 1 - 1;\n" + wrap(""))
-        assert p.globals[0].init == INT_MAX
+    def test_initializer_may_not_fold_past_int_max(self):
+        # C's int overflow is undefined even where a later step would
+        # bring the value back into range
+        with pytest.raises(ParseError) as e:
+            parse("int g = 2147483647 + 1 - 1;\n" + wrap(""))
+        assert (e.value.kind, e.value.line, e.value.col) == (E_RANGE, 1, 20)
 
     @pytest.mark.parametrize("expr,value", [("10 - 3 - 2", 5), ("100 / 10 / 5", 2)])
     def test_left_associative(self, expr, value):
@@ -592,8 +600,8 @@ class TestOperatorMatrix:
     @pytest.mark.parametrize("type_", sorted(MATRIX_OPERANDS))
     @pytest.mark.parametrize("op", _ARITHMETIC)
     def test_constant_folder(self, op, type_):
-        # initializers fold on exact integers, and only the folded value
-        # is range-checked against the declared type
+        # an initializer's operator folds to its exact value, which must
+        # lie in its operands' type, here also the declared type
         lo, hi = (INT_MIN, INT_MAX) if type_ == "int" else (0, UINT_MAX)
         operands = MATRIX_OPERANDS[type_]
         for a in operands:
@@ -606,6 +614,60 @@ class TestOperatorMatrix:
                     assert e.value.kind == E_RANGE, (op, a, b)
                 else:
                     assert parse(source).globals[0].init == exact, (op, a, b)
+
+
+# Each C type's range, and literals at and near its edges, for constant
+# initializers.
+C_RANGE = {"int": (INT_MIN, INT_MAX), "unsigned": (0, UINT_MAX)}
+INIT_LITERALS = {
+    "int": ["0", "1", "2", "7", str(INT_MAX)],
+    "unsigned": ["0u", "1u", "2u", "7u", f"{INT_MAX}u", f"{UINT_MAX}u"],
+}
+
+
+def constant_exprs(literals: list[str], depth: int):
+    """Constant expressions over literals, with at most depth operators,
+    unary minus and parentheses nested."""
+    leaf = st.sampled_from(literals)
+    if depth == 0:
+        return leaf
+    sub = constant_exprs(literals, depth - 1)
+    return st.one_of(
+        leaf,
+        sub.map(lambda e: f"({e})"),
+        sub.map(lambda e: f"- {e}" if e.startswith("-") else f"-{e}"),  # never "--"
+        st.tuples(sub, st.sampled_from(_ARITHMETIC), sub).map(" ".join),
+    )
+
+
+@st.composite
+def constant_initializers(draw):
+    """(declared type, initializer) of depth at most 3, its literals of
+    one type or of both."""
+    type_ = draw(st.sampled_from(sorted(INIT_LITERALS)))
+    literals = draw(st.sampled_from([*INIT_LITERALS.values(), sum(INIT_LITERALS.values(), [])]))
+    return type_, draw(constant_exprs(literals, 3))
+
+
+class TestConstantInitializers:
+    @given(constant_initializers())
+    @example(("unsigned", "(0u - 2u) / 2u + 1u"))
+    @example(("int", "(2147483647 + 1) / 2"))
+    @settings(max_examples=400, deadline=None)
+    def test_fold_is_cs_value_or_refused(self, init):
+        # parse refuses exactly the initializers whose value C reaches
+        # only by wrapping, overflowing or converting, or that do not fit
+        # the declared type; every other one holds C's value
+        type_, expr = init
+        _, value, clean = c_constant(expr)
+        lo, hi = C_RANGE[type_]
+        try:
+            folded = parse(f"{type_} g = {expr};\n" + wrap("")).globals[0].init
+        except ParseError as e:
+            assert e.kind in (E_RANGE, E_TYPE), e
+            assert not (clean and lo <= value <= hi)
+        else:
+            assert clean and folded == value
 
 
 # Hand-written programs for the compiled-against-reference check: each
@@ -1432,6 +1494,38 @@ class TestAgainstGcc:
             if checked >= 25:
                 break
         assert checked >= 25
+
+    def test_constant_initializers_agree(self):
+        # the C reference, wherever C defines the value, and every
+        # accepted fold agree with gcc; the first example wraps to
+        # 2147483648, and the second overflows, so only parse judges it
+        sample = [("unsigned", "(0u - 2u) / 2u + 1u"), ("int", "(2147483647 + 1) / 2")]
+
+        @given(constant_initializers())
+        @settings(max_examples=150, derandomize=True, database=None)
+        def collect(init):
+            sample.append(init)
+
+        collect()
+        decls, checks = [], []
+        for i, (type_, expr) in enumerate(sample):
+            lo, hi = C_RANGE[type_]
+            _, value, _ = c_constant(expr)
+            if value is None or not lo <= value <= hi:
+                continue  # undefined, or converted by gcc's own rule
+            decls.append(f"{type_} g{i} = {expr};\n")
+            checks.append(f"g{i} == {_literal(type_, value)}")
+            try:
+                out = render(parse(f"{type_} g = {expr};\n" + wrap("")))
+            except ParseError:
+                continue
+            checks.append(f"g{i} == ({re.search(rf'^{type_} g = (.*);$', out, re.M).group(1)})")
+        assert len(decls) > 50 and len(checks) > len(decls) + 20
+        prints = "".join(f'    printf("%d\\n", {c});\n' for c in checks)
+        exit_code, stdout = compile_and_run("gcc", "#include <stdio.h>\n" + "".join(decls) + wrap(prints))
+        assert exit_code == 0
+        assert [c for c, seen in zip(checks, stdout.splitlines()) if seen != "1"] == []
+        assert len(stdout.splitlines()) == len(checks)
 
 
 @pytest.mark.skipif(not HAVE_CLANG, reason="clang not installed")

@@ -93,7 +93,7 @@ def _plan(path: Path, skel, *args):
         sys.exit(EXIT_CONFIG)
 
 
-def _skeletons(paths: tuple[str, ...], decl_holes: bool) -> list[tuple[Path, Skeleton]]:
+def _skeletons(paths: tuple[str, ...]) -> list[tuple[Path, Skeleton]]:
     """Each path with its file's skeleton, extracted once per file in
     argument order. Every file is read and parsed first; each one that
     fails is named on stderr, and then the command exits 2."""
@@ -105,7 +105,7 @@ def _skeletons(paths: tuple[str, ...], decl_holes: bool) -> list[tuple[Path, Ske
             click.echo(f"{path}: {e}", err=True)
     if len(programs) < len(paths):
         sys.exit(EXIT_CONFIG)
-    return [(path, extract(program, decl_holes=decl_holes)) for path, program in programs]
+    return [(path, extract(program)) for path, program in programs]
 
 
 class _Spe(click.Group):
@@ -153,8 +153,8 @@ def cmd_count(paths, mode, granularity, decl_holes, fmt) -> None:
     m = Mode(mode)
     gran = Granularity(granularity)
     rows = []
-    for path, skel in _skeletons(paths, decl_holes):
-        pl = _plan(path, skel, m, gran)
+    for path, skel in _skeletons(paths):
+        pl = _plan(path, skel, m, gran, decl_holes)
         report, selected = pl.report, pl.selected_count
         rows.append(
             {
@@ -201,8 +201,8 @@ def cmd_count(paths, mode, granularity, decl_holes, fmt) -> None:
 def cmd_skeleton(paths, decl_holes) -> None:
     """Dump each file's skeleton (holes, variable sets, scopes) as JSON."""
     docs = []
-    for path, skel in _skeletons(paths, decl_holes):
-        doc = to_json(skel)
+    for path, skel in _skeletons(paths):
+        doc = to_json(skel, decl_holes)
         doc["file"] = str(path)
         docs.append(doc)
     click.echo(json.dumps({"schema": 1, "skeletons": docs}, indent=2))
@@ -310,8 +310,8 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
 
     # every file is planned before any is written, so a refusal leaves no output
     planned = []
-    for path, skel in _skeletons(paths, decl_holes):
-        pl = _plan(path, skel, m, gran, threshold, cap)
+    for path, skel in _skeletons(paths):
+        pl = _plan(path, skel, m, gran, decl_holes, threshold, cap)
         if pl.refusal == "unsupported":
             click.echo(
                 f"{path}: paper mode unsupported here (nested local scopes)", err=True
@@ -324,11 +324,11 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
                 err=True,
             )
             sys.exit(EXIT_THRESHOLD)
-        planned.append((path, skel, pl))
-    vdirs = [out_dir / path.stem for path, _, _ in planned]
+        planned.append((path, pl))
+    vdirs = [out_dir / path.stem for path, _ in planned]
     check_outputs(files=[vdir / "manifest.json" for vdir in vdirs], variant_dirs=vdirs)
 
-    for path, skel, pl in planned:
+    for path, pl in planned:
         stem = path.stem
         vdir = out_dir / stem
         fields = {
@@ -344,7 +344,7 @@ def cmd_enumerate(paths, mode, granularity, decl_holes, threshold, cap, out) -> 
             "invalid": 0,
         }
         # the manifest is in place before variant_files removes the stale files
-        with variant_files(vdir, skel, pl, stem) as stream:
+        with variant_files(vdir, pl, stem) as stream:
             _write_manifest(
                 vdir / "manifest.json", fields, (_manifest_entry(vpath, v) for vpath, v in stream)
             )

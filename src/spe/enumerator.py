@@ -7,15 +7,20 @@ maps one onto the other; `canonical_signature` decides this by reducing
 an assignment to its pool configuration plus one restricted growth
 string per pool, which is invariant under exactly those renamings.
 
-`enumerate_assignments` walks one flat row-major product of the
-partition streams of every (unit, type) family and emits one
-representative per equivalence class: block labels in first-occurrence
-order bind to the pool's variables in declaration order. The stream is
-deterministic, duplicate-free, and at COMPLETE mode covers every class
-of the naive product space; its length is the product of the same
-families' counts. A row of family partitions is already its class's
-canonical form, so `variants` takes every signature from the stream
-rather than recomputing it from the assignment.
+`plan` fixes everything a stream depends on: the skeleton, the mode,
+the granularity and its families, the declaration-holes flag, and the
+threshold or cap. The stream is read off the plan alone, by `variants`,
+`variant_files` and the test-only `enumerate_assignments`.
+
+The stream walks one flat row-major product of the partition streams of
+every (unit, type) family and emits one representative per equivalence
+class: block labels in first-occurrence order bind to the pool's
+variables in declaration order. The stream is deterministic,
+duplicate-free, and at COMPLETE mode covers every class of the naive
+product space; its length is the product of the same families' counts.
+A row of family partitions is already its class's canonical form, so
+`variants` takes every signature from the stream rather than
+recomputing it from the assignment.
 
 Under `decl_holes` the stream is instead the naive product of the hole
 variable sets, row-major with the last hole varying fastest, and
@@ -79,30 +84,23 @@ Signature = tuple[tuple[str, str, tuple[int, ...], tuple[tuple[int, ...], ...]],
 # Enumeration
 
 
-def _classes(
-    skel: Skeleton,
-    mode: Mode,
-    granularity: Granularity,
-    families: Optional[Sequence[Family]] = None,
-) -> Iterator[tuple[tuple[str, ...], Signature]]:
-    """The enumeration stream: each class's representative with its
+def _classes(plan: EnumerationPlan) -> Iterator[tuple[tuple[str, ...], Signature]]:
+    """The plan's whole stream: each class's representative with its
     canonical signature, read off the family partitions that produced it.
     One row-major product over every family of every unit; a row's
     pair per family fills that family's holes, block labels binding to
-    the chosen pool's variables in declaration order. `families` are the
-    skeleton's families at `granularity`, computed here when not given.
-    Under decl_holes, the naive product with empty signatures."""
-    if skel.decl_holes:
-        for values in itertools.product(*(h.names for h in skel.holes)):
+    the chosen pool's variables in declaration order. Under decl_holes,
+    the naive product with empty signatures."""
+    holes = plan.skel.holes
+    if plan.decl_holes:
+        for values in itertools.product(*(h.names for h in holes)):
             yield values, ()
         return
-    if families is None:
-        families = normal_forms(skel, granularity)
-    factories = [(lambda fam=fam: combinat.family_stream(fam, mode)) for fam in families]
+    factories = [(lambda fam=fam: combinat.family_stream(fam, plan.mode)) for fam in plan.families]
     for row in lazy_product(factories):
-        values = [""] * skel.n
+        values = [""] * len(holes)
         parts = []
-        for fam, (config, rgs) in zip(families, row):
+        for fam, (config, rgs) in zip(plan.families, row):
             used = [0] * len(rgs)
             for index, pool_i in zip(fam.holes, config):
                 values[index - 1] = fam.pools[pool_i].vars[rgs[pool_i][used[pool_i]]]
@@ -111,19 +109,16 @@ def _classes(
         yield tuple(values), tuple(parts)
 
 
-def enumerate_assignments(
-    skel: Skeleton,
-    mode: Mode = Mode.COMPLETE,
-    granularity: Granularity = Granularity.INTRA,
-) -> Iterator[tuple[str, ...]]:
-    """One representative assignment per alpha-equivalence class.
+def enumerate_assignments(plan: EnumerationPlan) -> Iterator[tuple[str, ...]]:
+    """One representative assignment per alpha-equivalence class, the
+    whole stream whatever the plan's cap.
 
     Deterministic: units in program order, families in type order,
     partitions in lexicographic canonical order. PAPER mode propagates
     ScopeNestingError for units with nested variable-declaring blocks.
     Under decl_holes, every filling of the naive product instead.
     """
-    for a, _ in _classes(skel, mode, granularity):
+    for a, _ in _classes(plan):
         yield a
 
 
@@ -163,10 +158,8 @@ def canonical_signature(
     """Stable, name-free signature: per family, the pool each hole's
     variable belongs to and the RGS of each pool's value sequence.
     Two assignments have equal signatures at a granularity exactly when
-    they are alpha-equivalent at it. Empty under decl_holes, as in the
-    stream."""
-    if skel.decl_holes:
-        return ()
+    they are alpha-equivalent at it. A decl_holes stream's entries carry
+    the empty signature instead."""
     values = characteristic_vector(skel, assignment)
     parts = []
     for fam in normal_forms(skel, granularity):
@@ -202,21 +195,12 @@ class Variant:
     source: str
 
 
-def variants(
-    skel: Skeleton,
-    mode: Mode = Mode.COMPLETE,
-    granularity: Granularity = Granularity.INTRA,
-    limit: Optional[int] = None,
-    families: Optional[Sequence[Family]] = None,
-) -> Iterator[Variant]:
-    """Realize the enumeration stream by filling the skeleton's template.
-    Every filling is a valid program, so nothing is parsed. Signatures
-    come with the stream. `families`, when given, are the skeleton's
-    families at `granularity` (see `plan`)."""
-    template = _template(skel)
-    for seq, (a, sig) in enumerate(_classes(skel, mode, granularity, families), start=1):
-        if limit is not None and seq > limit:
-            return
+def variants(plan: EnumerationPlan) -> Iterator[Variant]:
+    """Realize the plan's stream, its first `cap` entries when capped, by
+    filling the skeleton's template. Every filling is a valid program, so
+    nothing is parsed. Signatures come with the stream."""
+    template = _template(plan.skel)
+    for seq, (a, sig) in enumerate(itertools.islice(_classes(plan), plan.cap), start=1):
         yield Variant(seq, a, sig, template.format(*a))
 
 
@@ -227,9 +211,7 @@ def _variant_name(stem: str) -> re.Pattern:
 
 
 @contextmanager
-def variant_files(
-    vdir: Path, skel: Skeleton, plan: EnumerationPlan, stem: str
-) -> Iterator[Iterator[tuple[Path, Variant]]]:
+def variant_files(vdir: Path, plan: EnumerationPlan, stem: str) -> Iterator[Iterator[tuple[Path, Variant]]]:
     """The plan's variant stream, the first `cap` entries when capped, as
     (path, Variant) pairs: each variant is written to
     `vdir/<stem>__v<seq>.c`, its seq zero-padded to the digits of
@@ -244,7 +226,7 @@ def variant_files(
 
     def stream() -> Iterator[tuple[Path, Variant]]:
         nonlocal emitted
-        for v in variants(skel, plan.mode, plan.granularity, limit=plan.cap, families=plan.families):
+        for v in variants(plan):
             emitted = v.seq
             path = vdir / f"{stem}__v{v.seq:0{width}d}.c"
             path.write_text(v.source)
@@ -306,9 +288,9 @@ def check_outputs(
 
 @dataclass(frozen=True)
 class EnumerationPlan:
-    """Counting plus the enumerate/skip decision for one skeleton.
-    `families` are the skeleton's families at `granularity`, computed
-    once for both the count and the stream `variant_files` walks."""
+    """One skeleton's stream, its counts and the enumerate/skip
+    decision. `families` are the skeleton's families at `granularity`,
+    computed once for both the count and the stream."""
 
     report: CountReport
     mode: Mode
@@ -316,6 +298,7 @@ class EnumerationPlan:
     decl_holes: bool
     threshold: int
     cap: Optional[int]
+    skel: Skeleton = field(repr=False, compare=False)
     families: tuple[Family, ...] = field(repr=False, compare=False)
 
     @property
@@ -350,6 +333,7 @@ def plan(
     skel: Skeleton,
     mode: Mode = Mode.COMPLETE,
     granularity: Granularity = Granularity.INTRA,
+    decl_holes: bool = False,
     threshold: int = DEFAULT_THRESHOLD,
     cap: Optional[int] = None,
 ) -> EnumerationPlan:
@@ -358,8 +342,9 @@ def plan(
         report=count_plan(skel, families),
         mode=mode,
         granularity=granularity,
-        decl_holes=skel.decl_holes,
+        decl_holes=decl_holes,
         threshold=threshold,
         cap=cap,
+        skel=skel,
         families=families,
     )

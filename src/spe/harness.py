@@ -723,10 +723,10 @@ def run_campaign(
                 entry.update(status="unparseable", error=str(e))
                 continue
 
-            skel = extract(program, decl_holes=decl_holes)
+            skel = extract(program)
             entry["n"] = skel.n
             try:
-                pl = plan(skel, mode, granularity, threshold, cap)
+                pl = plan(skel, mode, granularity, decl_holes, threshold, cap)
             except ShadowingError as e:
                 entry.update(status="unsupported", error=str(e))
                 continue
@@ -744,7 +744,7 @@ def run_campaign(
             # finishing the oldest first appends rows in key order, and an
             # interrupted campaign keeps every variant it finished
             window: deque = deque()
-            with variant_files(variants_dir / stem, skel, pl, stem) as stream:
+            with variant_files(variants_dir / stem, pl, stem) as stream:
                 for vpath, v in stream:
                     entry["enumerated"] += 1
                     vid = vpath.stem

@@ -8,8 +8,8 @@ compiler without diagnostics:
   declarations precede the first function definition;
 - initializers are constant expressions, folded here by the rules of
   expressions: each operator's operands share a type and its exact
-  value lies in that type's range, and the folded value is range-checked
-  against the declared type;
+  value lies in that type's range (a % b's quotient a / b too), and the
+  folded value is range-checked against the declared type;
 - no implicit int/unsigned mixing: both operands of an arithmetic or
   comparison operator, and both sides of an assignment, must have the
   same type (conditions and logical operators accept either type);
@@ -328,6 +328,9 @@ class _Parser:
         self._same_type(op, type_, right_type)
         if b == 0 and op.text in ("/", "%"):
             self.fail(E_RANGE, "division by zero in constant initializer", op)
+        if op.text == "%":
+            # as in expressions, a % b is undefined when a / b overflows
+            self._in_range(op, BINARY_OPS["/"](a, b), type_, "'%' quotient")
         return self._in_range(op, BINARY_OPS[op.text](a, b), type_, f"{op.text!r} result")
 
     def _in_range(self, tok: _Token, value: int, type_: str, what: str) -> tuple[int, str]:

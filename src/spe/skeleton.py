@@ -5,10 +5,11 @@ hole. Each hole carries its scope path, its type, and its variable set:
 the same-type variables visible at that position (all of them, because
 MiniC puts declarations before statements, so visibility is uniform
 across a block). Extraction reads these off the chain of enclosing
-scopes' declarations as it walks the AST. Declarations are never holes:
-under `decl_holes` the skeleton only records the flag, and the
-enumerator fills these same holes by the naive product, declarations at
-their source names.
+scopes' declarations as it walks the AST. Declarations are never holes,
+and a skeleton is only its program and its holes. How it is enumerated
+(mode, granularity, declaration holes) belongs to the enumeration plan;
+with declaration holes the enumerator fills these same holes by the
+naive product, declarations at their source names.
 
 `normal_forms` turns a skeleton into one flat tuple of the
 pool-structured (unit, type) families the partition machinery consumes,
@@ -31,8 +32,9 @@ partition model would miscount, so `normal_forms` refuses such units.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .combinat import Family, Pool
 from .minilang.ast import GLOBAL_SCOPE, Block, Program, Var, VarDecl, children
@@ -74,12 +76,8 @@ class Hole:
 @dataclass(eq=False)
 class Skeleton:
     program: Program
+    # in source order, so each function's holes are contiguous
     holes: list[Hole]
-    # unit name -> (first, last) hole index, or None for hole-less units;
-    # unit holes are contiguous because extraction walks source order.
-    per_function_ranges: dict[str, Optional[tuple[int, int]]]
-    origin_vector: tuple[str, ...]
-    decl_holes: bool
 
     @property
     def n(self) -> int:
@@ -121,9 +119,8 @@ def _visible_vars(chain: Chain, type_: str) -> tuple[tuple[VarDecl, ...], bool]:
     return tuple(visible), hidden
 
 
-def extract(program: Program, decl_holes: bool = False) -> Skeleton:
-    """Turn every variable occurrence into a hole, in source order.
-    decl_holes is recorded for the enumerator; it adds no hole."""
+def extract(program: Program) -> Skeleton:
+    """Turn every variable occurrence into a hole, in source order."""
     holes: list[Hole] = []
 
     def walk(node, chain: Chain, unit: str) -> None:
@@ -148,22 +145,12 @@ def extract(program: Program, decl_holes: bool = False) -> Skeleton:
         for kid in children(node):
             walk(kid, chain, unit)
 
-    ranges: dict[str, Optional[tuple[int, int]]] = {}
     for f in program.functions:
-        first = len(holes) + 1
         # the parameters open the body's scope, before its declarations
         scope = (f.body.scope_id, [*f.params, *f.body.decls])
         for kid in children(f.body):
             walk(kid, ((GLOBAL_SCOPE, program.globals), scope), f.name)
-        ranges[f.name] = (first, len(holes)) if len(holes) >= first else None
-
-    return Skeleton(
-        program=program,
-        holes=holes,
-        per_function_ranges=ranges,
-        origin_vector=tuple(h.node.name for h in holes),
-        decl_holes=decl_holes,
-    )
+    return Skeleton(program, holes)
 
 
 def characteristic_vector(skel: Skeleton, assignment: Sequence[str]) -> tuple[str, ...]:
@@ -233,7 +220,7 @@ def _unit_families(unit: str, holes: Sequence[Hole], n_roots: int) -> Iterator[F
 
 def normal_forms(skel: Skeleton, granularity: Granularity) -> tuple[Family, ...]:
     """Every family the enumeration multiplies together, in stream order.
-    At INTRA granularity each function in per_function_ranges order is
+    At INTRA granularity each function with holes, in source order, is
     rooted at the global scope and its own, so globals, parameters and
     top-level locals share the root pool. At
     INTER the whole program is one unit rooted at the global scope, and
@@ -242,10 +229,7 @@ def normal_forms(skel: Skeleton, granularity: Granularity) -> tuple[Family, ...]
     if granularity is Granularity.INTER:
         units = [(PROGRAM_UNIT, skel.holes, 1)]
     else:
-        units = [
-            (unit, skel.holes[rng[0] - 1 : rng[1]] if rng else [], 2)
-            for unit, rng in skel.per_function_ranges.items()
-        ]
+        units = [(unit, list(holes), 2) for unit, holes in itertools.groupby(skel.holes, lambda h: h.unit)]
     return tuple(fam for unit, holes, n_roots in units for fam in _unit_families(unit, holes, n_roots))
 
 
@@ -253,8 +237,14 @@ def normal_forms(skel: Skeleton, granularity: Granularity) -> tuple[Family, ...]
 # Serialization
 
 
-def to_json(skel: Skeleton) -> dict:
-    """JSON-ready skeleton description; field names are a stable contract."""
+def to_json(skel: Skeleton, decl_holes: bool) -> dict:
+    """JSON-ready skeleton description; field names are a stable contract.
+    A function's range is its first and last hole index, or None when it
+    has no hole. The last field is the declaration-holes flag the
+    skeleton is dumped under."""
+    indices: dict[str, list[int]] = {f.name: [] for f in skel.program.functions}
+    for h in skel.holes:
+        indices[h.unit].append(h.index)
     return {
         "n": skel.n,
         "holes": [
@@ -266,10 +256,7 @@ def to_json(skel: Skeleton) -> dict:
             }
             for h in skel.holes
         ],
-        "per_function_ranges": {
-            unit: (list(rng) if rng is not None else None)
-            for unit, rng in skel.per_function_ranges.items()
-        },
-        "origin_vector": list(skel.origin_vector),
-        "decl_holes": skel.decl_holes,
+        "per_function_ranges": {unit: ([ix[0], ix[-1]] if ix else None) for unit, ix in indices.items()},
+        "origin_vector": [h.node.name for h in skel.holes],
+        "decl_holes": decl_holes,
     }

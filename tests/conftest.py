@@ -121,6 +121,12 @@ int main(void) {
 """
 
 
+def origin_vector(skel) -> tuple[str, ...]:
+    """The assignment that gives back the skeleton's own program: each
+    hole's source name, in hole order."""
+    return tuple(h.node.name for h in skel.holes)
+
+
 @pytest.fixture
 def loop():
     return parse(LOOP_SRC)

@@ -594,8 +594,8 @@ def c_constant(text: str) -> tuple[str, int | None, bool]:
     """What C makes of a constant expression over decimal literals that
     fit their type (plain or "u"-suffixed), "+ - * / %", unary minus and
     parentheses: its type, "int" or "unsigned"; its value, None where C
-    leaves it undefined (a zero divisor, or an int result outside int's
-    range); and whether every step kept its exact mathematical value with
+    leaves it undefined (a zero divisor, or an int result or an int
+    a % b's quotient a / b outside int's range); and whether every step kept its exact mathematical value with
     operands of one type, so nothing wrapped or was converted. Read off
     the C standard: an unsigned operand converts the other one to
     unsigned, unsigned arithmetic is modulo 2**32, division truncates
@@ -612,6 +612,8 @@ def c_constant(text: str) -> tuple[str, int | None, bool]:
         if op in ("/", "%"):
             q = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
             exact = q if op == "/" else a - q * b
+            if type_ == "int" and not INT_MIN <= q <= INT_MAX:
+                return type_, None, False
         else:
             exact = {"+": a + b, "-": a - b, "*": a * b}[op]
         if type_ == "int":

@@ -41,6 +41,7 @@ from spe.combinat import Mode, ScopeNestingError, naive_count, stirling2
 from spe.enumerator import (
     canonical_signature,
     enumerate_assignments,
+    plan,
     variants,
 )
 from spe.harness import (
@@ -75,7 +76,7 @@ def criterion(num: int, description: str, budget_s: float | None = None):
 
 
 def vectors(skel, mode, granularity):
-    return list(enumerate_assignments(skel, mode, granularity))
+    return list(enumerate_assignments(plan(skel, mode, granularity)))
 
 
 def assert_orbit_bijection(skel):
@@ -149,8 +150,9 @@ def test_criterion_4_scoped_decl_holes_cover_naive():
         assert math.prod(map(len, choices)) == 32768
         expected = valid_binding_keys(program)
         assert len(expected) == 512
-        skel = extract(program, decl_holes=True)
-        keys = [binding_key(parse(v.source)) for v in variants(skel, Mode.COMPLETE, Granularity.INTER)]
+        skel = extract(program)
+        pl = plan(skel, Mode.COMPLETE, Granularity.INTER, decl_holes=True)
+        keys = [binding_key(parse(v.source)) for v in variants(pl)]
         assert len(keys) == len(set(keys)) == naive_count(skel.holes) == 512
         assert set(keys) == expected
 
@@ -171,7 +173,7 @@ def test_criterion_6_random_skeletons_sound_and_complete():
         supported = 0
         for seed in range(200):
             skel = random_skeleton(seed, max_naive=2048)
-            complete = list(enumerate_assignments(skel, Mode.COMPLETE, Granularity.INTER))
+            complete = vectors(skel, Mode.COMPLETE, Granularity.INTER)
             sigs = [canonical_signature(skel, a, Granularity.INTER) for a in complete]
             assert len(set(sigs)) == len(sigs), f"seed {seed}: duplicate class"
             sig_set = set(sigs)
@@ -209,7 +211,7 @@ def test_criterion_7_orbit_members_interpret_identically():
         checked = 0
         for skel in skels:
             group = renaming_group(pools_of_program(skel.program))
-            for rep in itertools.islice(enumerate_assignments(skel, Mode.COMPLETE, Granularity.INTER), 10):
+            for rep in itertools.islice(enumerate_assignments(plan(skel, Mode.COMPLETE, Granularity.INTER)), 10):
                 outcomes = set()
                 for member in {renamed_source(skel, rep, g) for g in group}:
                     res = interpret(parse(member), step_budget=20_000)

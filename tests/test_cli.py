@@ -1316,11 +1316,9 @@ def _enumerate_matches_reference(runner, path, out, mode="complete", granularity
     res = runner.invoke(main, ["enumerate", str(path), *options, "--out", str(out)])
     assert res.exit_code == EXIT_OK, res.output
 
-    skel = extract(parse(path.read_text()), decl_holes=decl_holes)
-    pl = plan(skel, Mode(mode), Granularity(granularity), cap=cap)
+    pl = plan(extract(parse(path.read_text())), Mode(mode), Granularity(granularity), decl_holes, cap=cap)
     expected = reference_manifest(
-        path.stem, str(path), mode, granularity, decl_holes, pl.selected_count,
-        list(variants(skel, pl.mode, pl.granularity, limit=cap)),
+        path.stem, str(path), mode, granularity, decl_holes, pl.selected_count, list(variants(pl)),
     )
     written = (out / path.stem / "manifest.json").read_text()
     if written != expected:
@@ -1455,7 +1453,7 @@ class TestHotPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the variant path")
 
-        expected = [v.source for v in spe.enumerator.variants(loop_skel)]
+        expected = [v.source for v in spe.enumerator.variants(plan(loop_skel))]
         res = runner.invoke(main, ["enumerate", *paths, "--out", str(tmp_path / "plain")])
         assert res.exit_code == EXIT_OK
 
@@ -1475,7 +1473,7 @@ class TestHotPath:
         monkeypatch.setattr(spe.enumerator, "canonical_signature", forbidden)
         monkeypatch.setattr(spe.enumerator, "render", record(renders, spe.enumerator.render))
         monkeypatch.setattr(spe.cli, "parse", record(parsed, spe.cli.parse))
-        assert [v.source for v in spe.enumerator.variants(loop_skel)] == expected
+        assert [v.source for v in spe.enumerator.variants(plan(loop_skel))] == expected
         renders.clear()
         res = runner.invoke(main, ["enumerate", *paths, "--out", str(tmp_path / "guarded")])
         assert res.exit_code == EXIT_OK, res.output

@@ -1,10 +1,13 @@
 """Enumeration correctness against brute-force orbit oracles, plus
 realization and alpha-equivalence behavior."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from spe.enumerator import (
 from spe.minilang import parse, render
 from spe.minilang.ast import Program
 from spe.minilang.interp import interpret
-from spe.skeleton import Granularity, extract
+from spe.skeleton import Granularity, ShadowingError, extract
 
 from conftest import (
     BRANCH_SRC,
@@ -33,6 +36,7 @@ from conftest import (
     SHADOW_SRC,
     STRAIGHT_SRC,
     TWO_FUNCTIONS_SRC,
+    origin_vector,
     random_skeleton,
     random_source,
 )
@@ -52,7 +56,7 @@ from oracles import realize_source as oracle_realize_source
 
 
 def stream_vectors(skel, mode=Mode.COMPLETE, granularity=Granularity.INTRA):
-    return list(enumerate_assignments(skel, mode, granularity))
+    return list(enumerate_assignments(plan(skel, mode, granularity)))
 
 
 def programs_alpha_equivalent(p: Program, q: Program) -> bool:
@@ -96,7 +100,7 @@ class TestLoop:
         assert check_orbit_bijection(loop_skel) == 32
 
     def test_origin_rgs(self, loop_skel):
-        sig = canonical_signature(loop_skel, loop_skel.origin_vector)
+        sig = canonical_signature(loop_skel, origin_vector(loop_skel))
         ((unit, type_, config, rgs),) = sig
         assert unit == "main" and type_ == "int"
         assert config == (0, 0, 0, 0, 0, 0)
@@ -170,19 +174,19 @@ class TestScoped:
     def test_signatures_all_distinct(self, scoped_skel):
         sigs = {
             canonical_signature(scoped_skel, a, Granularity.INTER)
-            for a in enumerate_assignments(scoped_skel, Mode.COMPLETE, Granularity.INTER)
+            for a in enumerate_assignments(plan(scoped_skel, Mode.COMPLETE, Granularity.INTER))
         }
         assert len(sigs) == 144
 
     @pytest.mark.parametrize("mode", Mode)
     @pytest.mark.parametrize("granularity", Granularity)
-    def test_decl_holes_stream_is_the_naive_product(self, scoped, mode, granularity):
-        skel = extract(scoped, decl_holes=True)
-        rows = list(variants(skel, mode, granularity))
+    def test_decl_holes_stream_is_the_naive_product(self, scoped_skel, mode, granularity):
+        pl = plan(scoped_skel, mode, granularity, decl_holes=True)
+        rows = list(variants(pl))
         assert [v.seq for v in rows] == list(range(1, 513))
-        assert [v.assignment for v in rows] == list(naive_space(skel))
+        assert [v.assignment for v in rows] == list(naive_space(scoped_skel))
         assert {v.signature for v in rows} == {()}
-        assert plan(skel, mode, granularity).selected_count == 512
+        assert pl.selected_count == 512
 
 
 class TestProgramEquivalence:
@@ -215,14 +219,14 @@ class TestProgramEquivalence:
 
 class TestRealization:
     def test_origin_round_trip(self, loop, loop_skel):
-        p = realize(loop_skel, loop_skel.origin_vector)
+        p = realize(loop_skel, origin_vector(loop_skel))
         assert structurally_equal(p, loop)
         assert render(p) == render(loop)
 
     def test_empty_skeleton_round_trip(self):
         src = "int main(void) { return 0; }"
         skel = extract(parse(src))
-        vals = list(enumerate_assignments(skel))
+        vals = list(enumerate_assignments(plan(skel)))
         assert vals == [()]
         assert render(realize(skel, ())) == render(parse(src))
 
@@ -234,7 +238,7 @@ class TestRealization:
     @settings(max_examples=60, deadline=None)
     def test_every_variant_parses(self, seed):
         skel = random_skeleton(seed, max_naive=512)
-        for a in enumerate_assignments(skel):
+        for a in enumerate_assignments(plan(skel)):
             realize(skel, a)  # ParseError here would fail the test
 
 
@@ -250,7 +254,7 @@ class TestSignatureInvariance:
             image = list(pool)
             rng.shuffle(image)
             mapping.update(zip(pool, image))
-        a = skel.origin_vector
+        a = origin_vector(skel)
         b = tuple(mapping.get(v, v) for v in a)
         for gran in Granularity:
             assert canonical_signature(skel, a, gran) == canonical_signature(skel, b, gran)
@@ -301,7 +305,7 @@ class TestStreamOracle:
             for mode in Mode:
                 for gran in Granularity:
                     try:
-                        stream = list(variants(skel, mode, gran))
+                        stream = list(variants(plan(skel, mode, gran)))
                     except (ScopeNestingError, ShadowingError):
                         refused += 1
                         continue
@@ -345,12 +349,12 @@ class TestDeclHolesStream:
         for name, src in _decl_holes_sources().items():
             program = parse(src)
             expected = valid_binding_keys(program)
-            skel = extract(program, decl_holes=True)
+            skel = extract(program)
             for mode in Mode:
                 for gran in Granularity:
-                    pl = plan(skel, mode, gran)
+                    pl = plan(skel, mode, gran, decl_holes=True)
                     keys = []
-                    for v in variants(skel, mode, gran):
+                    for v in variants(pl):
                         if v.source not in key_of:
                             key_of[v.source] = binding_key(parse(v.source))
                         keys.append(key_of[v.source])
@@ -362,45 +366,44 @@ class TestDeclHolesStream:
 
     @pytest.mark.parametrize("granularity", list(Granularity), ids=lambda g: g.value)
     def test_canonical_signature_is_the_streams(self, granularity):
-        # the empty signature every entry and manifest carries
+        # every entry and manifest carries the empty signature
         for src in (LOOP_SRC, BRANCH_SRC, SCOPED_SRC, STRAIGHT_SRC, NESTED_SRC, TWO_FUNCTIONS_SRC):
-            skel = extract(parse(src), decl_holes=True)
-            for v in variants(skel, Mode.COMPLETE, granularity):
-                assert v.signature == canonical_signature(skel, v.assignment, granularity)
+            pl = plan(extract(parse(src)), Mode.COMPLETE, granularity, decl_holes=True)
+            assert {v.signature for v in variants(pl)} == {()}
 
 
 class TestVariantStream:
     def test_names_and_sequence(self, loop_skel, tmp_path):
-        rows = list(variants(loop_skel))
+        rows = list(variants(plan(loop_skel)))
         assert len(rows) == 32
         assert [v.seq for v in rows] == list(range(1, 33))
         # seqs are padded to the digits of the number of entries emitted
         for cap, name in ((None, "loop__v03.c"), (9, "loop__v3.c")):
-            with variant_files(tmp_path / str(cap), loop_skel, plan(loop_skel, cap=cap), "loop") as stream:
+            with variant_files(tmp_path / str(cap), plan(loop_skel, cap=cap), "loop") as stream:
                 assert [p.name for p, _ in stream][2] == name
 
     def test_variant_files_writes_the_stream(self, loop_skel, tmp_path):
-        with variant_files(tmp_path / "loop", loop_skel, plan(loop_skel), "loop") as stream:
+        with variant_files(tmp_path / "loop", plan(loop_skel), "loop") as stream:
             rows = list(stream)
         assert [p.name for p, _ in rows] == [f"loop__v{i:02d}.c" for i in range(1, 33)]
-        assert [v.source for _, v in rows] == [v.source for v in variants(loop_skel)]
+        assert [v.source for _, v in rows] == [v.source for v in variants(plan(loop_skel))]
         assert [p.read_text() for p, _ in rows] == [v.source for _, v in rows]
         assert sorted(p.name for p in (tmp_path / "loop").iterdir()) == [p.name for p, _ in rows]
 
     def test_variant_files_rejects_a_refused_plan(self, loop_skel, tmp_path):
         with pytest.raises(ValueError):
-            with variant_files(tmp_path / "loop", loop_skel, plan(loop_skel, threshold=10), "loop"):
+            with variant_files(tmp_path / "loop", plan(loop_skel, threshold=10), "loop"):
                 pass
         assert not (tmp_path / "loop").exists()
 
     def test_limit_is_stream_prefix(self, loop_skel):
-        head = [v.assignment for v in variants(loop_skel, limit=5)]
+        head = [v.assignment for v in variants(plan(loop_skel, cap=5))]
         full = stream_vectors(loop_skel)
         assert head == full[:5]
 
     def test_deterministic_rerun(self, loop_skel):
-        one = [(v.seq, v.source) for v in variants(loop_skel)]
-        two = [(v.seq, v.source) for v in variants(loop_skel)]
+        one = [(v.seq, v.source) for v in variants(plan(loop_skel))]
+        two = [(v.seq, v.source) for v in variants(plan(loop_skel))]
         assert one == two
 
 
@@ -412,7 +415,7 @@ class TestPlan:
         assert p.refusal is None
         p = plan(loop_skel, threshold=10, cap=5)
         assert p.refusal is None
-        with variant_files(tmp_path, loop_skel, p, "loop") as stream:
+        with variant_files(tmp_path, p, "loop") as stream:
             assert [path.name for path, _ in stream] == [f"loop__v{i}.c" for i in range(1, 6)]
 
     def test_paper_mode_unsupported_reports_none(self):
@@ -434,3 +437,49 @@ int main(void) {
         assert p.refusal == "unsupported" and p.selected_count is None
         q = plan(skel, Mode.COMPLETE)
         assert q.refusal is None
+
+
+# The first VARIANT_ROWS entries of every composed stream of these
+# sources, each hashed with its seq, assignment, signature and source, in
+# both modes at both granularities, with and without decl_holes.
+# `variant_digests.json` holds the digests as first written, so a change
+# to how the families' streams are combined, how a row fills the
+# template, or how the decl_holes product runs shows here. A stream the
+# plan refuses (shadowing, or paper mode over nested scopes) is recorded
+# as refused.
+VARIANT_SOURCES = {
+    "loop": LOOP_SRC,
+    "branch": BRANCH_SRC,
+    "scoped": SCOPED_SRC,
+    "straight": STRAIGHT_SRC,
+    "nested": NESTED_SRC,
+    "shadow": SHADOW_SRC,
+    "two_functions": TWO_FUNCTIONS_SRC,
+    **{f"random_source({seed})": random_source(seed) for seed in range(50)},
+}
+VARIANT_ROWS = 200
+
+
+def variant_digest(src: str) -> str:
+    h = hashlib.sha256()
+    skel = extract(parse(src))
+    for decl_holes in (False, True):
+        for mode in Mode:
+            for gran in Granularity:
+                h.update(f"{decl_holes} {mode.value} {gran.value}\n".encode())
+                try:
+                    pl = plan(skel, mode, gran, decl_holes, cap=VARIANT_ROWS)
+                except ShadowingError:
+                    h.update(b"shadowing\n")
+                    continue
+                if pl.refusal == "unsupported":
+                    h.update(b"unsupported\n")
+                    continue
+                for v in variants(pl):
+                    h.update(repr((v.seq, v.assignment, v.signature, v.source)).encode())
+    return h.hexdigest()[:16]
+
+
+def test_variant_streams_match_frozen_digests():
+    frozen = json.loads((Path(__file__).parent / "variant_digests.json").read_text())
+    assert {name: variant_digest(src) for name, src in VARIANT_SOURCES.items()} == frozen

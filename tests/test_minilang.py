@@ -210,6 +210,8 @@ int helper(int x) {
             # constant wraps, overflows or mixes the types on the way
             ("unsigned u = (0u - 2u) / 2u + 1u;\n" + wrap(""), E_RANGE, 1, 18),
             ("int x = (2147483647 + 1) / 2;\n" + wrap(""), E_RANGE, 1, 21),
+            # a % b is undefined when a / b overflows, whatever a % b is
+            ("int g = (-2147483647 - 1) % -1;\n" + wrap(""), E_RANGE, 1, 27),
             ("unsigned u = 3u - 2;\n" + wrap(""), E_TYPE, 1, 17),
             # initializers take the arithmetic operators only
             ("int g = 1 == 1;\n" + wrap(""), E_SYNTAX, 1, 11),
@@ -370,7 +372,7 @@ class TestNesting:
         p = parse(_with_f(_NESTED[shape](n)))
         again = parse(render(p))
         assert program_key(again) == program_key(p)
-        extract(p, decl_holes=True)
+        extract(p)
         assert interpret(p).status is Status.OK
 
 
@@ -601,14 +603,16 @@ class TestOperatorMatrix:
     @pytest.mark.parametrize("op", _ARITHMETIC)
     def test_constant_folder(self, op, type_):
         # an initializer's operator folds to its exact value, which must
-        # lie in its operands' type, here also the declared type
+        # lie in its operands' type, here also the declared type; a % b
+        # also needs a / b to lie there, as C leaves it undefined otherwise
         lo, hi = (INT_MIN, INT_MAX) if type_ == "int" else (0, UINT_MAX)
         operands = MATRIX_OPERANDS[type_]
         for a in operands:
             for b in operands:
                 source = f"{type_} g = {_literal(type_, a)} {op} {_literal(type_, b)};\n" + wrap("")
                 exact = _exact(op, a, b)
-                if exact is None or not lo <= exact <= hi:
+                quotient = _exact("/", a, b) if op == "%" else exact
+                if exact is None or not lo <= exact <= hi or not lo <= quotient <= hi:
                     with pytest.raises(ParseError) as e:
                         parse(source)
                     assert e.value.kind == E_RANGE, (op, a, b)
@@ -653,6 +657,7 @@ class TestConstantInitializers:
     @given(constant_initializers())
     @example(("unsigned", "(0u - 2u) / 2u + 1u"))
     @example(("int", "(2147483647 + 1) / 2"))
+    @example(("int", "(-2147483647 - 1) % -1"))
     @settings(max_examples=400, deadline=None)
     def test_fold_is_cs_value_or_refused(self, init):
         # parse refuses exactly the initializers whose value C reaches

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spe.combinat import Family, Pool, count_plan
+from spe.enumerator import plan
 from spe.minilang import parse
 from spe.minilang.ast import VarDecl
 from spe.skeleton import (
@@ -23,7 +24,7 @@ from spe.skeleton import (
     to_json,
 )
 
-from conftest import SHADOW_SRC, TWO_FUNCTIONS_SRC, random_skeleton
+from conftest import SHADOW_SRC, TWO_FUNCTIONS_SRC, origin_vector, random_skeleton
 from test_combinat import DIGEST_SOURCES
 from test_minilang import REFERENCE_PROGRAMS
 
@@ -32,11 +33,15 @@ class TestExtraction:
     def test_loop_holes(self, loop_skel):
         s = loop_skel
         assert s.n == 6
-        assert s.origin_vector == ("a", "b", "a", "a", "a", "b")
+        assert origin_vector(s) == ("a", "b", "a", "a", "a", "b")
         assert all(h.names == ("a", "b") for h in s.holes)
         assert [h.index for h in s.holes] == [1, 2, 3, 4, 5, 6]
-        assert list(s.per_function_ranges) == ["main"]
-        assert not s.decl_holes
+        assert {h.unit for h in s.holes} == {"main"}
+
+    def test_skeleton_is_its_program_and_holes(self, loop, loop_skel):
+        # how a skeleton is enumerated is the plan's, not the skeleton's
+        assert [f.name for f in dataclasses.fields(loop_skel)] == ["program", "holes"]
+        assert loop_skel.program is loop
 
     def test_branch_var_sets(self, branch_skel):
         s = branch_skel
@@ -44,22 +49,26 @@ class TestExtraction:
         sizes = [len(h.var_set) for h in s.holes]
         # source order: a=0, b=0, c=0, d=1, a=0 — block holes see 4 vars
         assert sizes == [2, 2, 4, 4, 2]
-        assert s.origin_vector == ("a", "b", "c", "d", "a")
+        assert origin_vector(s) == ("a", "b", "c", "d", "a")
 
-    def test_scoped_decl_holes(self, scoped, scoped_skel):
-        # declarations are never holes; the flag is the enumerator's
-        s = extract(scoped, decl_holes=True)
-        assert s.decl_holes and not scoped_skel.decl_holes
-        assert [(h.node, h.var_set) for h in s.holes] == [(h.node, h.var_set) for h in scoped_skel.holes]
-        assert s.per_function_ranges == scoped_skel.per_function_ranges
+    def test_scoped_decl_holes(self, scoped_skel):
+        # declarations are never holes; the flag is the plan's, and the
+        # JSON dump only records it
+        flagged = to_json(scoped_skel, True)
+        assert flagged.pop("decl_holes") is True
+        plain = to_json(scoped_skel, False)
+        assert plain.pop("decl_holes") is False
+        assert flagged == plain
+        assert plan(scoped_skel, decl_holes=True).decl_holes
+        assert not plan(scoped_skel).decl_holes
 
     def test_scoped_without_decl_holes(self, scoped_skel):
         s = scoped_skel
         assert s.n == 6
         assert not any(isinstance(h.node, VarDecl) for h in s.holes)
         assert [len(h.var_set) for h in s.holes] == [2, 4, 4, 4, 2, 2]
-        assert s.origin_vector == ("a", "b", "c", "d", "a", "b")
-        assert s.per_function_ranges == {"main": (1, 6)}
+        assert origin_vector(s) == ("a", "b", "c", "d", "a", "b")
+        assert to_json(s, False)["per_function_ranges"] == {"main": [1, 6]}
 
     def test_condition_sees_enclosing_scope_only(self, scoped_skel):
         cond = scoped_skel.holes[0]  # the `if (a)` test
@@ -87,17 +96,19 @@ int main(void) {
         s = extract(parse(src))
         units = {h.unit for h in s.holes}
         assert units == {"helper", "main"}
-        lo, hi = s.per_function_ranges["helper"]
-        assert [h.unit for h in s.holes[lo:hi]] == ["helper"] * (hi - lo)
+        ranges = to_json(s, False)["per_function_ranges"]
+        assert ranges == {"helper": [1, 2], "main": [3, 5]}
+        assert [h.unit for h in s.holes] == ["helper"] * 2 + ["main"] * 3
 
     def test_empty_skeleton(self):
         s = extract(parse("int main(void) { return 0; }"))
-        assert s.n == 0 and s.origin_vector == ()
+        assert s.n == 0 and origin_vector(s) == ()
+        assert to_json(s, False)["per_function_ranges"] == {"main": None}
 
 
 class TestCharacteristicVector:
     def test_origin_round_trip(self, loop_skel):
-        assert characteristic_vector(loop_skel, loop_skel.origin_vector) == loop_skel.origin_vector
+        assert characteristic_vector(loop_skel, origin_vector(loop_skel)) == origin_vector(loop_skel)
 
     def test_accepts_plain_sequences(self, loop_skel):
         v = ("b", "a", "b", "b", "b", "a")
@@ -180,13 +191,15 @@ class TestNormalForms:
         ],
     )
     def test_two_function_units(self, decl_holes, granularity, expected):
-        s = extract(parse(TWO_FUNCTIONS_SRC), decl_holes)
+        s = extract(parse(TWO_FUNCTIONS_SRC))
         assert [(f.unit, f.type) for f in normal_forms(s, granularity)] == expected
+        families = plan(s, granularity=granularity, decl_holes=decl_holes).families
+        assert families == normal_forms(s, granularity)
         assert_families_cover_holes(s, granularity)
 
     def test_hole_less_unit_has_no_family(self):
         s = extract(parse("int f(void) { return 1; }\nint main(void) { int a = 0; return a; }"))
-        assert list(s.per_function_ranges) == ["f", "main"]
+        assert to_json(s, False)["per_function_ranges"] == {"f": None, "main": [1, 1]}
         assert [f.unit for f in normal_forms(s, Granularity.INTRA)] == ["main"]
 
     def test_two_type_families_sorted(self):
@@ -276,12 +289,14 @@ int main(void) {
 
 class TestJson:
     def test_shape(self, loop_skel):
-        doc = to_json(loop_skel)
+        doc = to_json(loop_skel, False)
+        assert list(doc) == ["n", "holes", "per_function_ranges", "origin_vector", "decl_holes"]
         assert doc["n"] == 6
         assert doc["origin_vector"] == ["a", "b", "a", "a", "a", "b"]
         assert len(doc["holes"]) == 6
         assert doc["holes"][0]["var_set"] == [["a", 1], ["b", 1]]
-        assert set(doc["per_function_ranges"]) == {"main"}
+        assert doc["per_function_ranges"] == {"main": [1, 6]}
+        assert doc["decl_holes"] is False
 
 
 class TestRandomSkeletons:
@@ -293,10 +308,8 @@ class TestRandomSkeletons:
         for h in s.holes:
             assert h.names
             assert h.node.name in h.names
-        for decl_holes in (False, True):
-            skel = extract(s.program, decl_holes)
-            for granularity in Granularity:
-                assert_families_cover_holes(skel, granularity)
+        for granularity in Granularity:
+            assert_families_cover_holes(s, granularity)
 
 
 # Every skeleton fact of these sources: its JSON document and the full
@@ -313,7 +326,7 @@ SKELETON_SOURCES = {
 
 
 def skeleton_facts(skel) -> str:
-    lines = [json.dumps(to_json(skel), sort_keys=True)]
+    lines = [json.dumps(to_json(skel, False), sort_keys=True)]
     for granularity in Granularity:
         try:
             lines.append(repr(normal_forms(skel, granularity)))
